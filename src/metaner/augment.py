@@ -405,9 +405,10 @@ def generate_augmented_set(
 ) -> list[PseudoExample]:
     """Produce times * |corpus| pseudo examples, split evenly across methods.
 
-    Each output slot draws from its own generator seeded with seed ^ slot, so
-    slots are independent and the whole set is reproducible (and could be
-    filled in parallel).
+    Each output slot draws from its own generator seeded with
+    SeedSequence([seed, slot]), so slots are independent of each other and
+    across seeds, and the whole set is reproducible (and could be filled in
+    parallel).
     """
     total = cfg.times * len(corpus)
     if total == 0:
@@ -426,7 +427,7 @@ def generate_augmented_set(
 
     out: list[PseudoExample] = []
     for slot in range(total):
-        slot_rng = np.random.default_rng(seed ^ slot)
+        slot_rng = np.random.default_rng(np.random.SeedSequence([seed, slot]))
         if slot < ts_slots:
             produced = None
             for _ in range(_GENERATE_REDRAWS):

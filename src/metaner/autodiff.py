@@ -2,8 +2,20 @@
 
 Computation graphs are built per example and are single-threaded. Each
 `Tensor` node stores its forward value, its parent nodes and a vector-Jacobian
-closure; `grad` walks the graph once in reverse topological order. The op
-catalog is deliberately small: exactly what a BiLSTM-CRF tagger needs.
+closure; `grad` walks the graph once in reverse topological order.
+
+The op catalog is deliberately small:
+
+- elementwise: add, sub, mul (all broadcasting), scale, shift, tanh, sigmoid;
+- linear algebra and reductions: matmul, tsum, mean, logsumexp;
+- indexing: embed_rows (gather with scatter-add gradient), gather, pick,
+  pad_rows, reshape.
+
+Sequence recurrences are not built from these ops one timestep at a time.
+`tagger.bilstm` and `tagger.crf_log_partition` are hand-written nodes, each
+one `Tensor(out, parents, vjp)` whose vjp is backpropagation through time or
+the forward-backward marginals, so a sentence's graph has the same few dozen
+nodes whatever its length.
 """
 
 from __future__ import annotations
@@ -198,12 +210,9 @@ def sigmoid(a: Tensor) -> Tensor:
 
 
 def _sigmoid_stable(x: Array) -> Array:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so exp never overflows."""
+    ex = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
 
 
 def tsum(a: Tensor, axis: int | None = None) -> Tensor:
@@ -221,55 +230,21 @@ def mean(a: Tensor) -> Tensor:
     return scale(tsum(a), 1.0 / a.data.size)
 
 
+def _logsumexp_stable(x: Array, axis: int | None = None) -> Array:
+    """log(sum(exp(x))) over `axis` (all of x if None), max-shifted so exp never overflows."""
+    m = x.max(axis=axis, keepdims=True)
+    return np.squeeze(m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True)), axis=axis)
+
+
 def logsumexp(a: Tensor, axis: int | None = None) -> Tensor:
     """Stable log-sum-exp via max subtraction; gradient is the softmax."""
-    m = a.data.max(axis=axis, keepdims=True)
-    out_keep = m + np.log(np.exp(a.data - m).sum(axis=axis, keepdims=True))
-    out = out_keep.reshape(()) if axis is None else np.squeeze(out_keep, axis=axis)
-    soft = np.exp(a.data - out_keep)
+    out = _logsumexp_stable(a.data, axis)
+    soft = np.exp(a.data - (out if axis is None else np.expand_dims(out, axis)))
 
     def vjp(g: Array):
         if axis is None:
             return (g * soft,)
         return (np.expand_dims(g, axis) * soft,)
-
-    return Tensor(out, (a,), vjp)
-
-
-def concat(parts: Sequence[Tensor]) -> Tensor:
-    """Concatenate 1-d tensors."""
-    if any(p.data.ndim != 1 for p in parts):
-        raise ValueError("concat expects 1-d tensors")
-    sizes = [p.data.shape[0] for p in parts]
-    out = np.concatenate([p.data for p in parts])
-    offsets = np.cumsum([0] + sizes)
-
-    def vjp(g: Array):
-        return tuple(g[offsets[i] : offsets[i + 1]] for i in range(len(parts)))
-
-    return Tensor(out, tuple(parts), vjp)
-
-
-def stack(rows: Sequence[Tensor]) -> Tensor:
-    """Stack 1-d tensors into a (len(rows), d) matrix."""
-    if any(r.data.ndim != 1 for r in rows):
-        raise ValueError("stack expects 1-d tensors")
-    out = np.stack([r.data for r in rows])
-
-    def vjp(g: Array):
-        return tuple(g[i] for i in range(len(rows)))
-
-    return Tensor(out, tuple(rows), vjp)
-
-
-def row(a: Tensor, index: int) -> Tensor:
-    """Select one row of a 2-d tensor (also the embedding-lookup primitive)."""
-    out = a.data[index]
-
-    def vjp(g: Array):
-        full = np.zeros_like(a.data)
-        full[index] = g
-        return (full,)
 
     return Tensor(out, (a,), vjp)
 
@@ -290,17 +265,6 @@ def embed_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
     return Tensor(out, (table,), vjp)
 
 
-def rows_slice(a: Tensor, start: int, stop: int) -> Tensor:
-    out = a.data[start:stop]
-
-    def vjp(g: Array):
-        full = np.zeros_like(a.data)
-        full[start:stop] = g
-        return (full,)
-
-    return Tensor(out, (a,), vjp)
-
-
 def pad_rows(a: Tensor, total_rows: int) -> Tensor:
     """Append zero rows to a 2-d tensor until it has total_rows rows."""
     n = a.shape[0]
@@ -315,19 +279,6 @@ def pad_rows(a: Tensor, total_rows: int) -> Tensor:
 
     def vjp(g: Array):
         return (g[:n],)
-
-    return Tensor(out, (a,), vjp)
-
-
-def slice1d(a: Tensor, start: int, stop: int) -> Tensor:
-    if a.data.ndim != 1:
-        raise ValueError("slice1d expects a 1-d tensor")
-    out = a.data[start:stop]
-
-    def vjp(g: Array):
-        full = np.zeros_like(a.data)
-        full[start:stop] = g
-        return (full,)
 
     return Tensor(out, (a,), vjp)
 

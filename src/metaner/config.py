@@ -192,7 +192,7 @@ def render_config(cfg: RunConfig) -> str:
         if section == "run":
             value = getattr(cfg, attr)
         else:
-            value = getattr(getattr(cfg, {"model": "model", "aug": "aug", "trainer": "trainer"}[section]), attr)
+            value = getattr(getattr(cfg, section), attr)
         if value is None:
             continue  # unset paths and unset beta stay absent
         out.append(f"{key}={_format(value)}")

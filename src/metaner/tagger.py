@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParamStore, Tensor
+from .autodiff import ParamStore, Tensor, _logsumexp_stable, _sigmoid_stable
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import Corpus, LabeledSequence
 from .vectors import read_vector_file
@@ -174,32 +174,14 @@ class TaggerModel:
             emb = self.input_dropout(emb, rng)
         return emb
 
-    def _run_direction(self, emb: Tensor, prefix: str, reverse: bool) -> list[Tensor]:
-        n = emb.shape[0]
-        hidden = self.config.hidden
-        wx = self.params[f"{prefix}.Wx"]
-        wh = self.params[f"{prefix}.Wh"]
-        b = self.params[f"{prefix}.b"]
-        h = ad.constant(np.zeros(hidden))
-        c = ad.constant(np.zeros(hidden))
-        order = range(n - 1, -1, -1) if reverse else range(n)
-        states: dict[int, Tensor] = {}
-        for i in order:
-            pre = ad.add(ad.add(ad.matmul(wx, ad.row(emb, i)), ad.matmul(wh, h)), b)
-            i_gate = ad.sigmoid(ad.slice1d(pre, 0, hidden))
-            f_gate = ad.sigmoid(ad.slice1d(pre, hidden, 2 * hidden))
-            g_gate = ad.tanh(ad.slice1d(pre, 2 * hidden, 3 * hidden))
-            o_gate = ad.sigmoid(ad.slice1d(pre, 3 * hidden, 4 * hidden))
-            c = ad.add(ad.mul(f_gate, c), ad.mul(i_gate, g_gate))
-            h = ad.mul(o_gate, ad.tanh(c))
-            states[i] = h
-        return [states[i] for i in range(n)]
-
     def encode_states(self, emb: Tensor) -> Tensor:
         """BiLSTM states h_i = [forward_i ; backward_i], an (n, 2H) tensor."""
-        fwd = self._run_direction(emb, "lstm.fw", reverse=False)
-        bwd = self._run_direction(emb, "lstm.bw", reverse=True)
-        return ad.stack([ad.concat([f, b]) for f, b in zip(fwd, bwd)])
+        weights = [
+            self.params[f"{prefix}.{name}"]
+            for prefix in ("lstm.fw", "lstm.bw")
+            for name in ("Wx", "Wh", "b")
+        ]
+        return bilstm(emb, weights)
 
     def encode(
         self, emb: Tensor, train: bool = False, rng: np.random.Generator | None = None
@@ -278,6 +260,69 @@ class TaggerModel:
         return cls(table, config["label_vocab"], mc, store)
 
 
+# --- fused BiLSTM --------------------------------------------------------------
+
+
+def bilstm(emb: Tensor, weights: Sequence[Tensor]) -> Tensor:
+    """Both LSTM directions over `emb` as one graph node, an (n, 2H) tensor.
+
+    `weights` holds (Wx, Wh, b) of the forward direction, then of the backward
+    one; gate order is (i, f, g, o). The two directions step together as a
+    batch of two, the backward one reading the sequence reversed. The input
+    projection X Wx^T + b is one GEMM; only the recurrence loops over time.
+    The vjp is backpropagation through time over the cached gates and cells,
+    ending in one GEMM per weight matrix.
+    """
+    n = emb.shape[0]
+    w = [t.data for t in weights]
+    wx, wh, b = np.stack(w[0::3]), np.stack(w[1::3]), np.stack(w[2::3])
+    hid = wh.shape[2]
+    xs = np.stack([emb.data, emb.data[::-1]])  # (2, n, E), in step order
+    pre_x = xs @ wx.transpose(0, 2, 1) + b[:, None, :]
+    gates = np.empty((2, n, 4 * hid))  # activated i, f, g, o per step
+    cells = np.zeros((2, n + 1, hid))  # cells[:, k] is c entering step k
+    hs = np.zeros((2, n + 1, hid))  # hs[:, k] is h entering step k
+    tanh_c = np.empty((2, n, hid))
+    i_g, f_g, g_g, o_g = np.split(gates, 4, axis=2)
+    for k in range(n):
+        pre = pre_x[:, k] + (wh @ hs[:, k, :, None])[..., 0]
+        gates[:, k] = _sigmoid_stable(pre)
+        g_g[:, k] = np.tanh(pre[:, 2 * hid : 3 * hid])
+        cells[:, k + 1] = f_g[:, k] * cells[:, k] + i_g[:, k] * g_g[:, k]
+        tanh_c[:, k] = np.tanh(cells[:, k + 1])
+        hs[:, k + 1] = o_g[:, k] * tanh_c[:, k]
+    out = np.concatenate([hs[0, 1:], hs[1, 1:][::-1]], axis=1)
+
+    def vjp(g: np.ndarray):
+        # Stacked again rather than kept, so a live graph holds no weight copies.
+        wx, wh = np.stack(w[0::3]), np.stack(w[1::3])
+        dh_out = np.stack([g[:, :hid], g[::-1, hid:]])  # (2, n, H), in step order
+        slope = gates * (1.0 - gates)  # sigmoid' for i, f, o
+        slope[..., 2 * hid : 3 * hid] = 1.0 - g_g * g_g  # tanh' for g
+        # d pre_k = [dc_k, dc_k, dc_k, dh_k] * coef_k, since c_k = f c_{k-1} + i g
+        # and h_k = o tanh(c_k).
+        coef = np.concatenate([g_g, cells[:, :-1], i_g, tanh_c], axis=2) * slope
+        dc_dh = o_g * (1.0 - tanh_c * tanh_c)
+        d_pre = np.empty_like(gates)
+        dh = np.zeros((2, hid))
+        dc = np.zeros((2, hid))
+        for k in range(n - 1, -1, -1):
+            dh += dh_out[:, k]
+            dc += dh * dc_dh[:, k]
+            d_pre[:, k] = np.concatenate([dc, dc, dc, dh], axis=1) * coef[:, k]
+            dc *= f_g[:, k]
+            dh = (d_pre[:, k, None, :] @ wh)[:, 0]
+        d_pre_t = d_pre.transpose(0, 2, 1)
+        dwx = d_pre_t @ xs
+        dwh = d_pre_t @ hs[:, :-1]
+        db = d_pre.sum(axis=1)
+        dxs = d_pre @ wx
+        dx = dxs[0] + dxs[1][::-1]
+        return dx, dwx[0], dwh[0], db[0], dwx[1], dwh[1], db[1]
+
+    return Tensor(out, (emb, *weights), vjp)
+
+
 # --- CRF scoring -------------------------------------------------------------
 
 
@@ -296,16 +341,36 @@ def crf_score(o: Tensor, t: Tensor, labels: Sequence[int]) -> Tensor:
 
 
 def crf_log_partition(o: Tensor, t: Tensor) -> Tensor:
-    """log sum over all label sequences of exp(score), by the forward algorithm."""
-    n, num_labels = o.shape
-    start = t.shape[0] - 1
-    alpha = ad.add(ad.row(t, start), ad.row(o, 0))
-    if n > 1:
-        body = ad.rows_slice(t, 0, num_labels)
-        for i in range(1, n):
-            scores = ad.add(ad.reshape(alpha, (num_labels, 1)), body)
-            alpha = ad.add(ad.logsumexp(scores, axis=0), ad.row(o, i))
-    return ad.logsumexp(alpha)
+    """log sum over all label sequences of exp(score), by the forward algorithm.
+
+    One graph node. Its vjp runs the backward recursion and returns the
+    marginals (Sutton & McCallum, arXiv 1011.4088): d logZ/d o[i, y] is
+    p(y_i = y), d logZ/d T[j, k] is sum_i p(y_{i-1} = j, y_i = k), and the
+    START row takes the position-0 marginals.
+    """
+    od, td = o.data, t.data
+    n, num_labels = od.shape
+    start = td.shape[0] - 1
+    body = td[:num_labels]
+    alpha = np.empty((n, num_labels))
+    alpha[0] = td[start] + od[0]
+    for i in range(1, n):
+        alpha[i] = _logsumexp_stable(alpha[i - 1][:, None] + body, axis=0) + od[i]
+    log_z = _logsumexp_stable(alpha[-1])
+
+    def vjp(g: np.ndarray):
+        beta = np.zeros((n, num_labels))
+        for i in range(n - 1, 0, -1):
+            beta[i - 1] = _logsumexp_stable(body + (od[i] + beta[i]), axis=1)
+        d_o = np.exp(alpha + beta - log_z)
+        d_t = np.zeros_like(td)
+        d_t[:num_labels] = np.exp(
+            alpha[:-1, :, None] + body + (od[1:] + beta[1:])[:, None, :] - log_z
+        ).sum(axis=0)
+        d_t[start] = d_o[0]
+        return g * d_o, g * d_t
+
+    return Tensor(log_z, (o, t), vjp)
 
 
 def crf_nll(o: Tensor, t: Tensor, labels: Sequence[int]) -> Tensor:

@@ -30,7 +30,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import GradientMap, NumericError, Tensor, combine, grad
+from .autodiff import GradientMap, NumericError, Tensor, _sigmoid_stable, combine, grad
 from .augment import MixedExample, PseudoExample, Substituted, mixup_loss
 from .corpus import Corpus, LabeledSequence, span_f1
 from .optim import AdamWState, adamw_step, clip_global_norm
@@ -99,15 +99,6 @@ class WeightVector:
     w_hat: np.ndarray  # raw sigmoid outputs before normalization
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 def _mean_loss(losses: Sequence[Tensor]) -> Tensor:
     total = losses[0]
     for loss in losses[1:]:
@@ -143,7 +134,7 @@ def reweight(eg: EpsilonGrad, delta: float = 1e-8) -> WeightVector:
     """Map weight gradients to normalized example weights."""
     if delta <= 0:
         raise ValueError(f"delta must be > 0, got {delta}")
-    w_hat = _sigmoid(-eg.values)
+    w_hat = _sigmoid_stable(-eg.values)
     w = w_hat / (w_hat.sum() + delta)
     return WeightVector(w, w_hat)
 

@@ -22,6 +22,7 @@ from metaner.augment import (
     token_substitute,
 )
 from metaner.corpus import Corpus, LabeledSequence, extract_spans
+from metaner.synthetic import STOPWORDS, synthetic_corpus, synthetic_vectors
 from metaner.tagger import ModelConfig, TaggerModel, crf_nll
 
 
@@ -480,6 +481,19 @@ class TestGenerateAugmentedSet:
         assert a == b
         c = generate_augmented_set(corpus, cfg, 8, edict, sdict, use_ts=True, use_mixup=True)
         assert a != c
+
+    def test_different_seeds_draw_independent_sets(self):
+        corpus = synthetic_corpus(50, seed=0)
+        edict = build_entity_dict(corpus)
+        sdict = build_synonym_dict(synthetic_vectors(), k=5, stopwords=STOPWORDS)
+        cfg = AugConfig(times=1, p_sub=0.5)
+
+        def pseudo_set(seed):
+            out = generate_augmented_set(corpus, cfg, seed, edict, sdict)
+            return {p.example for p in out}
+
+        a, b = pseudo_set(0), pseudo_set(1)
+        assert len(a & b) <= 0.2 * min(len(a), len(b))
 
     def test_no_method_enabled_rejected(self):
         corpus, _, _ = self.dicts()

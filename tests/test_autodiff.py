@@ -125,27 +125,6 @@ class TestOpGradients:
         assert np.isfinite(out.item())
         assert out.item() == pytest.approx(1000.0 + np.log(2.0))
 
-    def test_concat(self):
-        arrays = {"a": self.rng.normal(size=3), "b": self.rng.normal(size=2)}
-        check_op(lambda s: ad.tsum(ad.tanh(ad.concat([s["a"], s["b"]]))), arrays)
-
-    def test_stack(self):
-        arrays = {"a": self.rng.normal(size=3), "b": self.rng.normal(size=3)}
-        check_op(lambda s: ad.logsumexp(ad.stack([s["a"], s["b"], s["a"]])), arrays)
-
-    def test_row_and_slices(self):
-        arrays = {"m": self.rng.normal(size=(4, 3))}
-        check_op(
-            lambda s: ad.tsum(
-                ad.add(ad.row(s["m"], 2), ad.tsum(ad.rows_slice(s["m"], 0, 2), axis=0))
-            ),
-            arrays,
-        )
-
-    def test_slice1d(self):
-        arrays = {"x": self.rng.normal(size=8)}
-        check_op(lambda s: ad.tsum(ad.mul(ad.slice1d(s["x"], 2, 5), ad.slice1d(s["x"], 0, 3))), arrays)
-
     def test_pad_rows(self):
         arrays = {"x": self.rng.normal(size=(2, 3))}
         weights = constant(self.rng.normal(size=(5, 3)))

@@ -9,6 +9,7 @@ from oracles import (
     brute_nll,
     brute_score,
     brute_viterbi_score,
+    numeric_gradient,
     rel_err,
 )
 
@@ -103,6 +104,21 @@ class TestEncoder:
         )
         expected = np.stack([np.concatenate([f, b]) for f, b in zip(fwd, bwd)])
         np.testing.assert_allclose(states.data, expected, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("n", [1, 2, 7])
+    def test_states_gradient_matches_finite_differences(self, n):
+        model = tiny_model(emb_dim=3, hidden=2, seed=14)
+        vocab = model.table.vocab[2:]
+        tokens = [vocab[i % len(vocab)] for i in range(n)]
+        # Weighting both halves of every state row reaches both directions.
+        weights = ad.constant(np.random.default_rng(n).normal(size=(n, 4)))
+        err = finite_diff_check(
+            lambda: ad.tsum(
+                ad.mul(model.encode_states(model.lookup_embeddings(tokens)), weights)
+            ),
+            model.params,
+        )
+        assert err < 1e-6
 
     def test_emissions_are_affine_in_states(self):
         model = tiny_model()
@@ -219,6 +235,23 @@ class TestCrfPartition:
             want = brute_log_partition(o, t)
             assert abs(got - want) / max(1.0, abs(want)) < 1e-10
 
+    @pytest.mark.parametrize("n", [1, 2, 4])
+    def test_gradients_are_brute_force_marginals(self, n):
+        rng = np.random.default_rng(20 + n)
+        o, t = random_crf(rng, n, 3)
+        store = ad.ParamStore()
+        store.add("o", o)
+        store.add("t", t)
+        log_z = crf_log_partition(store["o"], store["t"])
+        assert abs(log_z.item() - brute_log_partition(o, t)) < 1e-12
+        analytic = grad(log_z, store)
+        for name in ("o", "t"):
+            arr = store[name].data
+            numeric = numeric_gradient(
+                lambda: brute_log_partition(store["o"].data, store["t"].data), arr
+            )
+            assert rel_err(analytic[name], numeric) < 1e-8, name
+
     def test_stable_under_large_scores(self):
         rng = np.random.default_rng(3)
         o, t = random_crf(rng, 3, 3)
@@ -311,6 +344,29 @@ class TestSequenceLoss:
             model.params,
         )
         assert err < 1e-6
+
+    def test_graph_size_independent_of_length(self):
+        def graph_nodes(root):
+            seen = {id(root)}
+            todo = [root]
+            while todo:
+                for parent in todo.pop().parents:
+                    if id(parent) not in seen:
+                        seen.add(id(parent))
+                        todo.append(parent)
+            return len(seen)
+
+        model = tiny_model(dropout=0.5)
+        vocab = model.table.vocab[2:]
+
+        def nodes(n):
+            tokens = [vocab[i % len(vocab)] for i in range(n)]
+            example = seq(tokens, ["O"] * n)
+            return graph_nodes(
+                model.sequence_loss(example, train=True, rng=np.random.default_rng(0))
+            )
+
+        assert nodes(5) == nodes(20)
 
     def test_loss_decreases_under_gradient_steps(self):
         model = tiny_model(emb_dim=4, hidden=3, seed=11)
