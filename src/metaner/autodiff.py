@@ -7,9 +7,14 @@ closure; `grad` walks the graph once in reverse topological order.
 The op catalog is deliberately small:
 
 - elementwise: add, sub, mul (all broadcasting), scale, shift, tanh, sigmoid;
-- linear algebra and reductions: matmul, tsum, mean, logsumexp;
-- indexing: embed_rows (gather with scatter-add gradient), gather, pick,
-  pad_rows, reshape.
+- linear algebra and reductions: matmul, tsum, logsumexp;
+- indexing: embed_rows, gather, pick, pad_rows, reshape.
+
+`embed_rows` has a row-sparse gradient: a `RowGrad` holding the looked-up
+indices and their upstream rows, never a zero-filled copy of the table. `grad`
+keeps it row-sparse for a parameter leaf, so an embedding gradient costs the
+rows a sentence touched, not the vocabulary; `GradientMap` densifies it only
+when asked for the array.
 
 Sequence recurrences are not built from these ops one timestep at a time.
 `tagger.bilstm` and `tagger.crf_log_partition` are hand-written nodes, each
@@ -226,10 +231,6 @@ def tsum(a: Tensor, axis: int | None = None) -> Tensor:
     return Tensor(out, (a,), vjp)
 
 
-def mean(a: Tensor) -> Tensor:
-    return scale(tsum(a), 1.0 / a.data.size)
-
-
 def _logsumexp_stable(x: Array, axis: int | None = None) -> Array:
     """log(sum(exp(x))) over `axis` (all of x if None), max-shifted so exp never overflows."""
     m = x.max(axis=axis, keepdims=True)
@@ -249,18 +250,61 @@ def logsumexp(a: Tensor, axis: int | None = None) -> Tensor:
     return Tensor(out, (a,), vjp)
 
 
+class RowGrad:
+    """Row-sparse gradient of a gather: row `rows[k]` adds into row `idx[k]`.
+
+    Indices may repeat and stay in lookup order; `dense` scatter-adds them
+    into zeros of `shape`, so repeated indices accumulate.
+    """
+
+    __slots__ = ("shape", "idx", "rows")
+
+    def __init__(self, shape: tuple[int, ...], idx: Array, rows: Array):
+        self.shape = shape
+        self.idx = idx
+        self.rows = rows
+
+    @property
+    def nbytes(self) -> int:
+        return self.idx.nbytes + self.rows.nbytes
+
+    def dense(self) -> Array:
+        full = np.zeros(self.shape)
+        np.add.at(full, self.idx, self.rows)
+        return full
+
+    def summed(self) -> tuple[Array, Array]:
+        """Unique touched rows and their totals, each summed in lookup order.
+
+        `totals[k]` is bit-identical to `dense()[uniq[k]]`.
+        """
+        uniq, inverse = np.unique(self.idx, return_inverse=True)
+        totals = np.zeros((len(uniq),) + self.shape[1:])
+        np.add.at(totals, inverse, self.rows)
+        return uniq, totals
+
+    def concat(self, other: "RowGrad") -> "RowGrad":
+        return RowGrad(
+            self.shape,
+            np.concatenate([self.idx, other.idx]),
+            np.concatenate([self.rows, other.rows]),
+        )
+
+
+def _dense(g: Array | RowGrad) -> Array:
+    return g.dense() if isinstance(g, RowGrad) else g
+
+
 def embed_rows(table: Tensor, indices: Sequence[int]) -> Tensor:
     """Gather rows `indices` of `table` into an (n, d) matrix.
 
-    Gradient scatter-adds, so repeated indices accumulate.
+    The gradient is a `RowGrad` over the same indices.
     """
     idx = np.asarray(indices, dtype=np.intp)
     out = table.data[idx]
 
     def vjp(g: Array):
-        full = np.zeros_like(table.data)
-        np.add.at(full, idx, g)
-        return (full,)
+        return (RowGrad(table.data.shape, idx, g),)
 
     return Tensor(out, (table,), vjp)
 
@@ -373,13 +417,19 @@ class ParamStore:
 
 
 class GradientMap(Mapping):
-    """Gradient arrays keyed like the ParamStore they were taken against."""
+    """Gradient arrays keyed like the ParamStore they were taken against.
 
-    def __init__(self, grads: dict[str, Array]):
+    An entry is stored either dense or as a `RowGrad`. Indexing always
+    returns a dense array, built afresh for a row-sparse entry; `dot`,
+    `global_norm`, `all_finite` and `combine` work on the stored rows
+    without densifying, `scaled` returns a dense map.
+    """
+
+    def __init__(self, grads: dict[str, Array | RowGrad]):
         self._grads = grads
 
     def __getitem__(self, name: str) -> Array:
-        return self._grads[name]
+        return _dense(self._grads[name])
 
     def __iter__(self):
         return iter(self._grads)
@@ -387,41 +437,78 @@ class GradientMap(Mapping):
     def __len__(self) -> int:
         return len(self._grads)
 
+    # Mapping derives these from __getitem__, which would densify.
+    def __contains__(self, name) -> bool:
+        return name in self._grads
+
+    def keys(self):
+        return self._grads.keys()
+
+    def stored(self, name: str) -> Array | RowGrad:
+        """The entry as held: a dense array or a `RowGrad`."""
+        return self._grads[name]
+
+    def densified(self) -> "GradientMap":
+        return GradientMap({n: _dense(g) for n, g in self._grads.items()})
+
     def dot(self, other: "GradientMap") -> float:
         """Sum over parameters of elementwise-product sums."""
         if self.keys() != other.keys():
             raise ValueError("gradient maps have different key sets")
         total = 0.0
-        for name, arr in self._grads.items():
-            o = other[name]
-            if o.shape != arr.shape:
+        for name, a in self._grads.items():
+            b = other.stored(name)
+            if a.shape != b.shape:
                 raise ValueError(f"shape mismatch for {name!r}")
-            total += float(np.dot(arr.ravel(), o.ravel()))
+            total += _entry_dot(a, b)
         return total
 
     def global_norm(self) -> float:
-        return float(
-            np.sqrt(sum(float(np.dot(a.ravel(), a.ravel())) for a in self._grads.values()))
-        )
+        return float(np.sqrt(sum(_entry_dot(g, g) for g in self._grads.values())))
 
     def scaled(self, factor: float) -> "GradientMap":
-        return GradientMap({n: a * factor for n, a in self._grads.items()})
+        return GradientMap({n: a * factor for n, a in self.items()})
 
     def all_finite(self) -> bool:
-        return all(np.all(np.isfinite(a)) for a in self._grads.values())
+        return all(
+            np.all(np.isfinite(g.rows if isinstance(g, RowGrad) else g))
+            for g in self._grads.values()
+        )
+
+
+def _entry_dot(a: Array | RowGrad, b: Array | RowGrad) -> float:
+    """Elementwise-product sum of two same-shaped entries, either form."""
+    if isinstance(a, RowGrad) and isinstance(b, RowGrad):
+        same_row = a.idx[:, None] == b.idx[None, :]
+        return float(np.sum((a.rows @ b.rows.T)[same_row]))
+    if isinstance(a, RowGrad):
+        a, b = b, a
+    if isinstance(b, RowGrad):
+        return float(np.dot(a[b.idx].ravel(), b.rows.ravel()))
+    return float(np.dot(a.ravel(), b.ravel()))
 
 
 def combine(maps: Sequence[GradientMap], coeffs: Sequence[float]) -> GradientMap:
-    """Linear combination sum_i coeffs[i] * maps[i]."""
+    """Linear combination sum_i coeffs[i] * maps[i], every entry dense.
+
+    A row-sparse entry is first summed over its unique rows, then scaled and
+    added into those rows only; untouched rows would have added c * 0.0, so
+    the result is bit-identical to accumulating the dense arrays.
+    """
     if len(maps) != len(coeffs) or not maps:
         raise ValueError("need one coefficient per gradient map")
     keys = maps[0].keys()
-    out = {n: np.zeros_like(maps[0][n]) for n in keys}
+    out = {n: np.zeros(maps[0].stored(n).shape) for n in keys}
     for gm, c in zip(maps, coeffs):
         if gm.keys() != keys:
             raise ValueError("gradient maps have different key sets")
         for n in keys:
-            out[n] += c * gm[n]
+            g = gm.stored(n)
+            if isinstance(g, RowGrad):
+                uniq, totals = g.summed()
+                out[n][uniq] += c * totals
+            else:
+                out[n] += c * g
     return GradientMap(out)
 
 
@@ -449,26 +536,31 @@ def grad(loss: Tensor, params: ParamStore) -> GradientMap:
     """Exact reverse-mode gradients of a scalar loss w.r.t. trainable params.
 
     Gradients accumulate (sum) over multiple uses of a parameter; parameters
-    the loss does not depend on get zero gradients.
+    the loss does not depend on get zero gradients. A parameter reached only
+    through `embed_rows` keeps a `RowGrad`, concatenated over its lookups.
     """
     if loss.data.shape != ():
         raise ValueError(f"loss must be a scalar, got shape {loss.data.shape}")
-    acc: dict[int, Array] = {id(loss): np.asarray(1.0)}
+    acc: dict[int, Array | RowGrad] = {id(loss): np.asarray(1.0)}
     for node in reversed(_topo_order(loss)):
         g = acc.get(id(node))
         if g is None or node.vjp is None:
             continue
-        for parent, pg in zip(node.parents, node.vjp(g)):
+        for parent, pg in zip(node.parents, node.vjp(_dense(g))):
             prev = acc.get(id(parent))
             if prev is None:
                 acc[id(parent)] = pg
+            elif isinstance(prev, RowGrad) and isinstance(pg, RowGrad):
+                acc[id(parent)] = prev.concat(pg)
             else:
-                acc[id(parent)] = prev + pg
-    out: dict[str, Array] = {}
+                acc[id(parent)] = _dense(prev) + _dense(pg)
+    out: dict[str, Array | RowGrad] = {}
     for name in params.trainable_names():
         t = params[name]
         g = acc.get(id(t))
-        out[name] = np.zeros_like(t.data) if g is None else np.asarray(g)
+        if g is None:
+            g = np.zeros_like(t.data)
+        out[name] = g if isinstance(g, RowGrad) else np.asarray(g)
     return GradientMap(out)
 
 

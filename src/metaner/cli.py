@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from collections.abc import Iterable
 from dataclasses import replace
 from pathlib import Path
 
@@ -50,20 +51,21 @@ from .vectors import read_stopword_file
 PROG = "metaner"
 
 
+def _scheme_of(labels: Iterable[str]) -> str:
+    """BIOES if any E-/S- label appears, else BIO."""
+    return "BIOES" if any(lab[:2] in ("E-", "S-") for lab in labels) else "BIO"
+
+
 def _sniff_scheme(path: str | Path) -> str:
-    """BIOES if any E-/S- label appears in the file's second column, else BIO."""
+    """Scheme of the labels in the last column of a CoNLL file."""
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
-            parts = line.split()
-            if len(parts) >= 2 and parts[-1][:2] in ("E-", "S-"):
-                return "BIOES"
-    return "BIO"
+        return _scheme_of(
+            parts[-1] for parts in map(str.split, fh) if len(parts) >= 2
+        )
 
 
 def _model_scheme(model: TaggerModel) -> str:
-    if any(lab[:2] in ("E-", "S-") for lab in model.label_vocab):
-        return "BIOES"
-    return "BIO"
+    return _scheme_of(model.label_vocab)
 
 
 def _load_training_corpus(cfg: RunConfig) -> Corpus:

@@ -11,19 +11,13 @@ from .autodiff import GradientMap, NumericError, ParamStore
 
 @dataclass
 class AdamWState:
-    """Optimizer hyperparameters and per-parameter moment buffers.
-
-    `lr_overrides` allows a per-parameter learning rate keyed by name; only a
-    single group is needed for the trainable-embedding tagger, so the mapping
-    is normally empty.
-    """
+    """Optimizer hyperparameters and per-parameter moment buffers."""
 
     lr: float = 1e-3
     beta1: float = 0.9
     beta2: float = 0.99
     eps: float = 1e-8
     weight_decay: float = 0.0
-    lr_overrides: dict[str, float] = field(default_factory=dict)
     step_count: int = 0
     m: dict[str, np.ndarray] = field(default_factory=dict)
     v: dict[str, np.ndarray] = field(default_factory=dict)
@@ -58,12 +52,11 @@ def adamw_step(params: ParamStore, grads: GradientMap, state: AdamWState) -> Non
         m += (1.0 - state.beta1) * g
         v *= state.beta2
         v += (1.0 - state.beta2) * (g * g)
-        lr = state.lr_overrides.get(name, state.lr)
         m_hat = m / bc1
         v_hat = v / bc2
         if state.weight_decay:
-            p.data -= lr * state.weight_decay * p.data
-        p.data -= lr * m_hat / (np.sqrt(v_hat) + state.eps)
+            p.data -= state.lr * state.weight_decay * p.data
+        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
 
 
 def clip_global_norm(grads: GradientMap, max_norm: float) -> GradientMap:

@@ -10,6 +10,7 @@ from metaner.autodiff import (
     GradientMap,
     NumericError,
     ParamStore,
+    RowGrad,
     Tensor,
     combine,
     constant,
@@ -144,6 +145,24 @@ class TestOpGradients:
         idx = [1, 3, 1, 1]
         check_op(lambda s: ad.tsum(ad.tanh(ad.embed_rows(s["table"], idx))), arrays)
 
+    def test_embedding_lookups_mixed_with_dense_uses(self):
+        arrays = {"table": self.rng.normal(size=(5, 3))}
+        weights = constant(self.rng.normal(size=(5, 3)))
+
+        def loss(s):
+            t = s["table"]
+            twice = ad.add(ad.embed_rows(t, [1, 3]), ad.embed_rows(t, [3, 4]))
+            return ad.tsum(ad.tanh(twice)) + ad.tsum(ad.mul(t, weights))
+
+        check_op(loss, arrays)
+
+    def test_embedding_lookup_of_interior_node(self):
+        arrays = {"table": self.rng.normal(size=(5, 3))}
+        check_op(
+            lambda s: ad.tsum(ad.tanh(ad.embed_rows(ad.scale(s["table"], 2.0), [0, 2, 2]))),
+            arrays,
+        )
+
     def test_gather(self):
         arrays = {"m": self.rng.normal(size=(4, 3))}
         check_op(lambda s: ad.tsum(ad.gather(s["m"], [0, 2, 2], [1, 0, 0])), arrays)
@@ -233,6 +252,66 @@ class TestGradientMap:
         lhs = combine([a, b], [c1, c2]).dot(a)
         rhs = c1 * a.dot(a) + c2 * b.dot(a)
         assert lhs == pytest.approx(rhs, rel=1e-9, abs=1e-9)
+
+
+class TestRowSparseGradientMap:
+    """Row-sparse entries against the dense arrays they stand for."""
+
+    rng = np.random.default_rng(17)
+    shape = (40, 3)
+
+    def row_grad(self, n=6):
+        idx = self.rng.integers(1, self.shape[0], size=n)
+        idx[-1] = idx[0]  # at least one repeated row
+        return RowGrad(self.shape, idx, self.rng.normal(size=(n, self.shape[1])))
+
+    def sparse_map(self):
+        return GradientMap({"table": self.row_grad(), "w": self.rng.normal(size=4)})
+
+    def test_lookup_gradient_stays_row_sparse(self):
+        table = self.rng.normal(size=self.shape)
+        store = make_store(table=table)
+        idx = [4, 9, 4]
+        g = grad(ad.tsum(ad.tanh(ad.embed_rows(store["table"], idx))), store)
+        stored = g.stored("table")
+        assert isinstance(stored, RowGrad)
+        np.testing.assert_array_equal(stored.idx, idx)
+        assert stored.nbytes < table.nbytes
+        want = np.zeros_like(table)
+        np.add.at(want, idx, 1.0 - np.tanh(table[idx]) ** 2)
+        assert g["table"].tobytes() == want.tobytes()
+
+    def test_combine_bit_identical_to_dense_combine(self):
+        maps = [self.sparse_map() for _ in range(5)]
+        coeffs = self.rng.random(5)
+        got = combine(maps, coeffs)
+        for name in ("table", "w"):
+            want = np.zeros_like(maps[0][name])
+            for gm, c in zip(maps, coeffs):
+                want += c * gm[name]
+            assert isinstance(got.stored(name), np.ndarray)
+            assert got[name].tobytes() == want.tobytes()
+
+    def test_dot_matches_dense_dot(self):
+        a, b = self.sparse_map(), self.sparse_map()
+        b.stored("table").idx[:2] = a.stored("table").idx[:2]  # shared rows
+        dense_a, dense_b = a.densified(), b.densified()
+        want = sum(float(np.dot(dense_a[n].ravel(), dense_b[n].ravel())) for n in a)
+        assert want != 0.0
+        for lhs, rhs in [(a, b), (dense_a, b), (a, dense_b), (dense_a, dense_b)]:
+            assert abs(lhs.dot(rhs) - want) <= 1e-12 * abs(want)
+
+    def test_norm_and_scaling_match_dense(self):
+        a = self.sparse_map()
+        dense = a.densified()
+        assert abs(a.global_norm() - dense.global_norm()) <= 1e-12 * dense.global_norm()
+        np.testing.assert_array_equal(a.scaled(-2.5)["table"], dense["table"] * -2.5)
+
+    def test_all_finite_sees_nan_in_stored_row(self):
+        a = self.sparse_map()
+        assert a.all_finite()
+        a.stored("table").rows[2, 1] = np.nan
+        assert not a.all_finite()
 
 
 class TestDeterminism:

@@ -81,12 +81,6 @@ class TestAdamW:
             adamw_step(store, gmap(p=g), state)
         np.testing.assert_allclose(store["p"].data, p, rtol=1e-12)
 
-    def test_lr_override_per_parameter(self):
-        store = store_with(a=np.array([0.0]), b=np.array([0.0]))
-        state = AdamWState(lr=0.1, lr_overrides={"b": 0.2})
-        adamw_step(store, gmap(a=np.ones(1), b=np.ones(1)), state)
-        assert store["b"].data[0] == pytest.approx(2 * store["a"].data[0], rel=1e-6)
-
     def test_frozen_entries_untouched(self):
         store = ParamStore()
         store.add("pad", np.zeros(3), trainable=False)

@@ -14,7 +14,8 @@ from oracles import (
 )
 
 from metaner import autodiff as ad
-from metaner.autodiff import finite_diff_check, grad
+from metaner.augment import MixedExample, mixup_loss
+from metaner.autodiff import RowGrad, finite_diff_check, grad
 from metaner.corpus import Corpus, LabeledSequence
 from metaner.optim import AdamWState, adamw_step
 from metaner.tagger import (
@@ -393,6 +394,72 @@ class TestSequenceLoss:
         out = model.decode(["john", "visits", "paris"])
         assert len(out) == 3
         assert all(lab in model.label_vocab for lab in out)
+
+
+class TestEmbeddingGradient:
+    """The row-sparse embedding gradient against a dense scatter-add reference."""
+
+    @staticmethod
+    def leaf_lookups(model, token_lists):
+        """Swap the model's lookups for leaves, returned in call order."""
+        store = ad.ParamStore()
+        table = model.params["embed.table"].data
+        for k, tokens in enumerate(token_lists):
+            store.add(f"e{k}", table[model.table.indices(tokens)])
+        leaves = iter(store[f"e{k}"] for k in range(len(token_lists)))
+        model.lookup_embeddings = lambda tokens: next(leaves)
+        return store
+
+    @staticmethod
+    def scatter(model, tokens, upstream):
+        full = np.zeros_like(model.params["embed.table"].data)
+        np.add.at(full, model.table.indices(tokens), upstream)
+        return full
+
+    def test_repeated_token_matches_dense_scatter_bit_for_bit(self):
+        model = tiny_model(dropout=0.5, seed=13)
+        example = seq(["john", "visits", "john", "john"], ["S-PER", "O", "S-PER", "S-PER"])
+        g = grad(
+            model.sequence_loss(example, train=True, rng=np.random.default_rng(2)),
+            model.params,
+        )
+        assert isinstance(g.stored("embed.table"), RowGrad)
+        store = self.leaf_lookups(model, [example.tokens])
+        upstream = grad(
+            model.sequence_loss(example, train=True, rng=np.random.default_rng(2)), store
+        )["e0"]
+        want = self.scatter(model, example.tokens, upstream)
+        got = g["embed.table"]
+        assert got.tobytes() == want.tobytes()
+        np.testing.assert_array_equal(got[0], 0.0)
+
+    def test_mixup_two_lookups_match_dense_reference(self):
+        model = tiny_model(seed=14)
+        first, second = tiny_corpus().examples
+        mx = MixedExample(first, second, lam=0.3)
+        got = grad(mixup_loss(model, mx), model.params)["embed.table"]
+        store = self.leaf_lookups(model, [first.tokens, second.tokens])
+        upstream = grad(mixup_loss(model, mx), store)
+        want = self.scatter(model, first.tokens, upstream["e0"]) + self.scatter(
+            model, second.tokens, upstream["e1"]
+        )
+        assert rel_err(got, want) < 1e-12
+        np.testing.assert_array_equal(got[0], 0.0)
+
+    def test_stored_bytes_do_not_grow_with_vocabulary(self):
+        example = seq(["john", "visits", "john"], ["S-PER", "O", "S-PER"])
+
+        def stored_bytes(extra_words):
+            filler = [seq([f"w{i}"], ["O"]) for i in range(extra_words)]
+            corpus = Corpus(tiny_corpus().examples + filler)
+            model = TaggerModel.build(corpus, ModelConfig(emb_dim=4, hidden=3), seed=0)
+            g = grad(model.sequence_loss(example), model.params)
+            return g.stored("embed.table").nbytes, model.params["embed.table"].data.nbytes
+
+        small, small_table = stored_bytes(0)
+        large, large_table = stored_bytes(5000)
+        assert large_table > 100 * small_table
+        assert large == small
 
 
 # --- pretrained vectors and persistence -----------------------------------------
