@@ -6,15 +6,20 @@ closure; `grad` walks the graph once in reverse topological order.
 
 The op catalog is deliberately small:
 
-- elementwise: add, sub, mul (all broadcasting), scale, shift, tanh, sigmoid;
-- linear algebra and reductions: matmul, tsum, logsumexp;
-- indexing: embed_rows, gather, pick, pad_rows, reshape.
+- elementwise: add, sub, mul (all broadcasting), scale, shift;
+- linear algebra and reductions: matmul, tsum;
+- indexing: embed_rows, gather, pick, pad_rows.
+
+`_sigmoid_stable` and `_logsumexp_stable` are plain-array helpers shared by
+`tagger.py` and `trainer.py`.
 
 `embed_rows` has a row-sparse gradient: a `RowGrad` holding the looked-up
 indices and their upstream rows, never a zero-filled copy of the table. `grad`
 keeps it row-sparse for a parameter leaf, so an embedding gradient costs the
-rows a sentence touched, not the vocabulary; `GradientMap` densifies it only
-when asked for the array.
+rows a sentence touched, not the vocabulary. `combine`, `GradientMap.scaled`
+and `global_norm` keep it row-sparse too, so the weighted, clipped gradient
+that `optim.adamw_step` applies holds only the rows the batch touched;
+`GradientMap` densifies an entry only when asked for the array.
 
 Sequence recurrences are not built from these ops one timestep at a time.
 `tagger.bilstm` and `tagger.crf_log_partition` are hand-written nodes, each
@@ -196,24 +201,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return Tensor(out, (a, b), vjp)
 
 
-def tanh(a: Tensor) -> Tensor:
-    t = np.tanh(a.data)
-
-    def vjp(g: Array):
-        return (g * (1.0 - t * t),)
-
-    return Tensor(t, (a,), vjp)
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    s = _sigmoid_stable(a.data)
-
-    def vjp(g: Array):
-        return (g * s * (1.0 - s),)
-
-    return Tensor(s, (a,), vjp)
-
-
 def _sigmoid_stable(x: Array) -> Array:
     """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so exp never overflows."""
     ex = np.exp(-np.abs(x))
@@ -237,32 +224,23 @@ def _logsumexp_stable(x: Array, axis: int | None = None) -> Array:
     return np.squeeze(m + np.log(np.exp(x - m).sum(axis=axis, keepdims=True)), axis=axis)
 
 
-def logsumexp(a: Tensor, axis: int | None = None) -> Tensor:
-    """Stable log-sum-exp via max subtraction; gradient is the softmax."""
-    out = _logsumexp_stable(a.data, axis)
-    soft = np.exp(a.data - (out if axis is None else np.expand_dims(out, axis)))
-
-    def vjp(g: Array):
-        if axis is None:
-            return (g * soft,)
-        return (np.expand_dims(g, axis) * soft,)
-
-    return Tensor(out, (a,), vjp)
-
-
 class RowGrad:
     """Row-sparse gradient of a gather: row `rows[k]` adds into row `idx[k]`.
 
     Indices may repeat and stay in lookup order; `dense` scatter-adds them
-    into zeros of `shape`, so repeated indices accumulate.
+    into zeros of `shape`, so repeated indices accumulate. `unique` marks
+    indices that are sorted and distinct, as `summed` returns them.
     """
 
-    __slots__ = ("shape", "idx", "rows")
+    __slots__ = ("shape", "idx", "rows", "unique")
 
-    def __init__(self, shape: tuple[int, ...], idx: Array, rows: Array):
+    def __init__(
+        self, shape: tuple[int, ...], idx: Array, rows: Array, unique: bool = False
+    ):
         self.shape = shape
         self.idx = idx
         self.rows = rows
+        self.unique = unique
 
     @property
     def nbytes(self) -> int:
@@ -278,6 +256,8 @@ class RowGrad:
 
         `totals[k]` is bit-identical to `dense()[uniq[k]]`.
         """
+        if self.unique:
+            return self.idx, self.rows
         uniq, inverse = np.unique(self.idx, return_inverse=True)
         totals = np.zeros((len(uniq),) + self.shape[1:])
         np.add.at(totals, inverse, self.rows)
@@ -353,15 +333,6 @@ def pick(a: Tensor, index: tuple[int, ...]) -> Tensor:
     return Tensor(out, (a,), vjp)
 
 
-def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
-    out = a.data.reshape(shape)
-
-    def vjp(g: Array):
-        return (g.reshape(a.data.shape),)
-
-    return Tensor(out, (a,), vjp)
-
-
 class ParamStore:
     """Named parameter tensors with a stable, deterministic iteration order.
 
@@ -421,8 +392,9 @@ class GradientMap(Mapping):
 
     An entry is stored either dense or as a `RowGrad`. Indexing always
     returns a dense array, built afresh for a row-sparse entry; `dot`,
-    `global_norm`, `all_finite` and `combine` work on the stored rows
-    without densifying, `scaled` returns a dense map.
+    `global_norm`, `all_finite`, `scaled` and `combine` work on the stored
+    rows without densifying, and `scaled` and `combine` keep such an entry
+    row-sparse.
     """
 
     def __init__(self, grads: dict[str, Array | RowGrad]):
@@ -464,16 +436,31 @@ class GradientMap(Mapping):
         return total
 
     def global_norm(self) -> float:
-        return float(np.sqrt(sum(_entry_dot(g, g) for g in self._grads.values())))
+        return float(np.sqrt(sum(_squared_norm(g) for g in self._grads.values())))
 
     def scaled(self, factor: float) -> "GradientMap":
-        return GradientMap({n: a * factor for n, a in self.items()})
+        return GradientMap({n: _scaled(g, factor) for n, g in self._grads.items()})
 
     def all_finite(self) -> bool:
         return all(
             np.all(np.isfinite(g.rows if isinstance(g, RowGrad) else g))
             for g in self._grads.values()
         )
+
+
+def _squared_norm(g: Array | RowGrad) -> float:
+    if isinstance(g, RowGrad):
+        _, g = g.summed()
+    return float(np.dot(g.ravel(), g.ravel()))
+
+
+def _scaled(g: Array | RowGrad, factor: float) -> Array | RowGrad:
+    """`g * factor`; a `RowGrad` is summed per row first, so its dense form is
+    bit-identical to scaling the dense array."""
+    if isinstance(g, RowGrad):
+        uniq, totals = g.summed()
+        return RowGrad(g.shape, uniq, totals * factor, unique=True)
+    return g * factor
 
 
 def _entry_dot(a: Array | RowGrad, b: Array | RowGrad) -> float:
@@ -489,26 +476,41 @@ def _entry_dot(a: Array | RowGrad, b: Array | RowGrad) -> float:
 
 
 def combine(maps: Sequence[GradientMap], coeffs: Sequence[float]) -> GradientMap:
-    """Linear combination sum_i coeffs[i] * maps[i], every entry dense.
+    """Linear combination sum_i coeffs[i] * maps[i].
 
-    A row-sparse entry is first summed over its unique rows, then scaled and
-    added into those rows only; untouched rows would have added c * 0.0, so
-    the result is bit-identical to accumulating the dense arrays.
+    A key that every map stores as a `RowGrad` stays row-sparse: each map's
+    entry is summed over its unique rows and scaled, and those scaled totals
+    are summed per row, in map order, over the union of touched rows. Dense
+    accumulation would add the same terms in the same order (an untouched
+    row adds c * 0.0), so the result is bit-identical to the dense sum. Any
+    other key is accumulated into a dense array.
     """
     if len(maps) != len(coeffs) or not maps:
         raise ValueError("need one coefficient per gradient map")
     keys = maps[0].keys()
-    out = {n: np.zeros(maps[0].stored(n).shape) for n in keys}
-    for gm, c in zip(maps, coeffs):
-        if gm.keys() != keys:
-            raise ValueError("gradient maps have different key sets")
-        for n in keys:
-            g = gm.stored(n)
+    if any(gm.keys() != keys for gm in maps):
+        raise ValueError("gradient maps have different key sets")
+    out: dict[str, Array | RowGrad] = {}
+    for n in keys:
+        entries = [gm.stored(n) for gm in maps]
+        shape = entries[0].shape
+        if all(isinstance(g, RowGrad) for g in entries):
+            parts = [g.summed() for g in entries]
+            stacked = RowGrad(
+                shape,
+                np.concatenate([uniq for uniq, _ in parts]),
+                np.concatenate([c * totals for (_, totals), c in zip(parts, coeffs)]),
+            )
+            out[n] = RowGrad(shape, *stacked.summed(), unique=True)
+            continue
+        acc = np.zeros(shape)
+        for g, c in zip(entries, coeffs):
             if isinstance(g, RowGrad):
                 uniq, totals = g.summed()
-                out[n][uniq] += c * totals
+                acc[uniq] += c * totals
             else:
-                out[n] += c * g
+                acc += c * g
+        out[n] = acc
     return GradientMap(out)
 
 

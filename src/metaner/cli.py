@@ -41,6 +41,7 @@ from .corpus import (
     LabeledSequence,
     convert_scheme,
     read_conll,
+    span_f1,
     subsample,
     write_conll,
 )
@@ -243,7 +244,11 @@ def cmd_eval(args) -> int:
         labels = model.decode(ex.tokens)
         pred = LabeledSequence(ex.tokens, tuple(labels), scheme=model_scheme)
         predictions.append(convert_scheme(pred, scheme, warn=False))
-    metrics = evaluate_predictions(predictions, corpus)
+    metrics = span_f1(
+        [list(p.labels) for p in predictions],
+        [list(g.labels) for g in corpus.examples],
+        scheme=corpus.scheme,
+    )
     out_dir = Path(args.model).parent
     stem = Path(args.data).stem
     write_conll(Corpus(predictions, scheme=scheme), out_dir / f"predictions_{stem}.conll")
@@ -253,16 +258,6 @@ def cmd_eval(args) -> int:
     )
     print(json.dumps(metrics, sort_keys=True))
     return 0
-
-
-def evaluate_predictions(predictions: list[LabeledSequence], gold: Corpus) -> dict:
-    from .corpus import span_f1
-
-    return span_f1(
-        [list(p.labels) for p in predictions],
-        [list(g.labels) for g in gold.examples],
-        scheme=gold.scheme,
-    )
 
 
 def cmd_inspect_weights(args) -> int:

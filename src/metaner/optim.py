@@ -6,7 +6,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import GradientMap, NumericError, ParamStore
+from .autodiff import GradientMap, NumericError, ParamStore, RowGrad
 
 
 @dataclass
@@ -27,36 +27,68 @@ class AdamWState:
             raise ValueError("learning rate must be > 0")
 
 
+# Elements per block of the parameter update: a block of p, m, v and the two
+# scratch buffers (5 x 256 KiB) stays in L2 between the update's passes.
+_BLOCK = 32768
+
+
 def adamw_step(params: ParamStore, grads: GradientMap, state: AdamWState) -> None:
     """One AdamW update in place: bias-corrected moments, decoupled decay.
 
     The decay term is proportional to the parameter value itself and is not
     folded into the gradient. Aborts (raising NumericError) before touching
     any state if the gradients contain NaN/Inf.
+
+    A row-sparse gradient adds into the moments' touched rows only (an
+    untouched row would add exactly 0.0). The moments and parameters are
+    updated in place, block by block, with the same operations in the same
+    order as the whole-array update, so results are bit-identical to it.
     """
     if not grads.all_finite():
         raise NumericError("non-finite gradient; optimizer step aborted")
     state.step_count += 1
     t = state.step_count
-    bc1 = 1.0 - state.beta1**t
-    bc2 = 1.0 - state.beta2**t
-    for name in params.trainable_names():
-        g = grads[name]
+    b1, b2 = state.beta1, state.beta2
+    bc1 = 1.0 - b1**t
+    bc2 = 1.0 - b2**t
+    decay = state.lr * state.weight_decay
+    names = params.trainable_names()
+    largest = max((params[n].data.size for n in names), default=0)
+    scratch = np.empty((2, min(largest, _BLOCK)))
+    for name in names:
+        g = grads.stored(name)
         p = params[name]
+        if not p.data.flags.c_contiguous:  # the flat views below must alias p
+            p.data = np.ascontiguousarray(p.data)
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
         m = state.m[name]
         v = state.v[name]
-        m *= state.beta1
-        m += (1.0 - state.beta1) * g
-        v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        m_hat = m / bc1
-        v_hat = v / bc2
-        if state.weight_decay:
-            p.data -= state.lr * state.weight_decay * p.data
-        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m *= b1
+        v *= b2
+        if isinstance(g, RowGrad):
+            idx, rows = g.summed()
+            m[idx] += (1.0 - b1) * rows
+            v[idx] += (1.0 - b2) * (rows * rows)
+        else:
+            m += (1.0 - b1) * g
+            v += (1.0 - b2) * (g * g)
+        p_flat, m_flat, v_flat = p.data.reshape(-1), m.reshape(-1), v.reshape(-1)
+        for start in range(0, p_flat.size, _BLOCK):
+            pb = p_flat[start : start + _BLOCK]
+            denom, step = scratch[:, : pb.size]
+            if state.weight_decay:
+                np.multiply(pb, decay, out=step)
+                pb -= step
+            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.divide(v_flat[start : start + _BLOCK], bc2, out=denom)
+            np.sqrt(denom, out=denom)
+            denom += state.eps
+            np.divide(m_flat[start : start + _BLOCK], bc1, out=step)
+            step *= state.lr
+            step /= denom
+            pb -= step
 
 
 def clip_global_norm(grads: GradientMap, max_norm: float) -> GradientMap:

@@ -9,8 +9,12 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections.abc import Sequence
 
 import numpy as np
+
+from metaner.autodiff import GradientMap, NumericError, ParamStore, RowGrad
+from metaner.optim import AdamWState
 
 
 def brute_score(o: np.ndarray, t: np.ndarray, labels: tuple[int, ...]) -> float:
@@ -64,3 +68,66 @@ def numeric_gradient(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
 def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+# --- dense weighted update ---------------------------------------------------------
+# The weighted sum and the AdamW step as they were before the embedding gradient
+# stayed row-sparse through them: every combined entry dense, every AdamW
+# temporary full-size. Kept verbatim as the reference the in-place, row-sparse
+# versions must reproduce.
+
+
+def dense_combine(maps: Sequence[GradientMap], coeffs: Sequence[float]) -> GradientMap:
+    """Linear combination sum_i coeffs[i] * maps[i], every entry dense.
+
+    A row-sparse entry is first summed over its unique rows, then scaled and
+    added into those rows only; untouched rows would have added c * 0.0, so
+    the result is bit-identical to accumulating the dense arrays.
+    """
+    if len(maps) != len(coeffs) or not maps:
+        raise ValueError("need one coefficient per gradient map")
+    keys = maps[0].keys()
+    out = {n: np.zeros(maps[0].stored(n).shape) for n in keys}
+    for gm, c in zip(maps, coeffs):
+        if gm.keys() != keys:
+            raise ValueError("gradient maps have different key sets")
+        for n in keys:
+            g = gm.stored(n)
+            if isinstance(g, RowGrad):
+                uniq, totals = g.summed()
+                out[n][uniq] += c * totals
+            else:
+                out[n] += c * g
+    return GradientMap(out)
+
+
+def dense_adamw_step(params: ParamStore, grads: GradientMap, state: AdamWState) -> None:
+    """One AdamW update in place: bias-corrected moments, decoupled decay.
+
+    The decay term is proportional to the parameter value itself and is not
+    folded into the gradient. Aborts (raising NumericError) before touching
+    any state if the gradients contain NaN/Inf.
+    """
+    if not grads.all_finite():
+        raise NumericError("non-finite gradient; optimizer step aborted")
+    state.step_count += 1
+    t = state.step_count
+    bc1 = 1.0 - state.beta1**t
+    bc2 = 1.0 - state.beta2**t
+    for name in params.trainable_names():
+        g = grads[name]
+        p = params[name]
+        if name not in state.m:
+            state.m[name] = np.zeros_like(p.data)
+            state.v[name] = np.zeros_like(p.data)
+        m = state.m[name]
+        v = state.v[name]
+        m *= state.beta1
+        m += (1.0 - state.beta1) * g
+        v *= state.beta2
+        v += (1.0 - state.beta2) * (g * g)
+        m_hat = m / bc1
+        v_hat = v / bc2
+        if state.weight_decay:
+            p.data -= state.lr * state.weight_decay * p.data
+        p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)

@@ -5,7 +5,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from metaner.autodiff import GradientMap, NumericError, ParamStore
+from oracles import dense_adamw_step
+
+from metaner import optim
+from metaner.autodiff import GradientMap, NumericError, ParamStore, RowGrad
 from metaner.optim import AdamWState, adamw_step, clip_global_norm
 
 
@@ -90,6 +93,72 @@ class TestAdamW:
         np.testing.assert_array_equal(store["pad"].data, np.zeros(3))
 
 
+class TestInPlaceAdamW:
+    """The in-place, blocked, row-sparse step against the dense reference."""
+
+    shape = (30, 4)
+
+    def run(self, step_fn, grad_maps, sparse=True):
+        rng = np.random.default_rng(5)
+        store = store_with(table=rng.normal(size=self.shape), b=rng.normal(size=7))
+        state = AdamWState(lr=1e-2, weight_decay=1e-3)
+        for gm in grad_maps:
+            step_fn(store, gm if sparse else gm.densified(), state)
+        return store.snapshot(), state
+
+    def grad_maps(self, steps=4):
+        rng = np.random.default_rng(6)
+        maps = []
+        for k in range(steps):
+            idx = rng.integers(0, self.shape[0], size=9)
+            idx[-1] = idx[0]
+            table = RowGrad(self.shape, idx, rng.normal(size=(9, self.shape[1])))
+            if k % 2:  # the form `combine` returns
+                table = RowGrad(self.shape, *table.summed(), unique=True)
+            maps.append(GradientMap({"table": table, "b": rng.normal(size=7)}))
+        return maps
+
+    def assert_bit_identical(self, got, want):
+        (got_p, got_state), (want_p, want_state) = got, want
+        for name in want_p:
+            assert got_p[name].tobytes() == want_p[name].tobytes(), name
+            assert got_state.m[name].tobytes() == want_state.m[name].tobytes(), name
+            assert got_state.v[name].tobytes() == want_state.v[name].tobytes(), name
+
+    def test_row_sparse_entry_bit_identical_to_dense_form(self):
+        maps = self.grad_maps()
+        want = self.run(dense_adamw_step, maps, sparse=False)
+        self.assert_bit_identical(self.run(adamw_step, maps), want)
+        self.assert_bit_identical(self.run(adamw_step, maps, sparse=False), want)
+
+    def test_parameter_not_a_multiple_of_the_block(self, monkeypatch):
+        monkeypatch.setattr(optim, "_BLOCK", 7)  # table has 120 elements, b has 7
+        maps = self.grad_maps()
+        want = self.run(dense_adamw_step, maps, sparse=False)
+        self.assert_bit_identical(self.run(adamw_step, maps), want)
+
+    def test_non_contiguous_parameter_is_updated(self):
+        grads = GradientMap({"w": np.arange(6.0).reshape(2, 3)})
+        contiguous = store_with(w=np.ones((2, 3)))
+        transposed = store_with(w=np.ones((3, 2)).T)
+        for store in (contiguous, transposed):
+            adamw_step(store, grads, AdamWState(lr=0.1))
+        assert transposed["w"].data.tobytes() == contiguous["w"].data.tobytes()
+        assert not np.array_equal(transposed["w"].data, np.ones((2, 3)))
+
+    def test_nan_in_stored_row_aborts_before_any_state_changes(self):
+        store = store_with(table=np.ones(self.shape))
+        state = AdamWState(lr=0.1)
+        rows = np.ones((2, self.shape[1]))
+        rows[1, 3] = np.nan
+        grads = GradientMap({"table": RowGrad(self.shape, np.array([3, 5]), rows)})
+        with pytest.raises(NumericError):
+            adamw_step(store, grads, state)
+        assert state.step_count == 0
+        assert state.m == {} and state.v == {}
+        np.testing.assert_array_equal(store["table"].data, 1.0)
+
+
 class TestClipGlobalNorm:
     def test_under_threshold_unchanged(self):
         g = gmap(a=np.array([3.0]))  # norm 3
@@ -102,6 +171,15 @@ class TestClipGlobalNorm:
         np.testing.assert_allclose(out["a"], [3.0])
         np.testing.assert_allclose(out["b"], [4.0])
         assert out.global_norm() == pytest.approx(5.0)
+
+    def test_row_sparse_entry_stays_row_sparse(self):
+        g = GradientMap({"t": RowGrad((5, 2), np.array([1, 3, 1]), np.full((3, 2), 2.0))})
+        assert clip_global_norm(g, 10.0) is g  # norm sqrt(4*4*2 + 2*2*2) ~ 6.3
+        out = clip_global_norm(g, 1.0)
+        assert out is not g
+        assert isinstance(out.stored("t"), RowGrad)
+        assert out.global_norm() == pytest.approx(1.0)
+        np.testing.assert_allclose(out["t"], g["t"] / g.global_norm())
 
     def test_all_zero_unchanged(self):
         g = gmap(a=np.zeros(4))

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from oracles import rel_err
+from oracles import dense_adamw_step, dense_combine, rel_err
 
 from metaner import autodiff as ad
 from metaner import trainer as trainer_mod
@@ -267,6 +267,92 @@ class TestMetaTrainStep:
                 model, [], [toy_corpus().examples[0]], TrainerConfig(), AdamWState(),
                 np.random.default_rng(0),
             )
+
+
+class TestRowSparseUpdate:
+    """The row-sparse weighted update against the dense one it replaced."""
+
+    def run_steps(
+        self, monkeypatch, clip, meta_reweight, reference, steps=20, extra_words=0
+    ):
+        """Train `steps` steps; `reference` swaps in the dense combine and AdamW."""
+        corpus = toy_corpus()
+        filler = [seq([f"w{i}"], ["O"]) for i in range(extra_words)]
+        model = TaggerModel.build(
+            Corpus(corpus.examples + filler),
+            ModelConfig(emb_dim=3, hidden=2, dropout=0.3),
+            seed=7,
+        )
+        pseudo = generate_augmented_set(
+            corpus, AugConfig(times=1), seed=0, use_ts=False, use_mixup=True
+        )
+        pool = build_pool(corpus, pseudo)
+        cfg = TrainerConfig(lr=1e-2, clip=clip, meta_reweight=meta_reweight)
+        state = AdamWState(lr=cfg.lr, weight_decay=1e-3)
+        sample_rng, dropout_rng = np.random.default_rng(1), np.random.default_rng(2)
+        seen = {"fired": [], "embedding_bytes": []}
+        combine_fn = dense_combine if reference else trainer_mod.combine
+        clip_fn = trainer_mod.clip_global_norm
+        step_fn = dense_adamw_step if reference else trainer_mod.adamw_step
+
+        def combine_and_record(maps, coeffs):
+            out = combine_fn(maps, coeffs)
+            seen["embedding_bytes"].append(out.stored("embed.table").nbytes)
+            return out
+
+        def clip_and_record(grads, max_norm):
+            out = clip_fn(grads, max_norm)
+            seen["fired"].append(out is not grads)
+            seen["embedding_bytes"].append(out.stored("embed.table").nbytes)
+            return out
+
+        with monkeypatch.context() as mp:
+            mp.setattr(trainer_mod, "combine", combine_and_record)
+            mp.setattr(trainer_mod, "clip_global_norm", clip_and_record)
+            mp.setattr(trainer_mod, "adamw_step", step_fn)
+            for _ in range(steps):
+                aug = [pool[i] for i in sample_rng.integers(len(pool), size=3)]
+                meta_idx = sample_rng.integers(len(corpus), size=2)
+                meta = [corpus.examples[i] for i in meta_idx]
+                meta_train_step(model, aug, meta, cfg, state, dropout_rng)
+        return model.params.snapshot(), state, seen
+
+    @pytest.mark.parametrize("meta_reweight", [True, False])
+    def test_bit_identical_to_dense_update_without_clipping(
+        self, monkeypatch, meta_reweight
+    ):
+        params, state, seen = self.run_steps(monkeypatch, 1e9, meta_reweight, False)
+        want_params, want_state, _ = self.run_steps(monkeypatch, 1e9, meta_reweight, True)
+        assert not any(seen["fired"])
+        for name in want_params:
+            assert params[name].tobytes() == want_params[name].tobytes(), name
+            assert state.m[name].tobytes() == want_state.m[name].tobytes(), name
+            assert state.v[name].tobytes() == want_state.v[name].tobytes(), name
+
+    @pytest.mark.parametrize("meta_reweight", [True, False])
+    def test_close_to_dense_update_with_clipping(self, monkeypatch, meta_reweight):
+        # The row-sparse norm sums fewer terms in another order, so the clip
+        # factor, and everything after it, may differ in the last bits.
+        params, state, seen = self.run_steps(monkeypatch, 0.05, meta_reweight, False)
+        want_params, want_state, _ = self.run_steps(monkeypatch, 0.05, meta_reweight, True)
+        assert all(seen["fired"])
+        pairs = [(params, want_params), (state.m, want_state.m), (state.v, want_state.v)]
+        for got, want in pairs:
+            for name in want:
+                scale = np.max(np.abs(want[name]))
+                assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * scale, name
+
+    def test_no_vocabulary_sized_embedding_gradient_after_grad(self, monkeypatch):
+        def embedding_bytes(extra_words):
+            params, _, seen = self.run_steps(
+                monkeypatch, 0.05, True, False, steps=3, extra_words=extra_words
+            )
+            return seen["embedding_bytes"], params["embed.table"].nbytes
+
+        small, small_table = embedding_bytes(0)
+        large, large_table = embedding_bytes(5000)
+        assert large_table > 100 * small_table
+        assert large == small
 
 
 class TestBuildPool:
