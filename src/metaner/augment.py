@@ -375,14 +375,14 @@ def mixup_loss(
         e2 = model.lookup_embeddings(mx.second.tokens)
         mixed = mix_embeddings(e1, e2, mx.lam, n)
         if train:
-            mixed = model.input_dropout(mixed, rng)
+            mixed = model.dropout(mixed, rng)
         states = model.encode(mixed, train, rng)
     else:
         h1 = model.encode_states(model.embed(mx.first.tokens, train, rng))
         h2 = model.encode_states(model.embed(mx.second.tokens, train, rng))
         states = mix_embeddings(h1, h2, mx.lam, n)
         if train:
-            states = model.output_dropout(states, rng)
+            states = model.dropout(states, rng)
     o = model.emissions(states)
     t = model.transitions()
     log_z = crf_log_partition(o, t)

@@ -6,7 +6,7 @@ closure; `grad` walks the graph once in reverse topological order.
 
 The op catalog is deliberately small:
 
-- elementwise: add, sub, mul (all broadcasting), scale, shift;
+- elementwise: add, sub, mul (all broadcasting), scale;
 - linear algebra and reductions: matmul, tsum;
 - indexing: embed_rows, gather, pick, pad_rows.
 
@@ -15,11 +15,11 @@ The op catalog is deliberately small:
 
 `embed_rows` has a row-sparse gradient: a `RowGrad` holding the looked-up
 indices and their upstream rows, never a zero-filled copy of the table. `grad`
-keeps it row-sparse for a parameter leaf, so an embedding gradient costs the
-rows a sentence touched, not the vocabulary. `combine`, `GradientMap.scaled`
-and `global_norm` keep it row-sparse too, so the weighted, clipped gradient
-that `optim.adamw_step` applies holds only the rows the batch touched;
-`GradientMap` densifies an entry only when asked for the array.
+keeps it row-sparse for a parameter leaf, and `GradientMap` stores it summed:
+one total per distinct row, indices sorted. Every entry of every map is in
+that one form, so `dot`, `global_norm`, `scaled`, `combine` and
+`optim.adamw_step` read its rows directly, and an embedding gradient costs
+the rows a batch touched, not the vocabulary, from lookup to the update.
 
 Sequence recurrences are not built from these ops one timestep at a time.
 `tagger.bilstm` and `tagger.crf_log_partition` are hand-written nodes, each
@@ -82,35 +82,6 @@ class Tensor:
         tag = f" name={self.name!r}" if self.name else ""
         return f"Tensor(shape={self.shape}{tag})"
 
-    # Operator sugar; python scalars multiply/add without new leaf nodes.
-    def __add__(self, other):
-        if isinstance(other, Tensor):
-            return add(self, other)
-        return shift(self, float(other))
-
-    __radd__ = __add__
-
-    def __mul__(self, other):
-        if isinstance(other, Tensor):
-            return mul(self, other)
-        return scale(self, float(other))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __sub__(self, other):
-        if isinstance(other, Tensor):
-            return sub(self, other)
-        return shift(self, -float(other))
-
-    def __rsub__(self, other):
-        return shift(scale(self, -1.0), float(other))
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
 
 def constant(value, name: str | None = None) -> Tensor:
     """Wrap external data as a graph leaf; rejects NaN/Inf."""
@@ -171,15 +142,6 @@ def scale(a: Tensor, c: float) -> Tensor:
     return Tensor(out, (a,), vjp)
 
 
-def shift(a: Tensor, c: float) -> Tensor:
-    out = a.data + c
-
-    def vjp(g: Array):
-        return (g,)
-
-    return Tensor(out, (a,), vjp)
-
-
 def matmul(a: Tensor, b: Tensor) -> Tensor:
     """Matrix-matrix or matrix-vector product; no higher-rank support."""
     if a.data.ndim != 2 or b.data.ndim not in (1, 2):
@@ -227,20 +189,18 @@ def _logsumexp_stable(x: Array, axis: int | None = None) -> Array:
 class RowGrad:
     """Row-sparse gradient of a gather: row `rows[k]` adds into row `idx[k]`.
 
-    Indices may repeat and stay in lookup order; `dense` scatter-adds them
-    into zeros of `shape`, so repeated indices accumulate. `unique` marks
-    indices that are sorted and distinct, as `summed` returns them.
+    `embed_rows` and `grad` build one in lookup order, where indices repeat;
+    a `GradientMap` holds it in the form `summed` returns, with sorted,
+    distinct indices. `dense` scatter-adds the rows into zeros of `shape`, so
+    both forms stand for the same array.
     """
 
-    __slots__ = ("shape", "idx", "rows", "unique")
+    __slots__ = ("shape", "idx", "rows")
 
-    def __init__(
-        self, shape: tuple[int, ...], idx: Array, rows: Array, unique: bool = False
-    ):
+    def __init__(self, shape: tuple[int, ...], idx: Array, rows: Array):
         self.shape = shape
         self.idx = idx
         self.rows = rows
-        self.unique = unique
 
     @property
     def nbytes(self) -> int:
@@ -252,11 +212,13 @@ class RowGrad:
         return full
 
     def summed(self) -> tuple[Array, Array]:
-        """Unique touched rows and their totals, each summed in lookup order.
+        """Sorted distinct rows and their totals, each summed in lookup order.
 
-        `totals[k]` is bit-identical to `dense()[uniq[k]]`.
+        `totals[k]` equals `dense()[uniq[k]]`, added in the same order.
+        Strictly increasing indices are already in this form: their own
+        `idx` and `rows` come back.
         """
-        if self.unique:
+        if np.all(self.idx[1:] > self.idx[:-1]):
             return self.idx, self.rows
         uniq, inverse = np.unique(self.idx, return_inverse=True)
         totals = np.zeros((len(uniq),) + self.shape[1:])
@@ -390,15 +352,19 @@ class ParamStore:
 class GradientMap(Mapping):
     """Gradient arrays keyed like the ParamStore they were taken against.
 
-    An entry is stored either dense or as a `RowGrad`. Indexing always
-    returns a dense array, built afresh for a row-sparse entry; `dot`,
-    `global_norm`, `all_finite`, `scaled` and `combine` work on the stored
-    rows without densifying, and `scaled` and `combine` keep such an entry
-    row-sparse.
+    An entry is stored either dense or as a `RowGrad`, and the constructor
+    sums every `RowGrad` (`RowGrad.summed`), so a stored one always has
+    sorted, distinct indices. Indexing returns a dense array, built afresh
+    for a row-sparse entry; `dot`, `global_norm`, `all_finite`, `scaled` and
+    `combine` work on the stored rows without densifying, and `scaled` and
+    `combine` keep such an entry row-sparse.
     """
 
     def __init__(self, grads: dict[str, Array | RowGrad]):
-        self._grads = grads
+        self._grads = {
+            n: RowGrad(g.shape, *g.summed()) if isinstance(g, RowGrad) else g
+            for n, g in grads.items()
+        }
 
     def __getitem__(self, name: str) -> Array:
         return _dense(self._grads[name])
@@ -419,9 +385,6 @@ class GradientMap(Mapping):
     def stored(self, name: str) -> Array | RowGrad:
         """The entry as held: a dense array or a `RowGrad`."""
         return self._grads[name]
-
-    def densified(self) -> "GradientMap":
-        return GradientMap({n: _dense(g) for n, g in self._grads.items()})
 
     def dot(self, other: "GradientMap") -> float:
         """Sum over parameters of elementwise-product sums."""
@@ -450,24 +413,23 @@ class GradientMap(Mapping):
 
 def _squared_norm(g: Array | RowGrad) -> float:
     if isinstance(g, RowGrad):
-        _, g = g.summed()
+        g = g.rows
     return float(np.dot(g.ravel(), g.ravel()))
 
 
 def _scaled(g: Array | RowGrad, factor: float) -> Array | RowGrad:
-    """`g * factor`; a `RowGrad` is summed per row first, so its dense form is
-    bit-identical to scaling the dense array."""
+    """`g * factor`; a stored `RowGrad` holds one total per row, so its dense
+    form is bit-identical to scaling the dense array."""
     if isinstance(g, RowGrad):
-        uniq, totals = g.summed()
-        return RowGrad(g.shape, uniq, totals * factor, unique=True)
+        return RowGrad(g.shape, g.idx, g.rows * factor)
     return g * factor
 
 
 def _entry_dot(a: Array | RowGrad, b: Array | RowGrad) -> float:
-    """Elementwise-product sum of two same-shaped entries, either form."""
+    """Elementwise-product sum of two same-shaped stored entries, either form."""
     if isinstance(a, RowGrad) and isinstance(b, RowGrad):
-        same_row = a.idx[:, None] == b.idx[None, :]
-        return float(np.sum((a.rows @ b.rows.T)[same_row]))
+        _, ia, ib = np.intersect1d(a.idx, b.idx, assume_unique=True, return_indices=True)
+        return float(np.dot(a.rows[ia].ravel(), b.rows[ib].ravel()))
     if isinstance(a, RowGrad):
         a, b = b, a
     if isinstance(b, RowGrad):
@@ -479,11 +441,11 @@ def combine(maps: Sequence[GradientMap], coeffs: Sequence[float]) -> GradientMap
     """Linear combination sum_i coeffs[i] * maps[i].
 
     A key that every map stores as a `RowGrad` stays row-sparse: each map's
-    entry is summed over its unique rows and scaled, and those scaled totals
-    are summed per row, in map order, over the union of touched rows. Dense
-    accumulation would add the same terms in the same order (an untouched
-    row adds c * 0.0), so the result is bit-identical to the dense sum. Any
-    other key is accumulated into a dense array.
+    scaled rows are concatenated in map order and the result map sums them
+    per row over the union of touched rows. Dense accumulation would add the
+    same terms in the same order (an untouched row adds c * 0.0), so the
+    result is bit-identical to the dense sum. Any other key is accumulated
+    into a dense array.
     """
     if len(maps) != len(coeffs) or not maps:
         raise ValueError("need one coefficient per gradient map")
@@ -495,19 +457,16 @@ def combine(maps: Sequence[GradientMap], coeffs: Sequence[float]) -> GradientMap
         entries = [gm.stored(n) for gm in maps]
         shape = entries[0].shape
         if all(isinstance(g, RowGrad) for g in entries):
-            parts = [g.summed() for g in entries]
-            stacked = RowGrad(
+            out[n] = RowGrad(
                 shape,
-                np.concatenate([uniq for uniq, _ in parts]),
-                np.concatenate([c * totals for (_, totals), c in zip(parts, coeffs)]),
+                np.concatenate([g.idx for g in entries]),
+                np.concatenate([c * g.rows for g, c in zip(entries, coeffs)]),
             )
-            out[n] = RowGrad(shape, *stacked.summed(), unique=True)
             continue
         acc = np.zeros(shape)
         for g, c in zip(entries, coeffs):
             if isinstance(g, RowGrad):
-                uniq, totals = g.summed()
-                acc[uniq] += c * totals
+                acc[g.idx] += c * g.rows
             else:
                 acc += c * g
         out[n] = acc

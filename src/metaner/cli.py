@@ -27,6 +27,7 @@ import numpy as np
 from .augment import (
     EntityDict,
     MixedExample,
+    PseudoExample,
     Substituted,
     SynonymDict,
     build_entity_dict,
@@ -65,10 +66,6 @@ def _sniff_scheme(path: str | Path) -> str:
         )
 
 
-def _model_scheme(model: TaggerModel) -> str:
-    return _scheme_of(model.label_vocab)
-
-
 def _load_training_corpus(cfg: RunConfig) -> Corpus:
     corpus = read_conll(cfg.train, scheme=cfg.scheme).convert("BIOES")
     if cfg.fraction < 1.0:
@@ -76,16 +73,25 @@ def _load_training_corpus(cfg: RunConfig) -> Corpus:
     return corpus
 
 
-def _build_dictionaries(
-    cfg: RunConfig, corpus: Corpus
-) -> tuple[EntityDict, SynonymDict]:
-    edict = build_entity_dict(corpus)
-    if cfg.vectors:
-        stop = read_stopword_file(cfg.stopwords) if cfg.stopwords else set()
-        sdict = build_synonym_dict(cfg.vectors, cfg.aug.k, stop)
-    else:
-        sdict = SynonymDict({})
-    return edict, sdict
+def _pseudo_examples(cfg: RunConfig, corpus: Corpus) -> list[PseudoExample]:
+    """The pseudo set `cfg.method` asks for; dictionaries are built only for ts."""
+    if cfg.method == "baseline":
+        return []
+    edict, sdict = EntityDict({}), SynonymDict({})
+    if cfg.use_ts:
+        edict = build_entity_dict(corpus)
+        if cfg.vectors:
+            stop = read_stopword_file(cfg.stopwords) if cfg.stopwords else set()
+            sdict = build_synonym_dict(cfg.vectors, cfg.aug.k, stop)
+    return generate_augmented_set(
+        corpus,
+        cfg.aug,
+        seed=cfg.seed,
+        edict=edict,
+        sdict=sdict,
+        use_ts=cfg.use_ts,
+        use_mixup=cfg.use_mixup,
+    )
 
 
 def _require(cfg: RunConfig, command: str, *keys: str) -> None:
@@ -133,19 +139,7 @@ def cmd_augment(args) -> int:
     _require(cfg, "augment", "train", "out")
     if cfg.method == "baseline":
         raise ConfigError("augment requires method=ts, mixup, or both")
-    corpus = _load_training_corpus(cfg)
-    edict, sdict = (
-        _build_dictionaries(cfg, corpus) if cfg.use_ts else (EntityDict({}), SynonymDict({}))
-    )
-    pseudo = generate_augmented_set(
-        corpus,
-        cfg.aug,
-        seed=cfg.seed,
-        edict=edict,
-        sdict=sdict,
-        use_ts=cfg.use_ts,
-        use_mixup=cfg.use_mixup,
-    )
+    pseudo = _pseudo_examples(cfg, _load_training_corpus(cfg))
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     substituted = [p.example for p in pseudo if isinstance(p, Substituted)]
@@ -174,23 +168,7 @@ def cmd_train(args) -> int:
     model = TaggerModel.build(
         train_corpus, cfg.model, seed=cfg.seed, vector_path=cfg.vectors
     )
-    if cfg.method == "baseline":
-        pseudo = []
-    else:
-        edict, sdict = (
-            _build_dictionaries(cfg, train_corpus)
-            if cfg.use_ts
-            else (EntityDict({}), SynonymDict({}))
-        )
-        pseudo = generate_augmented_set(
-            train_corpus,
-            cfg.aug,
-            seed=cfg.seed,
-            edict=edict,
-            sdict=sdict,
-            use_ts=cfg.use_ts,
-            use_mixup=cfg.use_mixup,
-        )
+    pseudo = _pseudo_examples(cfg, train_corpus)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_resolved(cfg, out)
@@ -238,7 +216,7 @@ def cmd_eval(args) -> int:
     model = TaggerModel.load(args.model)
     scheme = _sniff_scheme(args.data)
     corpus = read_conll(args.data, scheme=scheme)
-    model_scheme = _model_scheme(model)
+    model_scheme = _scheme_of(model.label_vocab)
     predictions = []
     for ex in corpus.examples:
         labels = model.decode(ex.tokens)

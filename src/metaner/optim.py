@@ -39,10 +39,11 @@ def adamw_step(params: ParamStore, grads: GradientMap, state: AdamWState) -> Non
     folded into the gradient. Aborts (raising NumericError) before touching
     any state if the gradients contain NaN/Inf.
 
-    A row-sparse gradient adds into the moments' touched rows only (an
-    untouched row would add exactly 0.0). The moments and parameters are
-    updated in place, block by block, with the same operations in the same
-    order as the whole-array update, so results are bit-identical to it.
+    A row-sparse gradient, stored with distinct indices, adds into the
+    moments' touched rows only (an untouched row would add exactly 0.0). The
+    moments and parameters are updated in place, block by block, with the
+    same operations in the same order as the whole-array update, so results
+    are bit-identical to it.
     """
     if not grads.all_finite():
         raise NumericError("non-finite gradient; optimizer step aborted")
@@ -68,9 +69,8 @@ def adamw_step(params: ParamStore, grads: GradientMap, state: AdamWState) -> Non
         m *= b1
         v *= b2
         if isinstance(g, RowGrad):
-            idx, rows = g.summed()
-            m[idx] += (1.0 - b1) * rows
-            v[idx] += (1.0 - b2) * (rows * rows)
+            m[g.idx] += (1.0 - b1) * g.rows
+            v[g.idx] += (1.0 - b2) * (g.rows * g.rows)
         else:
             m += (1.0 - b1) * g
             v += (1.0 - b2) * (g * g)

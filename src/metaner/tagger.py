@@ -151,7 +151,8 @@ class TaggerModel:
         """Raw embedding rows, one per token, before any dropout."""
         return ad.embed_rows(self.params["embed.table"], self.table.indices(tokens))
 
-    def _dropout(self, x: Tensor, rng: np.random.Generator) -> Tensor:
+    def dropout(self, x: Tensor, rng: np.random.Generator) -> Tensor:
+        """Inverted dropout at the configured rate; BiLSTM inputs and outputs."""
         rate = self.config.dropout
         if rate <= 0.0:
             return x
@@ -159,19 +160,13 @@ class TaggerModel:
         mask = (rng.random(x.shape) < keep) / keep
         return ad.mul(x, ad.constant(mask))
 
-    def input_dropout(self, emb: Tensor, rng: np.random.Generator) -> Tensor:
-        return self._dropout(emb, rng)
-
-    def output_dropout(self, states: Tensor, rng: np.random.Generator) -> Tensor:
-        return self._dropout(states, rng)
-
     def embed(
         self, tokens: Sequence[str], train: bool = False, rng: np.random.Generator | None = None
     ) -> Tensor:
         """Embedding stage: table lookup plus BiLSTM-input dropout when training."""
         emb = self.lookup_embeddings(tokens)
         if train:
-            emb = self.input_dropout(emb, rng)
+            emb = self.dropout(emb, rng)
         return emb
 
     def encode_states(self, emb: Tensor) -> Tensor:
@@ -188,7 +183,7 @@ class TaggerModel:
     ) -> Tensor:
         states = self.encode_states(emb)
         if train:
-            states = self.output_dropout(states, rng)
+            states = self.dropout(states, rng)
         return states
 
     def emissions(self, states: Tensor) -> Tensor:

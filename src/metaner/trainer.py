@@ -123,9 +123,7 @@ def epsilon_grad(
     if not aug_losses or not meta_losses:
         raise ValueError("epsilon_grad needs nonempty loss batches")
     example_grads = [grad(loss, params) for loss in aug_losses]
-    # Densified once here, so each dot below gathers only the rows that
-    # example's row-sparse embedding gradient touched.
-    meta_grad = grad(_mean_loss(meta_losses), params).densified()
+    meta_grad = grad(_mean_loss(meta_losses), params)
     if not meta_grad.all_finite() or not all(g.all_finite() for g in example_grads):
         raise NumericError("non-finite gradients in lookahead step")
     values = np.array([-beta * meta_grad.dot(g) for g in example_grads])

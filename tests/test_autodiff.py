@@ -143,7 +143,7 @@ class TestOpGradients:
         def loss(s):
             t = s["table"]
             twice = ad.add(ad.embed_rows(t, [1, 3]), ad.embed_rows(t, [3, 4]))
-            return ad.tsum(square(twice)) + ad.tsum(ad.mul(t, weights))
+            return ad.add(ad.tsum(square(twice)), ad.tsum(ad.mul(t, weights)))
 
         check_op(loss, arrays)
 
@@ -166,10 +166,6 @@ class TestOpGradients:
         mask = (self.rng.random((4, 3)) < 0.5) / 0.5
         arrays = {"x": self.rng.normal(size=(4, 3))}
         check_op(lambda s: ad.tsum(square(ad.mul(s["x"], constant(mask)))), arrays)
-
-    def test_scalar_sugar(self):
-        arrays = {"x": self.rng.normal(size=4)}
-        check_op(lambda s: ad.tsum(2.5 * s["x"] + 1.0 - s["x"] * 0.5), arrays)
 
 
 class TestFiniteDiffCheck:
@@ -263,7 +259,7 @@ class TestRowSparseGradientMap:
         g = grad(ad.tsum(square(ad.embed_rows(store["table"], idx))), store)
         stored = g.stored("table")
         assert isinstance(stored, RowGrad)
-        np.testing.assert_array_equal(stored.idx, idx)
+        np.testing.assert_array_equal(stored.idx, [4, 9])
         assert stored.nbytes < table.nbytes
         want = np.zeros_like(table)
         np.add.at(want, idx, 2.0 * table[idx])
@@ -287,14 +283,14 @@ class TestRowSparseGradientMap:
     def test_combine_of_row_sparse_entries_is_row_sparse(self):
         maps = [self.sparse_map() for _ in range(5)]
         got = combine(maps, self.rng.random(5)).stored("table")
-        assert isinstance(got, RowGrad) and got.unique
+        assert isinstance(got, RowGrad) and np.all(np.diff(got.idx) > 0)
         touched = np.unique(np.concatenate([gm.stored("table").idx for gm in maps]))
         np.testing.assert_array_equal(got.idx, touched)
         assert got.rows.shape == (len(touched), self.shape[1])
 
     def test_combine_with_a_dense_entry_is_dense_and_bit_identical(self):
         maps = [self.sparse_map() for _ in range(3)]
-        maps[1] = maps[1].densified()
+        maps[1] = GradientMap(dict(maps[1].items()))
         coeffs = self.rng.random(3)
         got = combine(maps, coeffs)
         assert isinstance(got.stored("table"), np.ndarray)
@@ -302,9 +298,13 @@ class TestRowSparseGradientMap:
         assert got["table"].tobytes() == want.tobytes()
 
     def test_dot_matches_dense_dot(self):
-        a, b = self.sparse_map(), self.sparse_map()
-        b.stored("table").idx[:2] = a.stored("table").idx[:2]  # shared rows
-        dense_a, dense_b = a.densified(), b.densified()
+        (table_a, w_a), (table_b, w_b) = [
+            (self.row_grad(), self.rng.normal(size=4)) for _ in range(2)
+        ]
+        table_b.idx[:2] = table_a.idx[:2]  # shared rows
+        a = GradientMap({"table": table_a, "w": w_a})
+        b = GradientMap({"table": table_b, "w": w_b})
+        dense_a, dense_b = GradientMap(dict(a.items())), GradientMap(dict(b.items()))
         want = sum(float(np.dot(dense_a[n].ravel(), dense_b[n].ravel())) for n in a)
         assert want != 0.0
         for lhs, rhs in [(a, b), (dense_a, b), (a, dense_b), (dense_a, dense_b)]:
@@ -313,11 +313,27 @@ class TestRowSparseGradientMap:
     def test_norm_and_scaling_match_dense(self):
         combined = combine([self.sparse_map() for _ in range(3)], [0.5, -1.0, 2.0])
         for a in (self.sparse_map(), combined):
-            dense = a.densified()
+            dense = GradientMap(dict(a.items()))
             assert abs(a.global_norm() - dense.global_norm()) <= 1e-12 * dense.global_norm()
             scaled = a.scaled(-2.5)
             assert isinstance(scaled.stored("table"), RowGrad)
             np.testing.assert_array_equal(scaled["table"], dense["table"] * -2.5)
+
+    def test_map_stores_repeated_indices_summed(self):
+        g = self.row_grad()
+        gm = GradientMap({"table": g})
+        stored = gm.stored("table")
+        np.testing.assert_array_equal(stored.idx, np.unique(g.idx))
+        assert stored.rows.shape == (len(stored.idx), self.shape[1])
+        want = np.zeros(self.shape)
+        np.add.at(want, g.idx, g.rows)
+        assert gm["table"].tobytes() == want.tobytes()
+
+    def test_sparse_dot_with_disjoint_indices_is_zero(self):
+        a = GradientMap({"t": RowGrad(self.shape, np.array([3, 1, 3]), np.ones((3, 3)))})
+        b = GradientMap({"t": RowGrad(self.shape, np.array([2, 7]), np.ones((2, 3)))})
+        assert a.dot(b) == 0.0
+        assert b.dot(a) == 0.0
 
     def test_all_finite_sees_nan_in_stored_row(self):
         a = self.sparse_map()

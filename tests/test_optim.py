@@ -103,7 +103,7 @@ class TestInPlaceAdamW:
         store = store_with(table=rng.normal(size=self.shape), b=rng.normal(size=7))
         state = AdamWState(lr=1e-2, weight_decay=1e-3)
         for gm in grad_maps:
-            step_fn(store, gm if sparse else gm.densified(), state)
+            step_fn(store, gm if sparse else GradientMap(dict(gm.items())), state)
         return store.snapshot(), state
 
     def grad_maps(self, steps=4):
@@ -114,7 +114,7 @@ class TestInPlaceAdamW:
             idx[-1] = idx[0]
             table = RowGrad(self.shape, idx, rng.normal(size=(9, self.shape[1])))
             if k % 2:  # the form `combine` returns
-                table = RowGrad(self.shape, *table.summed(), unique=True)
+                table = RowGrad(self.shape, *table.summed())
             maps.append(GradientMap({"table": table, "b": rng.normal(size=7)}))
         return maps
 

@@ -1,6 +1,7 @@
 """Lookahead weight gradients, reweighting, and the training loop."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -150,6 +151,28 @@ class TestEpsilonGrad:
             for i in range(2):
                 fd = two_stage_fd(model, builders, meta_examples, beta, i)
                 assert rel_err(np.array(eg.values[i]), np.array(fd)) < 1e-4
+
+    def test_peak_memory_does_not_grow_with_vocabulary(self):
+        example, meta_example = toy_corpus().examples[:2]
+
+        def peak_bytes(extra_words):
+            filler = [seq([f"w{i}"], ["O"]) for i in range(extra_words)]
+            corpus = Corpus(toy_corpus().examples + filler)
+            model = TaggerModel.build(corpus, ModelConfig(emb_dim=4, hidden=3), seed=0)
+            losses = [model.sequence_loss(example)]
+            meta_losses = [model.sequence_loss(meta_example)]
+            tracemalloc.start()
+            try:
+                epsilon_grad(model.params, losses, meta_losses, beta=0.1)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak, model.params["embed.table"].data.nbytes
+
+        small, small_table = peak_bytes(0)
+        large, large_table = peak_bytes(5000)
+        assert large_table > 100 * small_table
+        assert large - small < (large_table - small_table) / 2
 
     def test_empty_batches_rejected(self):
         model = toy_model()
