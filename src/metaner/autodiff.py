@@ -1,6 +1,6 @@
 """Minimal reverse-mode autodiff over dense float64 numpy arrays.
 
-Computation graphs are built per example and are single-threaded. Each
+Computation graphs are built per loss and are single-threaded. Each
 `Tensor` node stores its forward value, its parent nodes and a vector-Jacobian
 closure; `grad` walks the graph once in reverse topological order.
 
@@ -8,10 +8,10 @@ The op catalog is deliberately small:
 
 - elementwise: add, sub, mul (all broadcasting), scale;
 - linear algebra and reductions: matmul, tsum;
-- indexing: embed_rows, gather, pick, pad_rows.
+- indexing: embed_rows, gather, pad_rows.
 
-`_sigmoid_stable` and `_logsumexp_stable` are plain-array helpers shared by
-`tagger.py` and `trainer.py`.
+`_logsumexp_stable` is a plain-array helper for the CRF in `tagger.py`, and
+`_sigmoid_stable` one for the example weights in `trainer.py`.
 
 `embed_rows` has a row-sparse gradient: a `RowGrad` holding the looked-up
 indices and their upstream rows, never a zero-filled copy of the table. `grad`
@@ -24,8 +24,9 @@ the rows a batch touched, not the vocabulary, from lookup to the update.
 Sequence recurrences are not built from these ops one timestep at a time.
 `tagger.bilstm` and `tagger.crf_log_partition` are hand-written nodes, each
 one `Tensor(out, parents, vjp)` whose vjp is backpropagation through time or
-the forward-backward marginals, so a sentence's graph has the same few dozen
-nodes whatever its length.
+the forward-backward marginals. Both take a batch of sentences packed into
+one array, so a batch's graph has the same few dozen nodes whatever the
+number and lengths of its sentences.
 """
 
 from __future__ import annotations
@@ -283,18 +284,6 @@ def gather(a: Tensor, rows_idx: Sequence[int], cols_idx: Sequence[int]) -> Tenso
     return Tensor(out, (a,), vjp)
 
 
-def pick(a: Tensor, index: tuple[int, ...]) -> Tensor:
-    """Scalar element of a tensor."""
-    out = np.asarray(a.data[index])
-
-    def vjp(g: Array):
-        full = np.zeros_like(a.data)
-        full[index] = g
-        return (full,)
-
-    return Tensor(out, (a,), vjp)
-
-
 class ParamStore:
     """Named parameter tensors with a stable, deterministic iteration order.
 
@@ -328,9 +317,6 @@ class ParamStore:
 
     def trainable_names(self) -> list[str]:
         return [n for n, flag in self._trainable.items() if flag]
-
-    def is_trainable(self, name: str) -> bool:
-        return self._trainable[name]
 
     def items(self) -> Iterator[tuple[str, Tensor]]:
         return iter(self._entries.items())

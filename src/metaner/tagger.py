@@ -14,6 +14,15 @@ ends at position n.
 Dropout sits at the BiLSTM input and output, realized as explicit masks
 sampled per forward pass, so gradient checks can freeze randomness by
 re-seeding the generator.
+
+A batch of sentences travels as packed rows: the sentences' rows concatenated,
+(sum of lengths, width), plus their `lengths`; `lengths=None` means the rows
+are one sentence. `batch_loss` looks the batch up once, draws one dropout mask
+per layer over its real tokens, and runs one BiLSTM node and one CRF partition
+node. Those nodes lay the sentences out time-major in `Lanes`, sorted longest
+first, so the sentences still running at a timestep are a prefix of the lanes
+and each step is one slice, with no padding and no masks. One sentence is the
+one-lane case of the same code.
 """
 
 from __future__ import annotations
@@ -25,7 +34,7 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import ParamStore, Tensor, _logsumexp_stable, _sigmoid_stable
+from .autodiff import ParamStore, Tensor, _logsumexp_stable
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import Corpus, LabeledSequence
 from .vectors import read_vector_file
@@ -169,19 +178,26 @@ class TaggerModel:
             emb = self.dropout(emb, rng)
         return emb
 
-    def encode_states(self, emb: Tensor) -> Tensor:
-        """BiLSTM states h_i = [forward_i ; backward_i], an (n, 2H) tensor."""
+    def encode_states(self, emb: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
+        """BiLSTM states h_i = [forward_i ; backward_i], an (n, 2H) tensor.
+
+        `emb` holds packed sentences split by `lengths` (None: one sentence).
+        """
         weights = [
             self.params[f"{prefix}.{name}"]
             for prefix in ("lstm.fw", "lstm.bw")
             for name in ("Wx", "Wh", "b")
         ]
-        return bilstm(emb, weights)
+        return bilstm(emb, weights, lengths)
 
     def encode(
-        self, emb: Tensor, train: bool = False, rng: np.random.Generator | None = None
+        self,
+        emb: Tensor,
+        train: bool = False,
+        rng: np.random.Generator | None = None,
+        lengths: Sequence[int] | None = None,
     ) -> Tensor:
-        states = self.encode_states(emb)
+        states = self.encode_states(emb, lengths)
         if train:
             states = self.dropout(states, rng)
         return states
@@ -194,24 +210,52 @@ class TaggerModel:
         return self.params["crf.T"]
 
     def forward_from_embeddings(
-        self, emb: Tensor, train: bool = False, rng: np.random.Generator | None = None
+        self,
+        emb: Tensor,
+        train: bool = False,
+        rng: np.random.Generator | None = None,
+        lengths: Sequence[int] | None = None,
     ) -> tuple[Tensor, Tensor]:
         """Encoder and emission stages with the embedding stage bypassed."""
         if emb.data.ndim != 2 or emb.shape[1] != self.config.emb_dim:
             raise ValueError(
                 f"embedding input must be (n, {self.config.emb_dim}), got {emb.shape}"
             )
-        return self.emissions(self.encode(emb, train, rng)), self.transitions()
+        return self.emissions(self.encode(emb, train, rng, lengths)), self.transitions()
 
     def forward(
-        self, tokens: Sequence[str], train: bool = False, rng: np.random.Generator | None = None
+        self,
+        tokens: Sequence[str],
+        train: bool = False,
+        rng: np.random.Generator | None = None,
+        lengths: Sequence[int] | None = None,
     ) -> tuple[Tensor, Tensor]:
-        return self.forward_from_embeddings(self.embed(tokens, train, rng), train, rng)
+        """Emissions and transitions of packed sentences split by `lengths`."""
+        emb = self.embed(tokens, train, rng)
+        return self.forward_from_embeddings(emb, train, rng, lengths)
 
     # --- losses and decoding ----------------------------------------------
 
     def label_indices(self, labels: Sequence[str]) -> list[int]:
         return [self.label_index[lab] for lab in labels]
+
+    def batch_loss(
+        self,
+        seqs: Sequence[LabeledSequence],
+        train: bool = False,
+        rng: np.random.Generator | None = None,
+    ) -> Tensor:
+        """Summed NLL of `seqs` over one packed graph.
+
+        One embedding lookup, one BiLSTM node and one CRF partition node
+        serve every sentence; when training, each dropout layer draws one
+        mask over the batch's real tokens.
+        """
+        tokens = [tok for seq in seqs for tok in seq.tokens]
+        labels = [y for seq in seqs for y in self.label_indices(seq.labels)]
+        lengths = [len(seq) for seq in seqs]
+        o, t = self.forward(tokens, train, rng, lengths)
+        return crf_nll(o, t, labels, lengths)
 
     def sequence_loss(
         self,
@@ -219,8 +263,7 @@ class TaggerModel:
         train: bool = False,
         rng: np.random.Generator | None = None,
     ) -> Tensor:
-        o, t = self.forward(seq.tokens, train, rng)
-        return crf_nll(o, t, self.label_indices(seq.labels))
+        return self.batch_loss([seq], train, rng)
 
     def decode(self, tokens: Sequence[str]) -> list[str]:
         o, t = self.forward(tokens, train=False)
@@ -255,64 +298,152 @@ class TaggerModel:
         return cls(table, config["label_vocab"], mc, store)
 
 
+# --- packed sentences -----------------------------------------------------------
+
+
+def _sentence_lengths(lengths: Sequence[int] | None, n: int) -> list[int]:
+    """Lengths of the sentences packed into `n` rows; None is one sentence."""
+    sizes = [n] if lengths is None else [int(k) for k in lengths]
+    if not sizes or min(sizes) < 1 or sum(sizes) != n:
+        raise ValueError(
+            f"lengths must be positive and sum to the {n} packed rows, got {sizes}"
+        )
+    return sizes
+
+
+class Lanes:
+    """Time-major layout of packed sentences, one lane per sentence.
+
+    Lanes are sorted by length, longest first, so the lanes live at timestep
+    k are a prefix `[:active]` and step k owns the time-major positions
+    `start : start + active`; `steps` lists those (start, active) pairs.
+    Position p reads packed row `fw[p]` in the forward direction and `bw[p]`
+    in the backward one, which reads each sentence reversed within its own
+    length. `lane[p]` is the position's lane, `prev[p - a0]` is the position
+    the same lane held one step earlier (for every p after the a0 positions
+    of the first step) and `last[j]` is lane j's final position.
+    """
+
+    __slots__ = ("steps", "fw", "bw", "lane", "prev", "last")
+
+    def __init__(self, lengths: Sequence[int] | None, n: int):
+        sizes = _sentence_lengths(lengths, n)
+        if len(sizes) == 1:  # the layout below, without its per-call numpy overhead
+            self.fw = np.arange(n)
+            self.bw = self.fw[::-1]
+            self.lane = np.zeros(n, dtype=np.intp)
+            self.prev = self.fw[:-1]
+            self.last = self.fw[-1:]
+            self.steps = [(k, 1) for k in range(n)]
+            return
+        sizes = np.array(sizes)
+        firsts = np.cumsum(sizes) - sizes
+        order = np.argsort(-sizes, kind="stable")
+        by_lane = sizes[order]
+        active = len(sizes) - np.cumsum(np.bincount(by_lane))[:-1]  # lanes longer than k
+        starts = np.cumsum(active) - active
+        step = np.repeat(np.arange(len(active)), active)
+        self.lane = np.arange(n) - starts[step]
+        sentence = order[self.lane]
+        self.fw = firsts[sentence] + step
+        self.bw = firsts[sentence] + sizes[sentence] - 1 - step
+        a0 = int(active[0])
+        self.prev = starts[step[a0:] - 1] + self.lane[a0:]
+        self.last = starts[by_lane - 1] + np.arange(len(by_lane))
+        self.steps = list(zip(starts.tolist(), active.tolist()))
+
+
 # --- fused BiLSTM --------------------------------------------------------------
 
 
-def bilstm(emb: Tensor, weights: Sequence[Tensor]) -> Tensor:
-    """Both LSTM directions over `emb` as one graph node, an (n, 2H) tensor.
+def bilstm(
+    emb: Tensor, weights: Sequence[Tensor], lengths: Sequence[int] | None = None
+) -> Tensor:
+    """Both LSTM directions over packed sentences as one graph node, (n, 2H).
 
-    `weights` holds (Wx, Wh, b) of the forward direction, then of the backward
-    one; gate order is (i, f, g, o). The two directions step together as a
-    batch of two, the backward one reading the sequence reversed. The input
-    projection X Wx^T + b is one GEMM; only the recurrence loops over time.
+    `emb` holds the sentences' rows concatenated, split by `lengths`
+    (None: one sentence). `weights` holds (Wx, Wh, b) of the forward
+    direction, then of the backward one; gate order is (i, f, g, o). Both
+    directions of every sentence step together over the `Lanes` layout: the
+    live lanes at a timestep are a prefix, so a step is one
+    (2, a, H)·(2, H, 4H) matmul with no masking. The input projection
+    X Wx^T + b is one GEMM. All four gates come from one tanh, since
+    sigma(x) = (1 + tanh(x/2)) / 2 and halving the i, f, o rows is exact.
     The vjp is backpropagation through time over the cached gates and cells,
     ending in one GEMM per weight matrix.
     """
     n = emb.shape[0]
+    lanes = Lanes(lengths, n)
     w = [t.data for t in weights]
-    wx, wh, b = np.stack(w[0::3]), np.stack(w[1::3]), np.stack(w[2::3])
-    hid = wh.shape[2]
-    xs = np.stack([emb.data, emb.data[::-1]])  # (2, n, E), in step order
-    pre_x = xs @ wx.transpose(0, 2, 1) + b[:, None, :]
-    gates = np.empty((2, n, 4 * hid))  # activated i, f, g, o per step
-    cells = np.zeros((2, n + 1, hid))  # cells[:, k] is c entering step k
-    hs = np.zeros((2, n + 1, hid))  # hs[:, k] is h entering step k
+    hid = w[1].shape[1]
+    scale = np.full(4 * hid, 0.5)
+    scale[2 * hid : 3 * hid] = 1.0
+    shift = 1.0 - scale  # tanh(x/2) -> sigma(x) on i, f, o; g stays tanh(x)
+    xs = np.stack([emb.data[lanes.fw], emb.data[lanes.bw]])  # (2, n, E), time-major
+    pre_x = np.empty((2, n, 4 * hid))
+    wh_t = np.empty((2, hid, 4 * hid))  # Wh^T of both directions, scaled
+    for d in range(2):
+        wx, wh, b = w[3 * d : 3 * d + 3]
+        np.matmul(xs[d], wx.T, out=pre_x[d])
+        pre_x[d] += b
+        np.multiply(wh.T, scale, out=wh_t[d])
+    pre_x *= scale
+    gates = np.empty((2, n, 4 * hid))  # activated i, f, g, o per position
+    cells = np.empty((2, n, hid))
     tanh_c = np.empty((2, n, hid))
-    i_g, f_g, g_g, o_g = np.split(gates, 4, axis=2)
-    for k in range(n):
-        pre = pre_x[:, k] + (wh @ hs[:, k, :, None])[..., 0]
-        gates[:, k] = _sigmoid_stable(pre)
-        g_g[:, k] = np.tanh(pre[:, 2 * hid : 3 * hid])
-        cells[:, k + 1] = f_g[:, k] * cells[:, k] + i_g[:, k] * g_g[:, k]
-        tanh_c[:, k] = np.tanh(cells[:, k + 1])
-        hs[:, k + 1] = o_g[:, k] * tanh_c[:, k]
-    out = np.concatenate([hs[0, 1:], hs[1, 1:][::-1]], axis=1)
+    hs = np.empty((2, n, hid))
+    i_g, f_g, g_g, o_g = (gates[..., j * hid : (j + 1) * hid] for j in range(4))
+    prev = 0
+    for k, (s, a) in enumerate(lanes.steps):
+        cur, last = slice(s, s + a), slice(prev, prev + a)
+        pre = pre_x[:, cur]
+        if k:
+            pre = pre + hs[:, last] @ wh_t
+        act = np.tanh(pre, out=gates[:, cur])
+        act *= scale
+        act += shift
+        c = np.multiply(i_g[:, cur], g_g[:, cur], out=cells[:, cur])
+        if k:
+            c += f_g[:, cur] * cells[:, last]
+        np.multiply(o_g[:, cur], np.tanh(c, out=tanh_c[:, cur]), out=hs[:, cur])
+        prev = s
+    out = np.empty((n, 2 * hid))
+    out[lanes.fw, :hid] = hs[0]
+    out[lanes.bw, hid:] = hs[1]
 
     def vjp(g: np.ndarray):
         # Stacked again rather than kept, so a live graph holds no weight copies.
-        wx, wh = np.stack(w[0::3]), np.stack(w[1::3])
-        dh_out = np.stack([g[:, :hid], g[::-1, hid:]])  # (2, n, H), in step order
+        wh = np.stack(w[1::3])
+        dh_out = np.stack([g[lanes.fw, :hid], g[lanes.bw, hid:]])  # time-major
+        a0 = lanes.steps[0][1]
+        c_prev = np.zeros_like(cells)
+        c_prev[:, a0:] = cells[:, lanes.prev]
         slope = gates * (1.0 - gates)  # sigmoid' for i, f, o
         slope[..., 2 * hid : 3 * hid] = 1.0 - g_g * g_g  # tanh' for g
         # d pre_k = [dc_k, dc_k, dc_k, dh_k] * coef_k, since c_k = f c_{k-1} + i g
         # and h_k = o tanh(c_k).
-        coef = np.concatenate([g_g, cells[:, :-1], i_g, tanh_c], axis=2) * slope
+        coef = np.concatenate([g_g, c_prev, i_g, tanh_c], axis=2) * slope
         dc_dh = o_g * (1.0 - tanh_c * tanh_c)
         d_pre = np.empty_like(gates)
-        dh = np.zeros((2, hid))
-        dc = np.zeros((2, hid))
-        for k in range(n - 1, -1, -1):
-            dh += dh_out[:, k]
-            dc += dh * dc_dh[:, k]
-            d_pre[:, k] = np.concatenate([dc, dc, dc, dh], axis=1) * coef[:, k]
-            dc *= f_g[:, k]
-            dh = (d_pre[:, k, None, :] @ wh)[:, 0]
+        # Carried per lane; a lane's entries stay zero until its last step.
+        dh_all = np.zeros((2, a0, hid))
+        dc_all = np.zeros((2, a0, hid))
+        for s, a in reversed(lanes.steps):
+            cur = slice(s, s + a)
+            dh, dc = dh_all[:, :a], dc_all[:, :a]
+            dh += dh_out[:, cur]
+            dc += dh * dc_dh[:, cur]
+            dcdh = np.concatenate([dc, dc, dc, dh], axis=2)
+            np.multiply(dcdh, coef[:, cur], out=d_pre[:, cur])
+            dc *= f_g[:, cur]
+            np.matmul(d_pre[:, cur], wh, out=dh)
         d_pre_t = d_pre.transpose(0, 2, 1)
         dwx = d_pre_t @ xs
-        dwh = d_pre_t @ hs[:, :-1]
+        dwh = d_pre_t[:, :, a0:] @ hs[:, lanes.prev]
         db = d_pre.sum(axis=1)
-        dxs = d_pre @ wx
-        dx = dxs[0] + dxs[1][::-1]
+        dx = np.empty_like(emb.data)
+        dx[lanes.fw] = d_pre[0] @ w[0]
+        dx[lanes.bw] += d_pre[1] @ w[3]
         return dx, dwx[0], dwh[0], db[0], dwx[1], dwh[1], db[1]
 
     return Tensor(out, (emb, *weights), vjp)
@@ -321,56 +452,87 @@ def bilstm(emb: Tensor, weights: Sequence[Tensor]) -> Tensor:
 # --- CRF scoring -------------------------------------------------------------
 
 
-def crf_score(o: Tensor, t: Tensor, labels: Sequence[int]) -> Tensor:
-    """Transition-augmented sequence score; position 1 uses the START row."""
+def crf_score(
+    o: Tensor, t: Tensor, labels: Sequence[int], lengths: Sequence[int] | None = None
+) -> Tensor:
+    """Transition-augmented score summed over packed sentences.
+
+    `labels` runs over the packed rows of `o`, split by `lengths` (None: one
+    sentence); each sentence's first position uses the START row.
+    """
     n, num_labels = o.shape
     start = t.shape[0] - 1
-    labels = list(labels)
-    if len(labels) != n:
-        raise ValueError(f"label sequence length {len(labels)} != {n} positions")
-    if any(not 0 <= y < num_labels for y in labels):
+    labels = np.array(labels, dtype=np.intp)
+    if labels.shape != (n,):
+        raise ValueError(f"label sequence length {labels.size} != {n} positions")
+    if np.any((labels < 0) | (labels >= num_labels)):
         raise ValueError("label index out of range")
-    emit = ad.tsum(ad.gather(o, list(range(n)), labels))
-    trans = ad.tsum(ad.gather(t, [start] + labels[:-1], labels))
+    sizes = _sentence_lengths(lengths, n)
+    prev = np.empty_like(labels)
+    prev[1:] = labels[:-1]
+    prev[np.cumsum(sizes) - sizes] = start
+    emit = ad.tsum(ad.gather(o, np.arange(n), labels))
+    trans = ad.tsum(ad.gather(t, prev, labels))
     return ad.add(emit, trans)
 
 
-def crf_log_partition(o: Tensor, t: Tensor) -> Tensor:
-    """log sum over all label sequences of exp(score), by the forward algorithm.
+def crf_log_partition(
+    o: Tensor, t: Tensor, lengths: Sequence[int] | None = None
+) -> Tensor:
+    """Sum over packed sentences of log sum_Y exp(score), by the forward algorithm.
 
-    One graph node. Its vjp runs the backward recursion and returns the
-    marginals (Sutton & McCallum, arXiv 1011.4088): d logZ/d o[i, y] is
-    p(y_i = y), d logZ/d T[j, k] is sum_i p(y_{i-1} = j, y_i = k), and the
-    START row takes the position-0 marginals.
+    `o` holds the sentences' emission rows concatenated, split by `lengths`
+    (None: one sentence). One graph node: the alpha recursion runs over all
+    sentences at once on the `Lanes` layout, and the vjp runs the beta
+    recursion the same way and returns the marginals (Sutton & McCallum,
+    arXiv 1011.4088): d logZ/d o[i, y] is p(y_i = y), d logZ/d T[j, k] is
+    sum_i p(y_{i-1} = j, y_i = k), and the START row takes each sentence's
+    position-0 marginals.
     """
     od, td = o.data, t.data
     n, num_labels = od.shape
+    lanes = Lanes(lengths, n)
     start = td.shape[0] - 1
     body = td[:num_labels]
+    ot = od[lanes.fw]  # emissions, time-major
+    steps = lanes.steps
+    a0 = steps[0][1]
     alpha = np.empty((n, num_labels))
-    alpha[0] = td[start] + od[0]
-    for i in range(1, n):
-        alpha[i] = _logsumexp_stable(alpha[i - 1][:, None] + body, axis=0) + od[i]
-    log_z = _logsumexp_stable(alpha[-1])
+    alpha[:a0] = td[start] + ot[:a0]
+    for (p, _), (s, a) in zip(steps, steps[1:]):
+        alpha[s : s + a] = (
+            _logsumexp_stable(alpha[p : p + a, :, None] + body, axis=1) + ot[s : s + a]
+        )
+    log_z = _logsumexp_stable(alpha[lanes.last], axis=1)  # one per lane
 
     def vjp(g: np.ndarray):
         beta = np.zeros((n, num_labels))
-        for i in range(n - 1, 0, -1):
-            beta[i - 1] = _logsumexp_stable(body + (od[i] + beta[i]), axis=1)
-        d_o = np.exp(alpha + beta - log_z)
+        for (p, _), (s, a) in reversed(list(zip(steps, steps[1:]))):
+            beta[p : p + a] = _logsumexp_stable(
+                body + (ot[s : s + a] + beta[s : s + a])[:, None, :], axis=2
+            )
+        z = log_z[lanes.lane, None]
+        node = np.exp(alpha + beta - z)
+        d_o = np.empty_like(od)
+        d_o[lanes.fw] = node
         d_t = np.zeros_like(td)
         d_t[:num_labels] = np.exp(
-            alpha[:-1, :, None] + body + (od[1:] + beta[1:])[:, None, :] - log_z
+            alpha[lanes.prev, :, None]
+            + body
+            + (ot[a0:] + beta[a0:])[:, None, :]
+            - z[a0:, :, None]
         ).sum(axis=0)
-        d_t[start] = d_o[0]
+        d_t[start] = node[:a0].sum(axis=0)
         return g * d_o, g * d_t
 
-    return Tensor(log_z, (o, t), vjp)
+    return Tensor(log_z.sum(), (o, t), vjp)
 
 
-def crf_nll(o: Tensor, t: Tensor, labels: Sequence[int]) -> Tensor:
-    """Negative log-likelihood -log p(Y|X); non-negative by construction."""
-    return ad.sub(crf_log_partition(o, t), crf_score(o, t, labels))
+def crf_nll(
+    o: Tensor, t: Tensor, labels: Sequence[int], lengths: Sequence[int] | None = None
+) -> Tensor:
+    """Negative log-likelihood -log p(Y|X), summed over packed sentences."""
+    return ad.sub(crf_log_partition(o, t, lengths), crf_score(o, t, labels, lengths))
 
 
 def viterbi(o: np.ndarray, t: np.ndarray) -> list[int]:

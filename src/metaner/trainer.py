@@ -17,6 +17,14 @@ Weights pass through sigma(-d eps) and are normalized by (sum + delta), so a
 batch's weights sum to slightly under one. With reweighting disabled the step
 degrades to the uniform 1/n average, which keeps the "with/without
 reweighting" comparison a one-flag diff.
+
+Only the per-example dot products need per-example gradients. So the meta
+batch is one packed graph (`TaggerModel.batch_loss`: the sentences' rows
+concatenated plus their lengths, run as prefix-active lanes) with one
+backward pass. With reweighting disabled the whole step is one graph: the
+plain sentences' packed loss plus each mixup pair's loss, scaled by 1/n, and
+one backward pass gives the update's gradient directly. With reweighting on,
+the augmented examples still build one graph and one gradient each.
 """
 
 from __future__ import annotations
@@ -99,11 +107,11 @@ class WeightVector:
     w_hat: np.ndarray  # raw sigmoid outputs before normalization
 
 
-def _mean_loss(losses: Sequence[Tensor]) -> Tensor:
+def _total(losses: Sequence[Tensor]) -> Tensor:
     total = losses[0]
     for loss in losses[1:]:
         total = ad.add(total, loss)
-    return ad.scale(total, 1.0 / len(losses))
+    return total
 
 
 def epsilon_grad(
@@ -123,7 +131,7 @@ def epsilon_grad(
     if not aug_losses or not meta_losses:
         raise ValueError("epsilon_grad needs nonempty loss batches")
     example_grads = [grad(loss, params) for loss in aug_losses]
-    meta_grad = grad(_mean_loss(meta_losses), params)
+    meta_grad = grad(ad.scale(_total(meta_losses), 1.0 / len(meta_losses)), params)
     if not meta_grad.all_finite() or not all(g.all_finite() for g in example_grads):
         raise NumericError("non-finite gradients in lookahead step")
     values = np.array([-beta * meta_grad.dot(g) for g in example_grads])
@@ -167,23 +175,29 @@ def meta_train_step(
     """One outer-optimizer step; returns the batch weights and weighted loss."""
     if not aug_batch or not meta_batch:
         raise ValueError("batches must be nonempty")
-    losses = [example_loss(model, item, mix_layer, True, rng) for item in aug_batch]
     if cfg.meta_reweight:
-        meta_losses = [
-            model.sequence_loss(ex, train=True, rng=rng) for ex in meta_batch
-        ]
-        eg = epsilon_grad(model.params, losses, meta_losses, cfg.inner_lr)
+        losses = [example_loss(model, item, mix_layer, True, rng) for item in aug_batch]
+        meta_loss = ad.scale(
+            model.batch_loss(meta_batch, train=True, rng=rng), 1.0 / len(meta_batch)
+        )
+        eg = epsilon_grad(model.params, losses, [meta_loss], cfg.inner_lr)
         weights = reweight(eg, cfg.delta)
-        grads = eg.example_grads
+        if np.all(weights.w == 0.0):
+            logger.warning("all example weights are zero; taking a no-op step")
+        total = combine(eg.example_grads, weights.w)
+        loss_value = float(np.dot(weights.w, [loss.data for loss in losses]))
     else:
+        payloads = [item.payload for item in aug_batch]
+        plain = [p for p in payloads if not isinstance(p, MixedExample)]
+        mixed = [p for p in payloads if isinstance(p, MixedExample)]
+        losses = [model.batch_loss(plain, train=True, rng=rng)] if plain else []
+        losses += [mixup_loss(model, mx, mix_layer, True, rng) for mx in mixed]
+        loss = ad.scale(_total(losses), 1.0 / len(aug_batch))
         weights = _uniform_weights(len(aug_batch))
-        grads = [grad(loss, model.params) for loss in losses]
-    if np.all(weights.w == 0.0):
-        logger.warning("all example weights are zero; taking a no-op step")
-    total = combine(grads, weights.w)
+        total = grad(loss, model.params)
+        loss_value = float(loss.data)
     total = clip_global_norm(total, cfg.clip)
     adamw_step(model.params, total, opt_state)
-    loss_value = float(np.dot(weights.w, [loss.data for loss in losses]))
     return weights, loss_value
 
 
@@ -191,7 +205,7 @@ def meta_train_step(
 
 
 def evaluate(model: TaggerModel, corpus: Corpus) -> dict:
-    """Span precision/recall/F1 of greedy decoding over a labeled corpus."""
+    """Span precision/recall/F1 of Viterbi decoding over a labeled corpus."""
     preds = [model.decode(ex.tokens) for ex in corpus.examples]
     golds = [list(ex.labels) for ex in corpus.examples]
     return span_f1(preds, golds, scheme=corpus.scheme)

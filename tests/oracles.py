@@ -1,8 +1,12 @@
-"""Independent reference implementations used as test oracles.
+"""Reference implementations used as test oracles.
 
-Everything here is deliberately brute force and written against plain numpy
-arrays, not the autodiff graph, so it cannot share bugs with the code under
-test.
+The CRF references are deliberately brute force and written against plain
+numpy arrays, not the autodiff graph, so they cannot share bugs with the code
+under test. The others are earlier, simpler versions of the program, kept
+verbatim so that the faster code replacing them can be checked against them:
+the dense weighted update, the one-sentence BiLSTM and CRF partition nodes,
+and the uniform step with one gradient per example. `pick` is a graph op that
+only tests build.
 """
 
 from __future__ import annotations
@@ -13,8 +17,18 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from metaner.autodiff import GradientMap, NumericError, ParamStore, RowGrad
-from metaner.optim import AdamWState
+from metaner.autodiff import (
+    GradientMap,
+    NumericError,
+    ParamStore,
+    RowGrad,
+    Tensor,
+    _logsumexp_stable,
+    _sigmoid_stable,
+    grad,
+)
+from metaner.optim import AdamWState, clip_global_norm
+from metaner.trainer import example_loss
 
 
 def brute_score(o: np.ndarray, t: np.ndarray, labels: tuple[int, ...]) -> float:
@@ -131,3 +145,133 @@ def dense_adamw_step(params: ParamStore, grads: GradientMap, state: AdamWState) 
         if state.weight_decay:
             p.data -= state.lr * state.weight_decay * p.data
         p.data -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+
+
+# --- one sentence per node --------------------------------------------------------
+# The fused BiLSTM and CRF partition nodes as they were before they took packed
+# sentences: one sentence per call. Kept verbatim as the reference that the
+# packed nodes must reproduce as a sum over per-sentence calls.
+
+
+def sentence_bilstm(emb: Tensor, weights: Sequence[Tensor]) -> Tensor:
+    """Both LSTM directions over `emb` as one graph node, an (n, 2H) tensor.
+
+    `weights` holds (Wx, Wh, b) of the forward direction, then of the backward
+    one; gate order is (i, f, g, o). The two directions step together as a
+    batch of two, the backward one reading the sequence reversed. The input
+    projection X Wx^T + b is one GEMM; only the recurrence loops over time.
+    The vjp is backpropagation through time over the cached gates and cells,
+    ending in one GEMM per weight matrix.
+    """
+    n = emb.shape[0]
+    w = [t.data for t in weights]
+    wx, wh, b = np.stack(w[0::3]), np.stack(w[1::3]), np.stack(w[2::3])
+    hid = wh.shape[2]
+    xs = np.stack([emb.data, emb.data[::-1]])  # (2, n, E), in step order
+    pre_x = xs @ wx.transpose(0, 2, 1) + b[:, None, :]
+    gates = np.empty((2, n, 4 * hid))  # activated i, f, g, o per step
+    cells = np.zeros((2, n + 1, hid))  # cells[:, k] is c entering step k
+    hs = np.zeros((2, n + 1, hid))  # hs[:, k] is h entering step k
+    tanh_c = np.empty((2, n, hid))
+    i_g, f_g, g_g, o_g = np.split(gates, 4, axis=2)
+    for k in range(n):
+        pre = pre_x[:, k] + (wh @ hs[:, k, :, None])[..., 0]
+        gates[:, k] = _sigmoid_stable(pre)
+        g_g[:, k] = np.tanh(pre[:, 2 * hid : 3 * hid])
+        cells[:, k + 1] = f_g[:, k] * cells[:, k] + i_g[:, k] * g_g[:, k]
+        tanh_c[:, k] = np.tanh(cells[:, k + 1])
+        hs[:, k + 1] = o_g[:, k] * tanh_c[:, k]
+    out = np.concatenate([hs[0, 1:], hs[1, 1:][::-1]], axis=1)
+
+    def vjp(g: np.ndarray):
+        # Stacked again rather than kept, so a live graph holds no weight copies.
+        wx, wh = np.stack(w[0::3]), np.stack(w[1::3])
+        dh_out = np.stack([g[:, :hid], g[::-1, hid:]])  # (2, n, H), in step order
+        slope = gates * (1.0 - gates)  # sigmoid' for i, f, o
+        slope[..., 2 * hid : 3 * hid] = 1.0 - g_g * g_g  # tanh' for g
+        # d pre_k = [dc_k, dc_k, dc_k, dh_k] * coef_k, since c_k = f c_{k-1} + i g
+        # and h_k = o tanh(c_k).
+        coef = np.concatenate([g_g, cells[:, :-1], i_g, tanh_c], axis=2) * slope
+        dc_dh = o_g * (1.0 - tanh_c * tanh_c)
+        d_pre = np.empty_like(gates)
+        dh = np.zeros((2, hid))
+        dc = np.zeros((2, hid))
+        for k in range(n - 1, -1, -1):
+            dh += dh_out[:, k]
+            dc += dh * dc_dh[:, k]
+            d_pre[:, k] = np.concatenate([dc, dc, dc, dh], axis=1) * coef[:, k]
+            dc *= f_g[:, k]
+            dh = (d_pre[:, k, None, :] @ wh)[:, 0]
+        d_pre_t = d_pre.transpose(0, 2, 1)
+        dwx = d_pre_t @ xs
+        dwh = d_pre_t @ hs[:, :-1]
+        db = d_pre.sum(axis=1)
+        dxs = d_pre @ wx
+        dx = dxs[0] + dxs[1][::-1]
+        return dx, dwx[0], dwh[0], db[0], dwx[1], dwh[1], db[1]
+
+    return Tensor(out, (emb, *weights), vjp)
+
+
+def sentence_crf_log_partition(o: Tensor, t: Tensor) -> Tensor:
+    """log sum over all label sequences of exp(score), by the forward algorithm.
+
+    One graph node. Its vjp runs the backward recursion and returns the
+    marginals (Sutton & McCallum, arXiv 1011.4088): d logZ/d o[i, y] is
+    p(y_i = y), d logZ/d T[j, k] is sum_i p(y_{i-1} = j, y_i = k), and the
+    START row takes the position-0 marginals.
+    """
+    od, td = o.data, t.data
+    n, num_labels = od.shape
+    start = td.shape[0] - 1
+    body = td[:num_labels]
+    alpha = np.empty((n, num_labels))
+    alpha[0] = td[start] + od[0]
+    for i in range(1, n):
+        alpha[i] = _logsumexp_stable(alpha[i - 1][:, None] + body, axis=0) + od[i]
+    log_z = _logsumexp_stable(alpha[-1])
+
+    def vjp(g: np.ndarray):
+        beta = np.zeros((n, num_labels))
+        for i in range(n - 1, 0, -1):
+            beta[i - 1] = _logsumexp_stable(body + (od[i] + beta[i]), axis=1)
+        d_o = np.exp(alpha + beta - log_z)
+        d_t = np.zeros_like(td)
+        d_t[:num_labels] = np.exp(
+            alpha[:-1, :, None] + body + (od[1:] + beta[1:])[:, None, :] - log_z
+        ).sum(axis=0)
+        d_t[start] = d_o[0]
+        return g * d_o, g * d_t
+
+    return Tensor(log_z, (o, t), vjp)
+
+
+# --- the uniform step, one gradient per example ---------------------------------
+
+
+def per_sentence_uniform_step(model, aug_batch, cfg, opt_state, rng, mix_layer="embedding"):
+    """The reweighting-off training step with one graph and one `grad` per example.
+
+    This is the step as it was before the batch became one packed graph:
+    each example's gradient map, their 1/n-weighted dense sum, clipping and
+    the dense AdamW update.
+    """
+    losses = [example_loss(model, item, mix_layer, True, rng) for item in aug_batch]
+    grads = [grad(loss, model.params) for loss in losses]
+    total = dense_combine(grads, np.full(len(grads), 1.0 / len(grads)))
+    dense_adamw_step(model.params, clip_global_norm(total, cfg.clip), opt_state)
+
+
+# --- graph ops only tests build ------------------------------------------------
+
+
+def pick(a: Tensor, index: tuple[int, ...]) -> Tensor:
+    """Scalar element of a tensor."""
+    out = np.asarray(a.data[index])
+
+    def vjp(g: np.ndarray):
+        full = np.zeros_like(a.data)
+        full[index] = g
+        return (full,)
+
+    return Tensor(out, (a,), vjp)

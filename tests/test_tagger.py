@@ -11,6 +11,8 @@ from oracles import (
     brute_viterbi_score,
     numeric_gradient,
     rel_err,
+    sentence_bilstm,
+    sentence_crf_log_partition,
 )
 
 from metaner import autodiff as ad
@@ -21,6 +23,7 @@ from metaner.optim import AdamWState, adamw_step
 from metaner.tagger import (
     ModelConfig,
     TaggerModel,
+    bilstm,
     crf_log_partition,
     crf_nll,
     crf_score,
@@ -325,6 +328,158 @@ class TestViterbi:
         o = np.array([[5.0, 0.0], [0.0, 0.0], [5.0, 0.0], [0.0, 0.0]])
         t = np.array([[-10.0, 10.0], [0.0, -10.0], [0.0, 0.0]])
         assert viterbi(o, t) == [0, 1, 0, 1]
+
+
+# --- packed sentences against per-sentence oracles --------------------------------
+
+LSTM_NAMES = [f"lstm.{d}.{w}" for d in ("fw", "bw") for w in ("Wx", "Wh", "b")]
+
+
+def split_rows(x, lengths):
+    return np.split(x, np.cumsum(lengths)[:-1])
+
+
+def total(losses):
+    out = losses[0]
+    for loss in losses[1:]:
+        out = ad.add(out, loss)
+    return out
+
+
+class TestPackedBatch:
+    """The packed nodes against sums of one-sentence oracle calls."""
+
+    LENGTHS = [[1], [1, 1, 1], [3, 3, 3], [1, 2, 4, 7], [7, 4, 2, 1], [2, 7, 1, 4]]
+
+    @staticmethod
+    def leaves(rows, lengths, shared):
+        """Packed leaf `x` and per-sentence leaves `x0`, `x1`, ... plus `shared`."""
+        packed, split = ad.ParamStore(), ad.ParamStore()
+        packed.add("x", rows)
+        for k, part in enumerate(split_rows(rows, lengths)):
+            split.add(f"x{k}", part)
+        for name, value in shared.items():
+            packed.add(name, value)
+            split.add(name, value)
+        return packed, split
+
+    @staticmethod
+    def assert_close(got, want, lengths, shared):
+        want_x = np.concatenate([want[f"x{k}"] for k in range(len(lengths))])
+        assert rel_err(got["x"], want_x) < 1e-12
+        for name in shared:
+            assert rel_err(got[name], want[name]) < 1e-12, name
+
+    @pytest.mark.parametrize("lengths", LENGTHS, ids=str)
+    def test_bilstm_is_sum_of_sentence_calls(self, lengths):
+        rng = np.random.default_rng(sum(lengths))
+        model = tiny_model(emb_dim=3, hidden=2, seed=len(lengths))
+        shared = {name: model.params[name].data for name in LSTM_NAMES}
+        n = sum(lengths)
+        packed, split = self.leaves(rng.normal(size=(n, 3)), lengths, shared)
+        upstream = rng.normal(size=(n, 4))
+        out = bilstm(packed["x"], [packed[name] for name in LSTM_NAMES], lengths)
+        got = grad(ad.tsum(ad.mul(out, ad.constant(upstream))), packed)
+        outs = [
+            sentence_bilstm(split[f"x{k}"], [split[name] for name in LSTM_NAMES])
+            for k in range(len(lengths))
+        ]
+        assert rel_err(out.data, np.concatenate([h.data for h in outs])) < 1e-12
+        want = grad(
+            total(
+                [
+                    ad.tsum(ad.mul(h, ad.constant(g)))
+                    for h, g in zip(outs, split_rows(upstream, lengths))
+                ]
+            ),
+            split,
+        )
+        self.assert_close(got, want, lengths, shared)
+
+    @pytest.mark.parametrize("lengths", LENGTHS, ids=str)
+    def test_crf_partition_is_sum_of_sentence_calls(self, lengths):
+        rng = np.random.default_rng(100 + sum(lengths))
+        num_labels = 4
+        o, t = random_crf(rng, sum(lengths), num_labels, scale=2.0)
+        packed, split = self.leaves(o, lengths, {"t": t})
+        log_z = crf_log_partition(packed["x"], packed["t"], lengths)
+        got = grad(log_z, packed)
+        parts = [
+            sentence_crf_log_partition(split[f"x{k}"], split["t"])
+            for k in range(len(lengths))
+        ]
+        want_z = total(parts)
+        assert rel_err(np.array(log_z.data), np.array(want_z.data)) < 1e-12
+        want = grad(want_z, split)
+        self.assert_close(got, want, lengths, {"t": t})
+
+    @pytest.mark.parametrize("lengths", LENGTHS, ids=str)
+    def test_crf_score_is_sum_of_brute_scores(self, lengths):
+        rng = np.random.default_rng(200 + sum(lengths))
+        o, t = random_crf(rng, sum(lengths), 3)
+        labels = rng.integers(0, 3, size=sum(lengths))
+        got = crf_score(ad.constant(o), ad.constant(t), labels, lengths).item()
+        want = sum(
+            brute_score(o_k, t, tuple(y_k))
+            for o_k, y_k in zip(split_rows(o, lengths), split_rows(labels, lengths))
+        )
+        assert abs(got - want) < 1e-12
+
+    def test_crf_marginals_match_brute_force(self):
+        rng = np.random.default_rng(30)
+        lengths = [1, 3, 2]
+        o, t = random_crf(rng, sum(lengths), 3)
+        store = ad.ParamStore()
+        store.add("o", o)
+        store.add("t", t)
+
+        def brute():
+            parts = split_rows(store["o"].data, lengths)
+            return sum(brute_log_partition(o_k, store["t"].data) for o_k in parts)
+
+        log_z = crf_log_partition(store["o"], store["t"], lengths)
+        assert abs(log_z.item() - brute()) < 1e-12
+        analytic = grad(log_z, store)
+        for name in ("o", "t"):
+            numeric = numeric_gradient(brute, store[name].data)
+            assert rel_err(analytic[name], numeric) < 1e-8, name
+
+    def test_batch_loss_matches_sentence_oracles_under_frozen_masks(self):
+        model = tiny_model(emb_dim=3, hidden=2, dropout=0.5, seed=21)
+        seqs = tiny_corpus().examples + [
+            seq(["paris"], ["S-LOC"]),
+            seq(["acme", "visits"], ["S-ORG", "O"]),
+        ]
+        lengths = [len(s) for s in seqs]
+        got = model.batch_loss(seqs, train=True, rng=np.random.default_rng(4))
+        # batch_loss draws one mask over the real tokens for the embeddings,
+        # then one for the BiLSTM states.
+        rng, n = np.random.default_rng(4), sum(lengths)
+        masks = [(rng.random((n, width)) < 0.5) / 0.5 for width in (3, 4)]
+        emb_masks, state_masks = (split_rows(m, lengths) for m in masks)
+        weights = [model.params[name] for name in LSTM_NAMES]
+        parts = []
+        for s, emb_mask, state_mask in zip(seqs, emb_masks, state_masks):
+            emb = ad.mul(model.lookup_embeddings(s.tokens), ad.constant(emb_mask))
+            states = ad.mul(sentence_bilstm(emb, weights), ad.constant(state_mask))
+            o, t = model.emissions(states), model.transitions()
+            labels = model.label_indices(s.labels)
+            parts.append(ad.sub(sentence_crf_log_partition(o, t), crf_score(o, t, labels)))
+        want = total(parts)
+        assert rel_err(np.array(got.data), np.array(want.data)) < 1e-12
+        got_grads, want_grads = grad(got, model.params), grad(want, model.params)
+        for name in model.params.trainable_names():
+            assert rel_err(got_grads[name], want_grads[name]) < 1e-12, name
+
+    @pytest.mark.parametrize("lengths", [[2, 2], [0, 5], [], [6, -1]], ids=str)
+    def test_lengths_must_split_the_rows(self, lengths):
+        o, t = ad.constant(np.zeros((5, 2))), ad.constant(np.zeros((3, 2)))
+        with pytest.raises(ValueError, match="lengths"):
+            crf_log_partition(o, t, lengths)
+        with pytest.raises(ValueError, match="lengths"):
+            crf_score(o, t, [0] * 5, lengths)
+        with pytest.raises(ValueError, match="lengths"):
+            bilstm(ad.constant(np.zeros((5, 3))), [ad.constant(np.zeros(1))] * 6, lengths)
 
 
 # --- full-model losses ----------------------------------------------------------

@@ -6,7 +6,13 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import dense_adamw_step, dense_combine, rel_err
+from oracles import (
+    dense_adamw_step,
+    dense_combine,
+    per_sentence_uniform_step,
+    pick,
+    rel_err,
+)
 
 from metaner import autodiff as ad
 from metaner import trainer as trainer_mod
@@ -111,8 +117,8 @@ class TestEpsilonGrad:
     def test_orthogonal_gradients_give_zero(self):
         store = ad.ParamStore()
         store.add("x", np.array([1.0, 2.0]))
-        aug = [ad.pick(store["x"], 0)]
-        meta = [ad.pick(store["x"], 1)]
+        aug = [pick(store["x"], 0)]
+        meta = [pick(store["x"], 1)]
         eg = epsilon_grad(store, aug, meta, beta=0.5)
         assert eg.values[0] == 0.0
         assert reweight(eg).w_hat[0] == 0.5
@@ -296,14 +302,30 @@ class TestRowSparseUpdate:
     """The row-sparse weighted update against the dense one it replaced."""
 
     def run_steps(
-        self, monkeypatch, clip, meta_reweight, reference, steps=20, extra_words=0
+        self,
+        monkeypatch,
+        clip,
+        meta_reweight,
+        reference,
+        per_sentence=False,
+        steps=20,
+        extra_words=0,
     ):
-        """Train `steps` steps; `reference` swaps in the dense combine and AdamW."""
+        """Train `steps` steps; `reference` swaps in the dense combine and AdamW.
+
+        With reweighting off the step reaches no `combine`: `reference` then
+        swaps in the dense AdamW only, and `per_sentence` with it runs the
+        per-sentence step instead, one gradient per example, then the dense
+        combine and AdamW. That step draws its dropout masks sentence by
+        sentence, the packed one layer by layer, so then both run with dropout
+        off.
+        """
+        per_sentence = per_sentence and not meta_reweight
         corpus = toy_corpus()
         filler = [seq([f"w{i}"], ["O"]) for i in range(extra_words)]
         model = TaggerModel.build(
             Corpus(corpus.examples + filler),
-            ModelConfig(emb_dim=3, hidden=2, dropout=0.3),
+            ModelConfig(emb_dim=3, hidden=2, dropout=0.0 if per_sentence else 0.3),
             seed=7,
         )
         pseudo = generate_augmented_set(
@@ -337,13 +359,19 @@ class TestRowSparseUpdate:
                 aug = [pool[i] for i in sample_rng.integers(len(pool), size=3)]
                 meta_idx = sample_rng.integers(len(corpus), size=2)
                 meta = [corpus.examples[i] for i in meta_idx]
-                meta_train_step(model, aug, meta, cfg, state, dropout_rng)
+                if per_sentence and reference:
+                    per_sentence_uniform_step(model, aug, cfg, state, dropout_rng)
+                else:
+                    meta_train_step(model, aug, meta, cfg, state, dropout_rng)
         return model.params.snapshot(), state, seen
 
     @pytest.mark.parametrize("meta_reweight", [True, False])
     def test_bit_identical_to_dense_update_without_clipping(
         self, monkeypatch, meta_reweight
     ):
+        # With reweighting off this checks AdamW on the packed gradient; that
+        # gradient sums in another order than per-sentence gradients do, so
+        # TestUniformStep compares it with the per-sentence step to 1e-12.
         params, state, seen = self.run_steps(monkeypatch, 1e9, meta_reweight, False)
         want_params, want_state, _ = self.run_steps(monkeypatch, 1e9, meta_reweight, True)
         assert not any(seen["fired"])
@@ -354,10 +382,15 @@ class TestRowSparseUpdate:
 
     @pytest.mark.parametrize("meta_reweight", [True, False])
     def test_close_to_dense_update_with_clipping(self, monkeypatch, meta_reweight):
-        # The row-sparse norm sums fewer terms in another order, so the clip
-        # factor, and everything after it, may differ in the last bits.
-        params, state, seen = self.run_steps(monkeypatch, 0.05, meta_reweight, False)
-        want_params, want_state, _ = self.run_steps(monkeypatch, 0.05, meta_reweight, True)
+        # The row-sparse norm sums fewer terms in another order, and the packed
+        # gradient sums over sentences in another order, so the clip factor,
+        # and everything after it, may differ in the last bits.
+        params, state, seen = self.run_steps(
+            monkeypatch, 0.05, meta_reweight, False, per_sentence=True
+        )
+        want_params, want_state, _ = self.run_steps(
+            monkeypatch, 0.05, meta_reweight, True, per_sentence=True
+        )
         assert all(seen["fired"])
         pairs = [(params, want_params), (state.m, want_state.m), (state.v, want_state.v)]
         for got, want in pairs:
@@ -376,6 +409,63 @@ class TestRowSparseUpdate:
         large, large_table = embedding_bytes(5000)
         assert large_table > 100 * small_table
         assert large == small
+
+
+class TestUniformStep:
+    """The packed reweighting-off step against the per-sentence reference."""
+
+    def run_steps(self, mix_layer, packed, steps=20):
+        corpus = toy_corpus()
+        model = TaggerModel.build(
+            corpus, ModelConfig(emb_dim=3, hidden=2, dropout=0.0), seed=7
+        )
+        pseudo = generate_augmented_set(
+            corpus, AugConfig(times=1), seed=0, use_ts=False, use_mixup=True
+        )
+        clean, mixed = build_pool(corpus, []), build_pool(Corpus([]), pseudo)
+        cfg = TrainerConfig(lr=1e-2, clip=1e9, meta_reweight=False)
+        state = AdamWState(lr=cfg.lr, weight_decay=1e-3)
+        sample_rng, dropout_rng = np.random.default_rng(1), np.random.default_rng(2)
+        for _ in range(steps):
+            aug = [clean[i] for i in sample_rng.integers(len(clean), size=3)]
+            aug += [mixed[i] for i in sample_rng.integers(len(mixed), size=2)]
+            aug = [aug[i] for i in sample_rng.permutation(len(aug))]
+            if packed:
+                meta = [corpus.examples[0]]
+                meta_train_step(model, aug, meta, cfg, state, dropout_rng, mix_layer)
+            else:
+                per_sentence_uniform_step(model, aug, cfg, state, dropout_rng, mix_layer)
+        return model.params.snapshot(), state
+
+    @pytest.mark.parametrize("mix_layer", ["embedding", "encoder"])
+    def test_matches_per_sentence_reference(self, mix_layer):
+        params, state = self.run_steps(mix_layer, packed=True)
+        want_params, want_state = self.run_steps(mix_layer, packed=False)
+        pairs = [(params, want_params), (state.m, want_state.m), (state.v, want_state.v)]
+        for got, want in pairs:
+            for name in want:
+                scale = np.max(np.abs(want[name]))
+                assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * scale, name
+
+    def test_one_backward_pass_per_step(self, monkeypatch):
+        calls = []
+
+        def counting_grad(*args, **kwargs):
+            calls.append(1)
+            return grad(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "grad", counting_grad)
+        corpus = toy_corpus()
+        mx = MixedExample(corpus.examples[0], corpus.examples[1], lam=0.4)
+        aug = [TrainExample(corpus.examples[i % 4], "clean", "clean") for i in range(14)]
+        aug += [TrainExample(mx, "mixup", "mixup-0")] * 2
+        for mix_layer in ("embedding", "encoder"):
+            calls.clear()
+            meta_train_step(
+                toy_model(), aug, [corpus.examples[0]], TrainerConfig(meta_reweight=False),
+                AdamWState(), np.random.default_rng(0), mix_layer,
+            )
+            assert len(calls) == 1
 
 
 class TestBuildPool:
