@@ -13,6 +13,7 @@ mixed) for downstream weighting and inspection.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Union
@@ -21,7 +22,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
-from .corpus import Corpus, LabeledSequence, extract_spans
+from .corpus import Corpus, LabeledSequence, Span, extract_spans, render_labels
 from .tagger import TaggerModel, crf_log_partition, crf_score
 from .vectors import read_vector_file
 
@@ -60,8 +61,8 @@ class AugConfig:
             raise ValueError(f"k must be >= 1, got {self.k}")
         if self.times < 0:
             raise ValueError(f"times must be >= 0, got {self.times}")
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be > 0, got {self.alpha}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be finite and > 0, got {self.alpha}")
         if self.mix_layer not in MIX_LAYERS:
             raise ValueError(
                 f"mix_layer must be one of {MIX_LAYERS}, got {self.mix_layer!r}"
@@ -252,16 +253,6 @@ class MixedExample:
 PseudoExample = Union[Substituted, MixedExample]
 
 
-def _span_labels(entity_type: str, length: int) -> list[str]:
-    if length == 1:
-        return [f"S-{entity_type}"]
-    return (
-        [f"B-{entity_type}"]
-        + [f"I-{entity_type}"] * (length - 2)
-        + [f"E-{entity_type}"]
-    )
-
-
 def token_substitute(
     ex: LabeledSequence,
     edict: EntityDict,
@@ -299,7 +290,8 @@ def token_substitute(
                         Replacement("entity", span.start, span.end, surface, mention)
                     )
                 tokens.extend(mention)
-                labels.extend(_span_labels(span.entity_type, len(mention)))
+                whole = Span(span.entity_type, 0, len(mention) - 1)
+                labels.extend(render_labels(len(mention), [whole], "BIOES"))
                 i = span.end + 1
                 continue
             token = ex.tokens[i]

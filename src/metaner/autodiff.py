@@ -6,9 +6,9 @@ closure; `grad` walks the graph once in reverse topological order.
 
 The op catalog is deliberately small:
 
-- elementwise: add, sub, mul (all broadcasting), scale;
-- linear algebra and reductions: matmul, tsum;
-- indexing: embed_rows, gather, pad_rows.
+- elementwise on equal shapes: add, sub, mul, scale (no broadcasting);
+- the output layer: affine, x @ w + b;
+- indexing: embed_rows, pad_rows.
 
 `_logsumexp_stable` is a plain-array helper for the CRF in `tagger.py`, and
 `_sigmoid_stable` one for the example weights in `trainer.py`.
@@ -21,11 +21,12 @@ that one form, so `dot`, `global_norm`, `scaled`, `combine` and
 `optim.adamw_step` read its rows directly, and an embedding gradient costs
 the rows a batch touched, not the vocabulary, from lookup to the update.
 
-Sequence recurrences are not built from these ops one timestep at a time.
-`tagger.bilstm` and `tagger.crf_log_partition` are hand-written nodes, each
-one `Tensor(out, parents, vjp)` whose vjp is backpropagation through time or
-the forward-backward marginals. Both take a batch of sentences packed into
-one array, so a batch's graph has the same few dozen nodes whatever the
+The tagger's loss is not built from these ops one position at a time.
+`tagger.bilstm`, `tagger.crf_log_partition` and `tagger.crf_score` are
+hand-written nodes, each one `Tensor(out, parents, vjp)` whose vjp is
+backpropagation through time, the forward-backward marginals, or a scatter
+of the gold path's entries. All three take a batch of sentences packed into
+one array, so a training batch's loss is the same 20 nodes whatever the
 number and lengths of its sentences.
 """
 
@@ -90,46 +91,41 @@ def constant(value, name: str | None = None) -> Tensor:
 
 
 def parameter(value, name: str) -> Tensor:
-    """Named trainable leaf; rejects NaN/Inf."""
+    """Named parameter leaf; rejects NaN/Inf."""
     return Tensor(_as_array(value, check_finite=True), name=name)
 
 
-def _unbroadcast(grad: Array, shape: tuple[int, ...]) -> Array:
-    """Reduce `grad` back to `shape` after a numpy-broadcasted binary op."""
-    while grad.ndim > len(shape):
-        grad = grad.sum(axis=0)
-    for axis, dim in enumerate(shape):
-        if dim == 1 and grad.shape[axis] != 1:
-            grad = grad.sum(axis=axis, keepdims=True)
-    return grad.reshape(shape)
+def _same_shape(op: str, a: Tensor, b: Tensor) -> None:
+    if a.shape != b.shape:
+        raise ValueError(f"{op} needs equal shapes, got {a.shape} and {b.shape}")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape("add", a, b)
     out = a.data + b.data
 
     def vjp(g: Array):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(g, b.data.shape)
+        return g, g
 
     return Tensor(out, (a, b), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape("sub", a, b)
     out = a.data - b.data
 
     def vjp(g: Array):
-        return _unbroadcast(g, a.data.shape), _unbroadcast(-g, b.data.shape)
+        return g, -g
 
     return Tensor(out, (a, b), vjp)
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
+    _same_shape("mul", a, b)
     out = a.data * b.data
 
     def vjp(g: Array):
-        return (
-            _unbroadcast(g * b.data, a.data.shape),
-            _unbroadcast(g * a.data, b.data.shape),
-        )
+        return g * b.data, g * a.data
 
     return Tensor(out, (a, b), vjp)
 
@@ -143,42 +139,29 @@ def scale(a: Tensor, c: float) -> Tensor:
     return Tensor(out, (a,), vjp)
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix-matrix or matrix-vector product; no higher-rank support."""
-    if a.data.ndim != 2 or b.data.ndim not in (1, 2):
+def affine(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x @ w + b for x (n, d), w (d, k) and b (k,): b is added to every row."""
+    if (
+        x.data.ndim != 2
+        or w.data.ndim != 2
+        or x.shape[1] != w.shape[0]
+        or b.shape != w.shape[1:]
+    ):
         raise ValueError(
-            f"matmul supports (2d @ 1d) and (2d @ 2d), got {a.shape} @ {b.shape}"
+            f"affine needs x (n, d), w (d, k), b (k,), got {x.shape}, {w.shape}, {b.shape}"
         )
-    out = a.data @ b.data
+    out = x.data @ w.data + b.data
 
-    if b.data.ndim == 1:
+    def vjp(g: Array):
+        return g @ w.data.T, x.data.T @ g, g.sum(axis=0)
 
-        def vjp(g: Array):
-            return np.outer(g, b.data), a.data.T @ g
-
-    else:
-
-        def vjp(g: Array):
-            return g @ b.data.T, a.data.T @ g
-
-    return Tensor(out, (a, b), vjp)
+    return Tensor(out, (x, w, b), vjp)
 
 
 def _sigmoid_stable(x: Array) -> Array:
     """1 / (1 + e^-x) for x >= 0 and e^x / (1 + e^x) below, so exp never overflows."""
     ex = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0, ex) / (1.0 + ex)
-
-
-def tsum(a: Tensor, axis: int | None = None) -> Tensor:
-    out = a.data.sum(axis=axis)
-
-    def vjp(g: Array):
-        if axis is None:
-            return (np.broadcast_to(g, a.data.shape).copy(),)
-        return (np.broadcast_to(np.expand_dims(g, axis), a.data.shape).copy(),)
-
-    return Tensor(out, (a,), vjp)
 
 
 def _logsumexp_stable(x: Array, axis: int | None = None) -> Array:
@@ -188,7 +171,7 @@ def _logsumexp_stable(x: Array, axis: int | None = None) -> Array:
 
 
 class RowGrad:
-    """Row-sparse gradient of a gather: row `rows[k]` adds into row `idx[k]`.
+    """Row-sparse gradient of a row lookup: row `rows[k]` adds into row `idx[k]`.
 
     `embed_rows` and `grad` build one in lookup order, where indices repeat;
     a `GradientMap` holds it in the form `summed` returns, with sorted,
@@ -270,37 +253,21 @@ def pad_rows(a: Tensor, total_rows: int) -> Tensor:
     return Tensor(out, (a,), vjp)
 
 
-def gather(a: Tensor, rows_idx: Sequence[int], cols_idx: Sequence[int]) -> Tensor:
-    """Pick a[r, c] for each (r, c) pair; returns a 1-d tensor."""
-    ri = np.asarray(rows_idx, dtype=np.intp)
-    ci = np.asarray(cols_idx, dtype=np.intp)
-    out = a.data[ri, ci]
-
-    def vjp(g: Array):
-        full = np.zeros_like(a.data)
-        np.add.at(full, (ri, ci), g)
-        return (full,)
-
-    return Tensor(out, (a,), vjp)
-
-
 class ParamStore:
     """Named parameter tensors with a stable, deterministic iteration order.
 
-    Names are unique; insertion order is the iteration order. Each entry has
-    a trainable flag; `grad` and the optimizer touch trainable entries only.
+    Names are unique; insertion order is the iteration order. `grad` and
+    the optimizer touch every entry.
     """
 
     def __init__(self):
         self._entries: dict[str, Tensor] = {}
-        self._trainable: dict[str, bool] = {}
 
-    def add(self, name: str, value, trainable: bool = True) -> Tensor:
+    def add(self, name: str, value) -> Tensor:
         if name in self._entries:
             raise ValueError(f"duplicate parameter name: {name!r}")
         t = parameter(value, name)
         self._entries[name] = t
-        self._trainable[name] = trainable
         return t
 
     def __getitem__(self, name: str) -> Tensor:
@@ -314,9 +281,6 @@ class ParamStore:
 
     def names(self) -> list[str]:
         return list(self._entries)
-
-    def trainable_names(self) -> list[str]:
-        return [n for n, flag in self._trainable.items() if flag]
 
     def items(self) -> Iterator[tuple[str, Tensor]]:
         return iter(self._entries.items())
@@ -480,7 +444,7 @@ def _topo_order(root: Tensor) -> list[Tensor]:
 
 
 def grad(loss: Tensor, params: ParamStore) -> GradientMap:
-    """Exact reverse-mode gradients of a scalar loss w.r.t. trainable params.
+    """Exact reverse-mode gradients of a scalar loss w.r.t. every parameter.
 
     Gradients accumulate (sum) over multiple uses of a parameter; parameters
     the loss does not depend on get zero gradients. A parameter reached only
@@ -502,7 +466,7 @@ def grad(loss: Tensor, params: ParamStore) -> GradientMap:
             else:
                 acc[id(parent)] = _dense(prev) + _dense(pg)
     out: dict[str, Array | RowGrad] = {}
-    for name in params.trainable_names():
+    for name in params.names():
         t = params[name]
         g = acc.get(id(t))
         if g is None:
@@ -523,7 +487,7 @@ def finite_diff_check(
     """
     analytic = grad(loss_fn(), params)
     worst = 0.0
-    for name in params.trainable_names():
+    for name in params.names():
         t = params[name]
         flat = t.data.ravel()
         a_flat = analytic[name].ravel()

@@ -9,6 +9,7 @@ configuration next to their artifacts.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -170,9 +171,14 @@ def parse_config(path: str | Path) -> RunConfig:
 
 
 def _blame(message: str, section: str, lines: dict[str, int]) -> int | None:
-    """Best-effort mapping from a validation message back to a config line."""
+    """Best-effort mapping from a validation message back to a config line.
+
+    A key or field name counts only as a whole word, so that field `m` is not
+    found in "must" nor `beta` in "beta1".
+    """
+    words = set(re.findall(r"\w+(?:\.\w+)*", message))
     for key, (sec, attr, _) in _KEYS.items():
-        if sec == section and key in lines and (attr in message or key in message):
+        if sec == section and key in lines and (attr in words or key in words):
             return lines[key]
     return None
 

@@ -205,7 +205,8 @@ def extract_spans(seq: LabeledSequence) -> set[Span]:
     return set(_parse_spans(seq.labels, seq.scheme))
 
 
-def _render_labels(length: int, spans: Iterable[Span], scheme: str) -> tuple[str, ...]:
+def render_labels(length: int, spans: Iterable[Span], scheme: str) -> tuple[str, ...]:
+    """Labels of a `length`-token sentence whose entities are `spans`, others O."""
     labels = ["O"] * length
     for span in spans:
         if span.start == span.end:
@@ -229,7 +230,7 @@ def convert_scheme(
         raise ValueError(f"unknown scheme {target!r}")
     spans = _parse_spans(seq.labels, seq.scheme, warn=warn)
     return LabeledSequence(
-        seq.tokens, _render_labels(len(seq), spans, target), scheme=target
+        seq.tokens, render_labels(len(seq), spans, target), scheme=target
     )
 
 

@@ -53,7 +53,7 @@ def adamw_step(params: ParamStore, grads: GradientMap, state: AdamWState) -> Non
     bc1 = 1.0 - b1**t
     bc2 = 1.0 - b2**t
     decay = state.lr * state.weight_decay
-    names = params.trainable_names()
+    names = params.names()
     largest = max((params[n].data.size for n in names), default=0)
     scratch = np.empty((2, min(largest, _BLOCK)))
     for name in names:

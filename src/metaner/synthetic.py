@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import Corpus, LabeledSequence
+from .corpus import Corpus, LabeledSequence, Span, render_labels
 from .vectors import write_vector_file
 
 MENTIONS: dict[str, list[tuple[str, ...]]] = {
@@ -85,27 +85,20 @@ STOPWORDS: list[str] = ["a", "an", "and", "at", "in", "its", "to", "the"]
 
 def _fill(template: str, rng: np.random.Generator) -> LabeledSequence:
     tokens: list[str] = []
-    labels: list[str] = []
+    spans: list[Span] = []
     for word in template.split():
         if word in MENTIONS:
             pool = MENTIONS[word]
             mention = pool[int(rng.integers(len(pool)))]
+            spans.append(Span(word, len(tokens), len(tokens) + len(mention) - 1))
             tokens.extend(mention)
-            if len(mention) == 1:
-                labels.append(f"S-{word}")
-            else:
-                labels.extend(
-                    [f"B-{word}"]
-                    + [f"I-{word}"] * (len(mention) - 2)
-                    + [f"E-{word}"]
-                )
         else:
             group = next((g for g in SYNONYM_GROUPS if word in g), None)
             if group is not None:
                 word = group[int(rng.integers(len(group)))]
             tokens.append(word)
-            labels.append("O")
-    return LabeledSequence(tuple(tokens), tuple(labels), scheme="BIOES")
+    labels = render_labels(len(tokens), spans, "BIOES")
+    return LabeledSequence(tuple(tokens), labels, scheme="BIOES")
 
 
 def synthetic_corpus(n_sentences: int, seed: int = 0) -> Corpus:

@@ -47,6 +47,13 @@ class ModelConfig:
     dropout: float = 0.5
     lowercase: bool = False
 
+    def __post_init__(self):
+        for name in ("emb_dim", "hidden"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if not 0 <= self.dropout < 1:  # NaN fails too
+            raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+
 
 class EmbeddingTable:
     """Vocabulary-indexed embedding matrix with PAD and UNK rows.
@@ -204,7 +211,7 @@ class TaggerModel:
 
     def emissions(self, states: Tensor) -> Tensor:
         """Per-position label scores o = H W + b, shape (n, L)."""
-        return ad.add(ad.matmul(states, self.params["crf.W"]), self.params["crf.b"])
+        return ad.affine(states, self.params["crf.W"], self.params["crf.b"])
 
     def transitions(self) -> Tensor:
         return self.params["crf.T"]
@@ -455,10 +462,13 @@ def bilstm(
 def crf_score(
     o: Tensor, t: Tensor, labels: Sequence[int], lengths: Sequence[int] | None = None
 ) -> Tensor:
-    """Transition-augmented score summed over packed sentences.
+    """Transition-augmented score summed over packed sentences, as one node.
 
     `labels` runs over the packed rows of `o`, split by `lengths` (None: one
-    sentence); each sentence's first position uses the START row.
+    sentence); each sentence's first position uses the START row. The score
+    is the sum of the gold path's emission entries plus the sum of its
+    transition entries; the vjp adds the upstream gradient into each entry
+    the path read, once per read.
     """
     n, num_labels = o.shape
     start = t.shape[0] - 1
@@ -471,9 +481,17 @@ def crf_score(
     prev = np.empty_like(labels)
     prev[1:] = labels[:-1]
     prev[np.cumsum(sizes) - sizes] = start
-    emit = ad.tsum(ad.gather(o, np.arange(n), labels))
-    trans = ad.tsum(ad.gather(t, prev, labels))
-    return ad.add(emit, trans)
+    rows = np.arange(n)
+    score = o.data[rows, labels].sum() + t.data[prev, labels].sum()
+
+    def vjp(g: np.ndarray):
+        d_o = np.zeros_like(o.data)
+        np.add.at(d_o, (rows, labels), g)
+        d_t = np.zeros_like(t.data)
+        np.add.at(d_t, (prev, labels), g)
+        return d_o, d_t
+
+    return Tensor(score, (o, t), vjp)
 
 
 def crf_log_partition(

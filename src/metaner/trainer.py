@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import json
 import logging
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Sequence
@@ -66,16 +67,26 @@ class TrainerConfig:
     meta_reweight: bool = True
 
     def __post_init__(self):
+        # Written as `not lo < x < hi` so that NaN fails every check.
         if self.steps < 0:
             raise ValueError(f"steps must be >= 0, got {self.steps}")
         if self.m < 1 or self.n < 1:
             raise ValueError(f"batch sizes must be >= 1, got m={self.m}, n={self.n}")
-        if self.lr <= 0:
-            raise ValueError(f"lr must be > 0, got {self.lr}")
-        if self.beta is not None and self.beta <= 0:
-            raise ValueError(f"beta must be > 0, got {self.beta}")
-        if self.delta <= 0:
-            raise ValueError(f"delta must be > 0, got {self.delta}")
+        if not 0 < self.lr < math.inf:
+            raise ValueError(f"lr must be finite and > 0, got {self.lr}")
+        if self.beta is not None and not 0 < self.beta < math.inf:
+            raise ValueError(f"beta must be finite and > 0, got {self.beta}")
+        if not 0 < self.delta < math.inf:
+            raise ValueError(f"delta must be finite and > 0, got {self.delta}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ValueError(
+                f"weight_decay must be finite and >= 0, got {self.weight_decay}"
+            )
+        for name in ("beta1", "beta2"):
+            if not 0 <= getattr(self, name) < 1:
+                raise ValueError(f"{name} must be in [0, 1), got {getattr(self, name)}")
+        if not 0 < self.clip < math.inf:
+            raise ValueError(f"clip must be finite and > 0, got {self.clip}")
         if self.eval_every < 1:
             raise ValueError(f"eval_every must be >= 1, got {self.eval_every}")
 

@@ -6,13 +6,14 @@ decimal floats. Stop-word file: one word per line.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
 
 
 def read_vector_file(path: str | Path) -> dict[str, np.ndarray]:
-    """Load word vectors; all rows must share one dimension."""
+    """Load word vectors; all rows must share one dimension and be finite."""
     path = Path(path)
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
@@ -26,16 +27,21 @@ def read_vector_file(path: str | Path) -> dict[str, np.ndarray]:
                 raise ValueError(f"{path}:{lineno}: expected 'word v1 v2 ...'")
             word = parts[0]
             try:
-                vec = np.array([float(x) for x in parts[1:]], dtype=np.float64)
+                values = [float(x) for x in parts[1:]]
             except ValueError as exc:
                 raise ValueError(f"{path}:{lineno}: bad float in vector for {word!r}") from exc
             if dim is None:
-                dim = vec.size
-            elif vec.size != dim:
+                dim = len(values)
+            elif len(values) != dim:
                 raise ValueError(
-                    f"{path}:{lineno}: vector for {word!r} has dim {vec.size}, expected {dim}"
+                    f"{path}:{lineno}: vector for {word!r} has dim {len(values)}, expected {dim}"
                 )
-            vectors[word] = vec
+            # A NaN or an infinity makes the sum non-finite. So can finite values
+            # that overflow, which the exact check then lets through; the sum
+            # alone costs a fraction of the exact check on every line.
+            if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}:{lineno}: non-finite value in vector for {word!r}")
+            vectors[word] = np.array(values, dtype=np.float64)
     return vectors
 
 

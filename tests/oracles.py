@@ -5,8 +5,8 @@ numpy arrays, not the autodiff graph, so they cannot share bugs with the code
 under test. The others are earlier, simpler versions of the program, kept
 verbatim so that the faster code replacing them can be checked against them:
 the dense weighted update, the one-sentence BiLSTM and CRF partition nodes,
-and the uniform step with one gradient per example. `pick` is a graph op that
-only tests build.
+and the uniform step with one gradient per example. `pick` and `tsum` are
+graph ops that only tests build.
 """
 
 from __future__ import annotations
@@ -128,7 +128,7 @@ def dense_adamw_step(params: ParamStore, grads: GradientMap, state: AdamWState) 
     t = state.step_count
     bc1 = 1.0 - state.beta1**t
     bc2 = 1.0 - state.beta2**t
-    for name in params.trainable_names():
+    for name in params.names():
         g = grads[name]
         p = params[name]
         if name not in state.m:
@@ -273,5 +273,15 @@ def pick(a: Tensor, index: tuple[int, ...]) -> Tensor:
         full = np.zeros_like(a.data)
         full[index] = g
         return (full,)
+
+    return Tensor(out, (a,), vjp)
+
+
+def tsum(a: Tensor) -> Tensor:
+    """Sum of all entries of a tensor, a scalar."""
+    out = a.data.sum()
+
+    def vjp(g: np.ndarray):
+        return (np.broadcast_to(g, a.data.shape).copy(),)
 
     return Tensor(out, (a,), vjp)

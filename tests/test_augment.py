@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import brute_nll
+from oracles import brute_nll, numeric_gradient, rel_err, tsum
 
 from metaner import autodiff as ad
 from metaner.autodiff import finite_diff_check, grad
@@ -337,6 +337,22 @@ class TestMixEmbeddings:
             ) * mix_embeddings(e1, e2, 0.0, 3).data
             np.testing.assert_array_equal(mixed, expected)
 
+    @pytest.mark.parametrize("rows", [(2, 4), (4, 2)], ids=["first_shorter", "second_shorter"])
+    def test_gradients_match_finite_differences(self, rows):
+        rng = np.random.default_rng(sum(rows))
+        store = ad.ParamStore()
+        store.add("e1", rng.normal(size=(rows[0], 3)))
+        store.add("e2", rng.normal(size=(rows[1], 3)))
+        weights = ad.constant(rng.normal(size=(4, 3)))
+
+        def loss():
+            return tsum(ad.mul(mix_embeddings(store["e1"], store["e2"], 0.3, 4), weights))
+
+        analytic = grad(loss(), store)
+        for name in ("e1", "e2"):
+            numeric = numeric_gradient(lambda: loss().item(), store[name].data)
+            assert rel_err(analytic[name], numeric) < 1e-7, name
+
     def test_contract_violations(self):
         e1 = ad.constant(np.zeros((2, 3)))
         e2 = ad.constant(np.zeros((2, 4)))
@@ -359,6 +375,12 @@ class TestMixupLoss:
         e2 = model.lookup_embeddings(mx.second.tokens)
         mixed = mix_embeddings(e1, e2, mx.lam, mx.length)
         return model.forward_from_embeddings(mixed)
+
+    @pytest.mark.parametrize("layer, nodes", [("embedding", 29), ("encoder", 32)])
+    def test_training_graph_size(self, layer, nodes):
+        model = tiny_model(dropout=0.5)
+        loss = mixup_loss(model, self.pair(), layer, True, np.random.default_rng(0))
+        assert len(ad._topo_order(loss)) == nodes
 
     def test_identity_with_separate_losses_both_layers(self):
         model = tiny_model()

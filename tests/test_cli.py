@@ -246,3 +246,48 @@ class TestExitCodes:
         )
         assert main(["train", "--config", str(cfg)]) == 1
         assert "bad.conll:1" in capsys.readouterr().err
+
+
+class TestBadNumbers:
+    """Out-of-range and non-finite numbers exit 1 at parse time, naming file and line."""
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("lr", "nan"),
+            ("beta", "nan"),
+            ("delta", "nan"),
+            ("beta1", "1.0"),
+            ("beta2", "1.0"),
+            ("clip", "0"),
+            ("weight_decay", "-1"),
+            ("alpha", "inf"),
+            ("model.dropout", "1.0"),
+            ("model.dropout", "-0.1"),
+            ("model.hidden", "0"),
+        ],
+    )
+    def test_config_value_rejected_with_line(
+        self, synth_dataset, tmp_path, capsys, key, value
+    ):
+        text = base_config(synth_dataset, tmp_path / "out", **{key: value})
+        cfg = write_config(tmp_path, text)
+        lineno = text.split("\n").index(f"{key}={value}") + 1
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:{lineno}:" in err
+        assert key.removeprefix("model.") in err
+
+    def test_non_finite_vector_rejected_with_line(self, synth_dataset, tmp_path, capsys):
+        lines = synth_dataset["vectors"].read_text().splitlines()
+        word = lines[2].split()[0]
+        lines[2] = f"{word} " + " ".join(["nan"] + lines[2].split()[2:])
+        vectors = tmp_path / "vectors.txt"
+        vectors.write_text("\n".join(lines) + "\n")
+        cfg = write_config(
+            tmp_path, base_config(synth_dataset, tmp_path / "out", vectors=vectors)
+        )
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{vectors}:3:" in err
+        assert "non-finite" in err

@@ -84,14 +84,6 @@ class TestAdamW:
             adamw_step(store, gmap(p=g), state)
         np.testing.assert_allclose(store["p"].data, p, rtol=1e-12)
 
-    def test_frozen_entries_untouched(self):
-        store = ParamStore()
-        store.add("pad", np.zeros(3), trainable=False)
-        store.add("w", np.ones(3))
-        state = AdamWState(lr=0.1)
-        adamw_step(store, gmap(w=np.ones(3)), state)
-        np.testing.assert_array_equal(store["pad"].data, np.zeros(3))
-
 
 class TestInPlaceAdamW:
     """The in-place, blocked, row-sparse step against the dense reference."""

@@ -13,6 +13,7 @@ from oracles import (
     rel_err,
     sentence_bilstm,
     sentence_crf_log_partition,
+    tsum,
 )
 
 from metaner import autodiff as ad
@@ -29,7 +30,7 @@ from metaner.tagger import (
     crf_score,
     viterbi,
 )
-from metaner.vectors import write_vector_file
+from metaner.vectors import read_vector_file, write_vector_file
 
 
 def seq(tokens, labels):
@@ -117,7 +118,7 @@ class TestEncoder:
         # Weighting both halves of every state row reaches both directions.
         weights = ad.constant(np.random.default_rng(n).normal(size=(n, 4)))
         err = finite_diff_check(
-            lambda: ad.tsum(
+            lambda: tsum(
                 ad.mul(model.encode_states(model.lookup_embeddings(tokens)), weights)
             ),
             model.params,
@@ -379,7 +380,7 @@ class TestPackedBatch:
         packed, split = self.leaves(rng.normal(size=(n, 3)), lengths, shared)
         upstream = rng.normal(size=(n, 4))
         out = bilstm(packed["x"], [packed[name] for name in LSTM_NAMES], lengths)
-        got = grad(ad.tsum(ad.mul(out, ad.constant(upstream))), packed)
+        got = grad(tsum(ad.mul(out, ad.constant(upstream))), packed)
         outs = [
             sentence_bilstm(split[f"x{k}"], [split[name] for name in LSTM_NAMES])
             for k in range(len(lengths))
@@ -388,7 +389,7 @@ class TestPackedBatch:
         want = grad(
             total(
                 [
-                    ad.tsum(ad.mul(h, ad.constant(g)))
+                    tsum(ad.mul(h, ad.constant(g)))
                     for h, g in zip(outs, split_rows(upstream, lengths))
                 ]
             ),
@@ -424,6 +425,23 @@ class TestPackedBatch:
             for o_k, y_k in zip(split_rows(o, lengths), split_rows(labels, lengths))
         )
         assert abs(got - want) < 1e-12
+
+    @pytest.mark.parametrize("lengths", LENGTHS, ids=str)
+    def test_crf_score_gradients_match_finite_differences(self, lengths):
+        rng = np.random.default_rng(300 + sum(lengths))
+        o, t = random_crf(rng, sum(lengths), 3)
+        labels = rng.integers(0, 3, size=sum(lengths))
+        store = ad.ParamStore()
+        store.add("o", o)
+        store.add("t", t)
+
+        def score():
+            return crf_score(store["o"], store["t"], labels, lengths)
+
+        analytic = grad(score(), store)
+        for name in ("o", "t"):
+            numeric = numeric_gradient(lambda: score().item(), store[name].data)
+            assert rel_err(analytic[name], numeric) < 1e-8, name
 
     def test_crf_marginals_match_brute_force(self):
         rng = np.random.default_rng(30)
@@ -468,7 +486,7 @@ class TestPackedBatch:
         want = total(parts)
         assert rel_err(np.array(got.data), np.array(want.data)) < 1e-12
         got_grads, want_grads = grad(got, model.params), grad(want, model.params)
-        for name in model.params.trainable_names():
+        for name in model.params.names():
             assert rel_err(got_grads[name], want_grads[name]) < 1e-12, name
 
     @pytest.mark.parametrize("lengths", [[2, 2], [0, 5], [], [6, -1]], ids=str)
@@ -486,6 +504,15 @@ class TestPackedBatch:
 
 
 class TestSequenceLoss:
+    def test_training_loss_is_twenty_nodes_for_any_batch(self):
+        # lookup, two dropouts, BiLSTM, affine, partition, score and their
+        # difference, over 12 leaves: 10 parameters and 2 dropout masks
+        model = tiny_model(dropout=0.5)
+        rng = np.random.default_rng(0)
+        for seqs in (tiny_corpus().examples[:1], tiny_corpus().examples):
+            loss = model.batch_loss(seqs, train=True, rng=rng)
+            assert len(ad._topo_order(loss)) == 20
+
     def test_gradient_matches_finite_differences_eval_mode(self):
         model = tiny_model(emb_dim=3, hidden=2, seed=9)
         example = seq(["john", "visits", "paris"], ["S-PER", "O", "S-LOC"])
@@ -641,6 +668,19 @@ class TestPretrained:
             TaggerModel.build(
                 tiny_corpus(), ModelConfig(emb_dim=4, hidden=2), vector_path=vec_path
             )
+
+
+    @pytest.mark.parametrize("values", ["nan 1", "1 -inf", "1e999 1"])
+    def test_non_finite_value_rejected_with_line(self, tmp_path, values):
+        vec_path = tmp_path / "vecs.txt"
+        vec_path.write_text(f"john 1 2\nparis {values}\n")
+        with pytest.raises(ValueError, match=r"vecs.txt:2: non-finite value.*'paris'"):
+            read_vector_file(vec_path)
+
+    def test_finite_values_whose_sum_overflows_accepted(self, tmp_path):
+        vec_path = tmp_path / "vecs.txt"
+        vec_path.write_text("john 1e308 1e308\n")
+        np.testing.assert_array_equal(read_vector_file(vec_path)["john"], [1e308, 1e308])
 
 
 class TestPersistence:
