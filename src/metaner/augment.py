@@ -6,6 +6,11 @@ swapped for embedding-space synonyms. Mixup never materializes tokens at all;
 it pairs two training sentences and interpolates their representations inside
 the model, with the pair's losses combined by the same coefficient.
 
+`packed_loss` runs a batch of plain sentences and mixup pairs as lanes of one
+graph: a pair is one lane mixed from its two sentences' embedding rows, or two
+BiLSTM lanes whose states mix into one, and its lane scores both gold paths.
+`mixup_loss` is the one-pair case.
+
 Both paths record enough provenance (which sites changed, which pair was
 mixed) for downstream weighting and inspection.
 """
@@ -16,14 +21,14 @@ import logging
 import math
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Union
+from typing import Iterable, Sequence, Union
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Tensor
 from .corpus import Corpus, LabeledSequence, Span, extract_spans, render_labels
-from .tagger import TaggerModel, crf_log_partition, crf_score
+from .tagger import LaneSum, Mix, TaggerModel
 from .vectors import read_vector_file
 
 logger = logging.getLogger(__name__)
@@ -341,9 +346,65 @@ def mix_embeddings(e1: Tensor, e2: Tensor, lam: float, n: int) -> Tensor:
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
     if n < max(e1.shape[0], e2.shape[0]):
         raise ValueError("mix length shorter than an input sequence")
-    return ad.add(
-        ad.scale(ad.pad_rows(e1, n), lam), ad.scale(ad.pad_rows(e2, n), 1.0 - lam)
+    pos = np.arange(n)
+    rows = [np.where(pos < e.shape[0], pos, -1) for e in (e1, e2)]
+    return ad.mix_rows(e1, e2, *rows, np.full(n, lam), np.full(n, 1.0 - lam))
+
+
+def packed_loss(
+    model: TaggerModel,
+    examples: Sequence[LabeledSequence | MixedExample],
+    mix_layer: str = "embedding",
+    train: bool = False,
+    rng: np.random.Generator | None = None,
+) -> LaneSum:
+    """Summed loss of plain sentences and mixup pairs as one packed graph.
+
+    Example i is lane i of the CRF and owns every row computed for it, so
+    `per_lane[i]` is its loss and the gradient's rows carry i. A plain
+    sentence is a lane as in `TaggerModel.batch_loss`. A mixup pair's two
+    sentences are looked up like any others; at the embedding layer their
+    rows mix into one lane before the BiLSTM, at the encoder layer they run
+    as two BiLSTM lanes whose states mix into one. The pair's lane scores
+    both gold paths, lambda times the first's and 1 - lambda the second's.
+    """
+    if mix_layer not in MIX_LAYERS:
+        raise ValueError(f"mix_layer must be one of {MIX_LAYERS}, got {mix_layer!r}")
+    sentences: list[LabeledSequence] = []
+    sentence_owner: list[int] = []
+    rows: tuple[list[int], list[int]] = ([], [])  # mixed row -> sentence row, -1 none
+    coefs: tuple[list[float], list[float]] = ([], [])  # per mixed row
+    paths: tuple[list[int], list[int]] = ([], [])
+    path_coefs: tuple[list[float], list[float]] = ([], [])  # per lane
+    lane_lengths: list[int] = []
+    offset = 0
+    for i, ex in enumerate(examples):
+        if isinstance(ex, MixedExample):
+            pair, lams = (ex.first, ex.second), (ex.lam, 1.0 - ex.lam)
+            gold = (ex.labels_first(), ex.labels_second())
+        else:
+            pair, lams, gold = (ex,), (1.0, 0.0), (ex.labels, ex.labels)
+        n = max(len(s) for s in pair)
+        for j in range(2):
+            k = len(pair[j]) if j < len(pair) else 0
+            rows[j].extend(range(offset, offset + k))
+            rows[j].extend([-1] * (n - k))
+            offset += k
+            coefs[j].extend([lams[j]] * n)
+            paths[j].extend(model.label_indices(gold[j]))
+            path_coefs[j].append(lams[j])
+        sentences.extend(pair)
+        sentence_owner.extend([i] * len(pair))
+        lane_lengths.append(n)
+    tokens = [tok for s in sentences for tok in s.tokens]
+    lengths = [len(s) for s in sentences]
+    owners = np.repeat(sentence_owner, lengths)
+    if len(sentences) == len(examples):  # no pairs
+        return model.packed_nll(tokens, lengths, paths[0], train, rng, owners)
+    mix = Mix(
+        mix_layer, rows, coefs, lane_lengths, np.repeat(np.arange(len(examples)), lane_lengths)
     )
+    return model.packed_nll(tokens, lengths, paths, train, rng, owners, mix, path_coefs)
 
 
 def mixup_loss(
@@ -352,35 +413,15 @@ def mixup_loss(
     mix_layer: str = "embedding",
     train: bool = False,
     rng: np.random.Generator | None = None,
-) -> Tensor:
+) -> LaneSum:
     """Composite CRF loss of a mixed pair: lam * L(mix, Y1) + (1-lam) * L(mix, Y2).
 
     Both label sequences are scored against one shared emission/partition
     computation on the mixed representation, so the composite is the exact
-    lam-combination of the two single-label losses.
+    lam-combination of the two single-label losses. It is the one-pair case
+    of `packed_loss`.
     """
-    if mix_layer not in MIX_LAYERS:
-        raise ValueError(f"mix_layer must be one of {MIX_LAYERS}, got {mix_layer!r}")
-    n = mx.length
-    if mix_layer == "embedding":
-        e1 = model.lookup_embeddings(mx.first.tokens)
-        e2 = model.lookup_embeddings(mx.second.tokens)
-        mixed = mix_embeddings(e1, e2, mx.lam, n)
-        if train:
-            mixed = model.dropout(mixed, rng)
-        states = model.encode(mixed, train, rng)
-    else:
-        h1 = model.encode_states(model.embed(mx.first.tokens, train, rng))
-        h2 = model.encode_states(model.embed(mx.second.tokens, train, rng))
-        states = mix_embeddings(h1, h2, mx.lam, n)
-        if train:
-            states = model.dropout(states, rng)
-    o = model.emissions(states)
-    t = model.transitions()
-    log_z = crf_log_partition(o, t)
-    s1 = crf_score(o, t, model.label_indices(mx.labels_first()))
-    s2 = crf_score(o, t, model.label_indices(mx.labels_second()))
-    return ad.sub(log_z, ad.add(ad.scale(s1, mx.lam), ad.scale(s2, 1.0 - mx.lam)))
+    return packed_loss(model, [mx], mix_layer, train, rng)
 
 
 # --- batch generation --------------------------------------------------------------

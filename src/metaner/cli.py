@@ -48,7 +48,7 @@ from .corpus import (
 )
 from .tagger import TaggerModel
 from .trainer import evaluate, read_weight_rows, train
-from .vectors import read_stopword_file
+from .vectors import read_stopword_file, vector_width
 
 PROG = "metaner"
 
@@ -69,8 +69,21 @@ def _sniff_scheme(path: str | Path) -> str:
 def _load_training_corpus(cfg: RunConfig) -> Corpus:
     corpus = read_conll(cfg.train, scheme=cfg.scheme).convert("BIOES")
     if cfg.fraction < 1.0:
-        corpus = subsample(corpus, cfg.fraction, seed=cfg.seed)
+        try:
+            corpus = subsample(corpus, cfg.fraction, seed=cfg.seed)
+        except ValueError as exc:
+            raise ConfigError(f"{cfg.where('fraction')}: {exc}") from exc
     return corpus
+
+
+def _check_vector_width(cfg: RunConfig) -> None:
+    """The vectors initialize the embedding table, so their width must be emb_dim."""
+    width = vector_width(cfg.vectors)
+    if width is not None and width != cfg.model.emb_dim:
+        raise ConfigError(
+            f"{cfg.where('model.emb_dim')}: model.emb_dim is {cfg.model.emb_dim}, "
+            f"but the vectors in {cfg.vectors} have dim {width}"
+        )
 
 
 def _pseudo_examples(cfg: RunConfig, corpus: Corpus) -> list[PseudoExample]:
@@ -165,6 +178,8 @@ def cmd_train(args) -> int:
     _require(cfg, "train", "train", "dev", "out")
     train_corpus = _load_training_corpus(cfg)
     dev_corpus = read_conll(cfg.dev, scheme=cfg.scheme).convert("BIOES")
+    if cfg.vectors:
+        _check_vector_width(cfg)
     model = TaggerModel.build(
         train_corpus, cfg.model, seed=cfg.seed, vector_path=cfg.vectors
     )

@@ -40,14 +40,26 @@ class RunConfig:
     model: ModelConfig = field(default_factory=ModelConfig)
     aug: AugConfig = field(default_factory=AugConfig)
     trainer: TrainerConfig = field(default_factory=TrainerConfig)
+    # The file this was parsed from and the line of each key set there, so
+    # that errors found after parsing can still name the line.
+    source: str | None = field(default=None, repr=False, compare=False)
+    lines: dict[str, int] = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if not 0.0 < self.fraction <= 1.0:
             raise ValueError(f"fraction must be in (0, 1], got {self.fraction}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.method not in METHODS:
             raise ValueError(f"method must be one of {METHODS}, got {self.method!r}")
+
+    def where(self, key: str) -> str:
+        """`file:line` of `key` in the config file, or the file if it is unset there."""
+        if key in self.lines:
+            return f"{self.source}:{self.lines[key]}"
+        return f"{self.source} (no {key} line)"
 
     @property
     def use_ts(self) -> bool:
@@ -158,7 +170,14 @@ def parse_config(path: str | Path) -> RunConfig:
     trainer = build(TrainerConfig, sections["trainer"], "trainer")
     cfg = build(
         RunConfig,
-        dict(sections["run"], model=model, aug=aug, trainer=trainer),
+        dict(
+            sections["run"],
+            model=model,
+            aug=aug,
+            trainer=trainer,
+            source=str(path),
+            lines=lines,
+        ),
         "run",
     )
     for key in _PATH_KEYS:

@@ -17,12 +17,15 @@ re-seeding the generator.
 
 A batch of sentences travels as packed rows: the sentences' rows concatenated,
 (sum of lengths, width), plus their `lengths`; `lengths=None` means the rows
-are one sentence. `batch_loss` looks the batch up once, draws one dropout mask
-per layer over its real tokens, and runs one BiLSTM node and one CRF partition
-node. Those nodes lay the sentences out time-major in `Lanes`, sorted longest
-first, so the sentences still running at a timestep are a prefix of the lanes
-and each step is one slice, with no padding and no masks. One sentence is the
-one-lane case of the same code.
+are one sentence. `packed_nll` looks the batch up once, draws one dropout
+mask per layer over its real tokens, and runs one BiLSTM node and one CRF
+partition node; `batch_loss` is its plain-sentence case, and
+`augment.packed_loss` adds mixup pairs through a `Mix`. The nodes lay the
+sentences out time-major in `Lanes`, sorted longest first, so the sentences
+still running at a timestep are a prefix of the lanes and each step is one
+slice, with no padding and no masks. One sentence is the one-lane case of the
+same code. Every row can carry the index of the example that owns it, which
+the parameter gradients keep (see `autodiff`).
 """
 
 from __future__ import annotations
@@ -163,9 +166,18 @@ class TaggerModel:
 
     # --- forward paths ---------------------------------------------------
 
-    def lookup_embeddings(self, tokens: Sequence[str]) -> Tensor:
-        """Raw embedding rows, one per token, before any dropout."""
-        return ad.embed_rows(self.params["embed.table"], self.table.indices(tokens))
+    def lookup_embeddings(
+        self, tokens: Sequence[str], owners: np.ndarray | None = None
+    ) -> Tensor:
+        """Raw embedding rows, one per token, before any dropout.
+
+        Token k belongs to example `owners[k]` (None: all to one example),
+        and its gradient row carries that index; the other stages take
+        `owners` the same way, one per row they compute.
+        """
+        return ad.embed_rows(
+            self.params["embed.table"], self.table.indices(tokens), owners
+        )
 
     def dropout(self, x: Tensor, rng: np.random.Generator) -> Tensor:
         """Inverted dropout at the configured rate; BiLSTM inputs and outputs."""
@@ -185,7 +197,12 @@ class TaggerModel:
             emb = self.dropout(emb, rng)
         return emb
 
-    def encode_states(self, emb: Tensor, lengths: Sequence[int] | None = None) -> Tensor:
+    def encode_states(
+        self,
+        emb: Tensor,
+        lengths: Sequence[int] | None = None,
+        owners: np.ndarray | None = None,
+    ) -> Tensor:
         """BiLSTM states h_i = [forward_i ; backward_i], an (n, 2H) tensor.
 
         `emb` holds packed sentences split by `lengths` (None: one sentence).
@@ -195,7 +212,7 @@ class TaggerModel:
             for prefix in ("lstm.fw", "lstm.bw")
             for name in ("Wx", "Wh", "b")
         ]
-        return bilstm(emb, weights, lengths)
+        return bilstm(emb, weights, lengths, owners)
 
     def encode(
         self,
@@ -209,9 +226,9 @@ class TaggerModel:
             states = self.dropout(states, rng)
         return states
 
-    def emissions(self, states: Tensor) -> Tensor:
+    def emissions(self, states: Tensor, owners: np.ndarray | None = None) -> Tensor:
         """Per-position label scores o = H W + b, shape (n, L)."""
-        return ad.affine(states, self.params["crf.W"], self.params["crf.b"])
+        return ad.affine(states, self.params["crf.W"], self.params["crf.b"], owners)
 
     def transitions(self) -> Tensor:
         return self.params["crf.T"]
@@ -261,8 +278,40 @@ class TaggerModel:
         tokens = [tok for seq in seqs for tok in seq.tokens]
         labels = [y for seq in seqs for y in self.label_indices(seq.labels)]
         lengths = [len(seq) for seq in seqs]
-        o, t = self.forward(tokens, train, rng, lengths)
-        return crf_nll(o, t, labels, lengths)
+        return self.packed_nll(tokens, lengths, labels, train, rng)
+
+    def packed_nll(
+        self,
+        tokens: Sequence[str],
+        lengths: Sequence[int],
+        labels: Sequence[int] | Sequence[Sequence[int]],
+        train: bool = False,
+        rng: np.random.Generator | None = None,
+        owners: np.ndarray | None = None,
+        mix: "Mix | None" = None,
+        coefs: Sequence[Sequence[float]] | None = None,
+    ) -> LaneSum:
+        """Summed NLL of packed sentences: lookup, BiLSTM, emissions and CRF.
+
+        `tokens` holds the sentences' tokens concatenated, split by
+        `lengths`, and token k belongs to example `owners[k]`. With `mix`,
+        the sentences' rows combine into the lanes the CRF scores, before the
+        BiLSTM (embedding layer) or after it (encoder layer); `labels` and
+        `coefs` give those lanes' gold paths as `crf_score` takes them. When
+        training, each dropout layer draws one mask over the whole batch.
+        """
+        x = self.lookup_embeddings(tokens, owners)
+        if mix is not None and mix.layer == "embedding":
+            x, lengths, owners = mix(x), mix.lengths, mix.owners
+        if train:
+            x = self.dropout(x, rng)
+        states = self.encode_states(x, lengths, owners)
+        if mix is not None and mix.layer == "encoder":
+            states, lengths, owners = mix(states), mix.lengths, mix.owners
+        if train:
+            states = self.dropout(states, rng)
+        o = self.emissions(states, owners)
+        return crf_nll(o, self.transitions(), labels, lengths, coefs, owners)
 
     def sequence_loss(
         self,
@@ -308,6 +357,27 @@ class TaggerModel:
 # --- packed sentences -----------------------------------------------------------
 
 
+@dataclass(frozen=True)
+class Mix:
+    """How packed sentences combine into lanes, as mixup pairs do.
+
+    Row k of the mixed rows is coefs[0][k] * x[rows[0][k]] + coefs[1][k] *
+    x[rows[1][k]] over the sentences' rows x at `layer` ("embedding" or
+    "encoder"), a row index of -1 reading zeros (`autodiff.mix_rows`).
+    `lengths` splits the mixed rows into lanes, and mixed row k belongs to
+    example `owners[k]`.
+    """
+
+    layer: str
+    rows: tuple[Sequence[int], Sequence[int]]
+    coefs: tuple[Sequence[float], Sequence[float]]
+    lengths: Sequence[int]
+    owners: np.ndarray | None = None
+
+    def __call__(self, x: Tensor) -> Tensor:
+        return ad.mix_rows(x, x, *self.rows, *self.coefs)
+
+
 def _sentence_lengths(lengths: Sequence[int] | None, n: int) -> list[int]:
     """Lengths of the sentences packed into `n` rows; None is one sentence."""
     sizes = [n] if lengths is None else [int(k) for k in lengths]
@@ -328,10 +398,11 @@ class Lanes:
     in the backward one, which reads each sentence reversed within its own
     length. `lane[p]` is the position's lane, `prev[p - a0]` is the position
     the same lane held one step earlier (for every p after the a0 positions
-    of the first step) and `last[j]` is lane j's final position.
+    of the first step), `last[j]` is lane j's final position and `order[j]`
+    the sentence lane j runs.
     """
 
-    __slots__ = ("steps", "fw", "bw", "lane", "prev", "last")
+    __slots__ = ("steps", "fw", "bw", "lane", "prev", "last", "order")
 
     def __init__(self, lengths: Sequence[int] | None, n: int):
         sizes = _sentence_lengths(lengths, n)
@@ -341,6 +412,7 @@ class Lanes:
             self.lane = np.zeros(n, dtype=np.intp)
             self.prev = self.fw[:-1]
             self.last = self.fw[-1:]
+            self.order = self.lane[:1]
             self.steps = [(k, 1) for k in range(n)]
             return
         sizes = np.array(sizes)
@@ -357,6 +429,7 @@ class Lanes:
         a0 = int(active[0])
         self.prev = starts[step[a0:] - 1] + self.lane[a0:]
         self.last = starts[by_lane - 1] + np.arange(len(by_lane))
+        self.order = order
         self.steps = list(zip(starts.tolist(), active.tolist()))
 
 
@@ -364,7 +437,10 @@ class Lanes:
 
 
 def bilstm(
-    emb: Tensor, weights: Sequence[Tensor], lengths: Sequence[int] | None = None
+    emb: Tensor,
+    weights: Sequence[Tensor],
+    lengths: Sequence[int] | None = None,
+    owners: np.ndarray | None = None,
 ) -> Tensor:
     """Both LSTM directions over packed sentences as one graph node, (n, 2H).
 
@@ -376,8 +452,14 @@ def bilstm(
     (2, a, H)·(2, H, 4H) matmul with no masking. The input projection
     X Wx^T + b is one GEMM. All four gates come from one tanh, since
     sigma(x) = (1 + tanh(x/2)) / 2 and halving the i, f, o rows is exact.
-    The vjp is backpropagation through time over the cached gates and cells,
-    ending in one GEMM per weight matrix.
+    Every product has at least two rows, since BLAS rounds a one-row product
+    differently (a matrix-vector kernel): so a sentence's states are the same
+    bits whichever sentences share its batch.
+
+    The vjp is backpropagation through time over the cached gates and cells.
+    It returns the weight gradients factored by position, row p owned by
+    owners of p's packed row: `Outer(d_pre, x)` for Wx, `Outer(d_pre,
+    h_prev)` for Wh and `RowSum(d_pre)` for b.
     """
     n = emb.shape[0]
     lanes = Lanes(lengths, n)
@@ -391,21 +473,24 @@ def bilstm(
     wh_t = np.empty((2, hid, 4 * hid))  # Wh^T of both directions, scaled
     for d in range(2):
         wx, wh, b = w[3 * d : 3 * d + 3]
-        np.matmul(xs[d], wx.T, out=pre_x[d])
+        if n > 1:
+            np.matmul(xs[d], wx.T, out=pre_x[d])
+        else:
+            pre_x[d] = (xs[d, [0, 0]] @ wx.T)[:1]
         pre_x[d] += b
         np.multiply(wh.T, scale, out=wh_t[d])
     pre_x *= scale
     gates = np.empty((2, n, 4 * hid))  # activated i, f, g, o per position
     cells = np.empty((2, n, hid))
     tanh_c = np.empty((2, n, hid))
-    hs = np.empty((2, n, hid))
+    hs = np.zeros((2, n, hid))  # a lone lane's step reads one row past it
     i_g, f_g, g_g, o_g = (gates[..., j * hid : (j + 1) * hid] for j in range(4))
     prev = 0
     for k, (s, a) in enumerate(lanes.steps):
         cur, last = slice(s, s + a), slice(prev, prev + a)
         pre = pre_x[:, cur]
-        if k:
-            pre = pre + hs[:, last] @ wh_t
+        if k:  # prev + 1 <= s < n, so the second row exists
+            pre = pre + (hs[:, prev : prev + max(a, 2)] @ wh_t)[:, :a]
         act = np.tanh(pre, out=gates[:, cur])
         act *= scale
         act += shift
@@ -444,14 +529,20 @@ def bilstm(
             np.multiply(dcdh, coef[:, cur], out=d_pre[:, cur])
             dc *= f_g[:, cur]
             np.matmul(d_pre[:, cur], wh, out=dh)
-        d_pre_t = d_pre.transpose(0, 2, 1)
-        dwx = d_pre_t @ xs
-        dwh = d_pre_t[:, :, a0:] @ hs[:, lanes.prev]
-        db = d_pre.sum(axis=1)
         dx = np.empty_like(emb.data)
         dx[lanes.fw] = d_pre[0] @ w[0]
         dx[lanes.bw] += d_pre[1] @ w[3]
-        return dx, dwx[0], dwh[0], db[0], dwx[1], dwh[1], db[1]
+        h_prev = hs[:, lanes.prev]
+        own = None if owners is None else np.asarray(owners)[lanes.fw]
+        own_prev = None if own is None else own[a0:]
+        grads = []
+        for d in range(2):
+            grads += [
+                ad.Outer(d_pre[d], xs[d], own),
+                ad.Outer(d_pre[d, a0:], h_prev[d], own_prev),
+                ad.RowSum(d_pre[d], own),
+            ]
+        return dx, *grads
 
     return Tensor(out, (emb, *weights), vjp)
 
@@ -459,9 +550,25 @@ def bilstm(
 # --- CRF scoring -------------------------------------------------------------
 
 
+class LaneSum(Tensor):
+    """A scalar node whose value sums one term per lane; `per_lane` keeps the
+    terms, in the order of the `lengths` the node was given."""
+
+    __slots__ = ("per_lane",)
+
+    def __init__(self, data, parents, vjp, per_lane: np.ndarray):
+        super().__init__(data, parents, vjp)
+        self.per_lane = per_lane
+
+
 def crf_score(
-    o: Tensor, t: Tensor, labels: Sequence[int], lengths: Sequence[int] | None = None
-) -> Tensor:
+    o: Tensor,
+    t: Tensor,
+    labels: Sequence[int] | Sequence[Sequence[int]],
+    lengths: Sequence[int] | None = None,
+    coefs: Sequence[Sequence[float]] | None = None,
+    owners: np.ndarray | None = None,
+) -> LaneSum:
     """Transition-augmented score summed over packed sentences, as one node.
 
     `labels` runs over the packed rows of `o`, split by `lengths` (None: one
@@ -469,34 +576,55 @@ def crf_score(
     is the sum of the gold path's emission entries plus the sum of its
     transition entries; the vjp adds the upstream gradient into each entry
     the path read, once per read.
+
+    A lane can hold more than one gold path: `labels` is then (k, rows) and
+    `coefs` (k, lanes), path j of lane s counting coefs[j][s] times (a mixup
+    pair's lambda and 1 - lambda; 1 and 0 for a plain sentence). The
+    transitions' gradient is a `RowGrad` over the rows of `t` the paths read.
     """
     n, num_labels = o.shape
     start = t.shape[0] - 1
-    labels = np.array(labels, dtype=np.intp)
-    if labels.shape != (n,):
-        raise ValueError(f"label sequence length {labels.size} != {n} positions")
-    if np.any((labels < 0) | (labels >= num_labels)):
+    paths = np.array(labels, dtype=np.intp)
+    if paths.ndim == 1:
+        paths = paths[None]
+    if paths.ndim != 2 or paths.shape[1] != n:
+        raise ValueError(f"label sequence length {paths.shape[-1]} != {n} positions")
+    if np.any((paths < 0) | (paths >= num_labels)):
         raise ValueError("label index out of range")
     sizes = _sentence_lengths(lengths, n)
-    prev = np.empty_like(labels)
-    prev[1:] = labels[:-1]
-    prev[np.cumsum(sizes) - sizes] = start
+    weight = np.ones((1, len(sizes))) if coefs is None else np.asarray(coefs, float)
+    if weight.shape != (len(paths), len(sizes)):
+        raise ValueError(f"coefs must be (paths, lanes) = {(len(paths), len(sizes))}")
+    lane = np.repeat(np.arange(len(sizes)), sizes)
+    weight = weight[:, lane]  # per row; a coefficient of 1 changes no bits
+    prev = np.empty_like(paths)
+    prev[:, 1:] = paths[:, :-1]
+    prev[:, np.cumsum(sizes) - sizes] = start
     rows = np.arange(n)
-    score = o.data[rows, labels].sum() + t.data[prev, labels].sum()
+    emit = weight * o.data[rows, paths]
+    trans = weight * t.data[prev, paths]
+    score = sum(e.sum() + r.sum() for e, r in zip(emit, trans))
+    per_lane = np.bincount(lane, weights=(emit + trans).sum(axis=0), minlength=len(sizes))
 
     def vjp(g: np.ndarray):
+        vals = g * weight
         d_o = np.zeros_like(o.data)
-        np.add.at(d_o, (rows, labels), g)
-        d_t = np.zeros_like(t.data)
-        np.add.at(d_t, (prev, labels), g)
-        return d_o, d_t
+        for y, v in zip(paths, vals):
+            np.add.at(d_o, (rows, y), v)
+        hits = np.zeros((paths.size, num_labels))
+        hits[np.arange(paths.size), paths.ravel()] = vals.ravel()
+        own = None if owners is None else np.tile(owners, len(paths))
+        return d_o, ad.RowGrad(t.shape, prev.ravel(), hits, own)
 
-    return Tensor(score, (o, t), vjp)
+    return LaneSum(score, (o, t), vjp, per_lane)
 
 
 def crf_log_partition(
-    o: Tensor, t: Tensor, lengths: Sequence[int] | None = None
-) -> Tensor:
+    o: Tensor,
+    t: Tensor,
+    lengths: Sequence[int] | None = None,
+    owners: np.ndarray | None = None,
+) -> LaneSum:
     """Sum over packed sentences of log sum_Y exp(score), by the forward algorithm.
 
     `o` holds the sentences' emission rows concatenated, split by `lengths`
@@ -505,7 +633,9 @@ def crf_log_partition(
     recursion the same way and returns the marginals (Sutton & McCallum,
     arXiv 1011.4088): d logZ/d o[i, y] is p(y_i = y), d logZ/d T[j, k] is
     sum_i p(y_{i-1} = j, y_i = k), and the START row takes each sentence's
-    position-0 marginals.
+    position-0 marginals. The transitions' gradient is a `RowSum` of one
+    (L+1, L) block per position: its pair marginals, or for a first position
+    its START row.
     """
     od, td = o.data, t.data
     n, num_labels = od.shape
@@ -522,6 +652,8 @@ def crf_log_partition(
             _logsumexp_stable(alpha[p : p + a, :, None] + body, axis=1) + ot[s : s + a]
         )
     log_z = _logsumexp_stable(alpha[lanes.last], axis=1)  # one per lane
+    per_lane = np.empty_like(log_z)
+    per_lane[lanes.order] = log_z
 
     def vjp(g: np.ndarray):
         beta = np.zeros((n, num_labels))
@@ -533,24 +665,37 @@ def crf_log_partition(
         node = np.exp(alpha + beta - z)
         d_o = np.empty_like(od)
         d_o[lanes.fw] = node
-        d_t = np.zeros_like(td)
-        d_t[:num_labels] = np.exp(
+        blocks = np.zeros((n,) + td.shape)
+        blocks[a0:, :num_labels] = np.exp(
             alpha[lanes.prev, :, None]
             + body
             + (ot[a0:] + beta[a0:])[:, None, :]
             - z[a0:, :, None]
-        ).sum(axis=0)
-        d_t[start] = node[:a0].sum(axis=0)
-        return g * d_o, g * d_t
+        )
+        blocks[:a0, start] = node[:a0]
+        own = None if owners is None else np.asarray(owners)[lanes.fw]
+        return g * d_o, ad.RowSum(blocks, own, g)
 
-    return Tensor(log_z.sum(), (o, t), vjp)
+    return LaneSum(log_z.sum(), (o, t), vjp, per_lane)
 
 
 def crf_nll(
-    o: Tensor, t: Tensor, labels: Sequence[int], lengths: Sequence[int] | None = None
-) -> Tensor:
-    """Negative log-likelihood -log p(Y|X), summed over packed sentences."""
-    return ad.sub(crf_log_partition(o, t, lengths), crf_score(o, t, labels, lengths))
+    o: Tensor,
+    t: Tensor,
+    labels: Sequence[int] | Sequence[Sequence[int]],
+    lengths: Sequence[int] | None = None,
+    coefs: Sequence[Sequence[float]] | None = None,
+    owners: np.ndarray | None = None,
+) -> LaneSum:
+    """Negative log-likelihood -log p(Y|X), summed over packed sentences.
+
+    With several gold paths per lane (see `crf_score`) it is the
+    coefficient-weighted sum of their NLLs; `per_lane` holds each lane's.
+    """
+    log_z = crf_log_partition(o, t, lengths, owners)
+    score = crf_score(o, t, labels, lengths, coefs, owners)
+    nll = ad.sub(log_z, score)
+    return LaneSum(nll.data, nll.parents, nll.vjp, log_z.per_lane - score.per_lane)
 
 
 def viterbi(o: np.ndarray, t: np.ndarray) -> list[int]:

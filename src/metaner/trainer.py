@@ -18,17 +18,22 @@ batch's weights sum to slightly under one. With reweighting disabled the step
 degrades to the uniform 1/n average, which keeps the "with/without
 reweighting" comparison a one-flag diff.
 
-Only the per-example dot products need per-example gradients. So the meta
-batch is one packed graph (`TaggerModel.batch_loss`: the sentences' rows
-concatenated plus their lengths, run as prefix-active lanes) with one
-backward pass. With reweighting disabled the whole step is one graph: the
-plain sentences' packed loss plus each mixup pair's loss, scaled by 1/n, and
-one backward pass gives the update's gradient directly. With reweighting on,
-the augmented examples still build one graph and one gradient each.
+The step needs n dot products and one weighted sum, not n gradients. The
+augmented batch is one packed graph (`augment.packed_loss`: plain sentences
+and mixup pairs as prefix-active lanes, every row tagged with the example
+that owns it) and the meta batch another (`TaggerModel.batch_loss`), each
+with one backward pass. The augmented walk keeps its parameter gradients
+factored by row (`autodiff.ExampleGrads`): one contraction per weight against
+the meta gradient gives all n values <g_meta, g_i>, and the same rows scaled
+by their example's weight give sum_i w_i g_i, one `GradientMap` for clipping
+and AdamW. With reweighting disabled the augmented graph alone, scaled by
+1/n, gives the update. `epsilon_grad` is the general definition, one graph
+and one gradient per example, that the packed step is tested against.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -39,8 +44,8 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import GradientMap, NumericError, Tensor, _sigmoid_stable, combine, grad
-from .augment import MixedExample, PseudoExample, Substituted, mixup_loss
+from .autodiff import GradientMap, NumericError, Tensor, _sigmoid_stable, grad
+from .augment import MixedExample, PseudoExample, Substituted, mixup_loss, packed_loss
 from .corpus import Corpus, LabeledSequence, span_f1
 from .optim import AdamWState, adamw_step, clip_global_norm
 from .tagger import TaggerModel
@@ -118,13 +123,6 @@ class WeightVector:
     w_hat: np.ndarray  # raw sigmoid outputs before normalization
 
 
-def _total(losses: Sequence[Tensor]) -> Tensor:
-    total = losses[0]
-    for loss in losses[1:]:
-        total = ad.add(total, loss)
-    return total
-
-
 def epsilon_grad(
     params: ad.ParamStore,
     aug_losses: Sequence[Tensor],
@@ -142,7 +140,8 @@ def epsilon_grad(
     if not aug_losses or not meta_losses:
         raise ValueError("epsilon_grad needs nonempty loss batches")
     example_grads = [grad(loss, params) for loss in aug_losses]
-    meta_grad = grad(ad.scale(_total(meta_losses), 1.0 / len(meta_losses)), params)
+    meta_total = functools.reduce(ad.add, meta_losses)
+    meta_grad = grad(ad.scale(meta_total, 1.0 / len(meta_losses)), params)
     if not meta_grad.all_finite() or not all(g.all_finite() for g in example_grads):
         raise NumericError("non-finite gradients in lookahead step")
     values = np.array([-beta * meta_grad.dot(g) for g in example_grads])
@@ -186,25 +185,25 @@ def meta_train_step(
     """One outer-optimizer step; returns the batch weights and weighted loss."""
     if not aug_batch or not meta_batch:
         raise ValueError("batches must be nonempty")
+    n = len(aug_batch)
+    losses = packed_loss(model, [item.payload for item in aug_batch], mix_layer, True, rng)
     if cfg.meta_reweight:
-        losses = [example_loss(model, item, mix_layer, True, rng) for item in aug_batch]
         meta_loss = ad.scale(
             model.batch_loss(meta_batch, train=True, rng=rng), 1.0 / len(meta_batch)
         )
-        eg = epsilon_grad(model.params, losses, [meta_loss], cfg.inner_lr)
-        weights = reweight(eg, cfg.delta)
+        example_grads = grad(losses, model.params, per_example=True)
+        meta_grad = grad(meta_loss, model.params)
+        if not meta_grad.all_finite() or not example_grads.all_finite():
+            raise NumericError("non-finite gradients in lookahead step")
+        eps = -cfg.inner_lr * example_grads.dots(meta_grad, n)
+        weights = reweight(EpsilonGrad(eps, []), cfg.delta)
         if np.all(weights.w == 0.0):
             logger.warning("all example weights are zero; taking a no-op step")
-        total = combine(eg.example_grads, weights.w)
-        loss_value = float(np.dot(weights.w, [loss.data for loss in losses]))
+        total = example_grads.weighted(weights.w)
+        loss_value = float(np.dot(weights.w, losses.per_lane))
     else:
-        payloads = [item.payload for item in aug_batch]
-        plain = [p for p in payloads if not isinstance(p, MixedExample)]
-        mixed = [p for p in payloads if isinstance(p, MixedExample)]
-        losses = [model.batch_loss(plain, train=True, rng=rng)] if plain else []
-        losses += [mixup_loss(model, mx, mix_layer, True, rng) for mx in mixed]
-        loss = ad.scale(_total(losses), 1.0 / len(aug_batch))
-        weights = _uniform_weights(len(aug_batch))
+        loss = ad.scale(losses, 1.0 / n)
+        weights = _uniform_weights(n)
         total = grad(loss, model.params)
         loss_value = float(loss.data)
     total = clip_global_norm(total, cfg.clip)

@@ -5,8 +5,8 @@ numpy arrays, not the autodiff graph, so they cannot share bugs with the code
 under test. The others are earlier, simpler versions of the program, kept
 verbatim so that the faster code replacing them can be checked against them:
 the dense weighted update, the one-sentence BiLSTM and CRF partition nodes,
-and the uniform step with one gradient per example. `pick` and `tsum` are
-graph ops that only tests build.
+and the uniform and the reweighted step with one graph and one gradient per
+example. `pick` and `tsum` are graph ops that only tests build.
 """
 
 from __future__ import annotations
@@ -17,6 +17,8 @@ from collections.abc import Sequence
 
 import numpy as np
 
+from metaner import autodiff as ad
+from metaner.augment import MixedExample, mix_embeddings
 from metaner.autodiff import (
     GradientMap,
     NumericError,
@@ -28,7 +30,8 @@ from metaner.autodiff import (
     grad,
 )
 from metaner.optim import AdamWState, clip_global_norm
-from metaner.trainer import example_loss
+from metaner.tagger import crf_log_partition, crf_score
+from metaner.trainer import epsilon_grad, reweight
 
 
 def brute_score(o: np.ndarray, t: np.ndarray, labels: tuple[int, ...]) -> float:
@@ -246,7 +249,61 @@ def sentence_crf_log_partition(o: Tensor, t: Tensor) -> Tensor:
     return Tensor(log_z, (o, t), vjp)
 
 
-# --- the uniform step, one gradient per example ---------------------------------
+# --- the training steps, one gradient per example -------------------------------
+# The steps as they were before the augmented batch became one packed graph:
+# one graph per example (a mixup pair mixed on its own, each gold path scored
+# by its own node), one `grad` each, their dense weighted sum, clipping and the
+# dense AdamW update. Kept verbatim as the references the packed step must
+# reproduce.
+
+
+def pair_loss(model, mx, mix_layer="embedding", train=False, rng=None):
+    """Composite CRF loss of a mixed pair: lam * L(mix, Y1) + (1-lam) * L(mix, Y2)."""
+    n = mx.length
+    if mix_layer == "embedding":
+        e1 = model.lookup_embeddings(mx.first.tokens)
+        e2 = model.lookup_embeddings(mx.second.tokens)
+        mixed = mix_embeddings(e1, e2, mx.lam, n)
+        if train:
+            mixed = model.dropout(mixed, rng)
+        states = model.encode(mixed, train, rng)
+    else:
+        h1 = model.encode_states(model.embed(mx.first.tokens, train, rng))
+        h2 = model.encode_states(model.embed(mx.second.tokens, train, rng))
+        states = mix_embeddings(h1, h2, mx.lam, n)
+        if train:
+            states = model.dropout(states, rng)
+    o = model.emissions(states)
+    t = model.transitions()
+    log_z = crf_log_partition(o, t)
+    s1 = crf_score(o, t, model.label_indices(mx.labels_first()))
+    s2 = crf_score(o, t, model.label_indices(mx.labels_second()))
+    return ad.sub(log_z, ad.add(ad.scale(s1, mx.lam), ad.scale(s2, 1.0 - mx.lam)))
+
+
+def example_loss(model, item, mix_layer="embedding", train=True, rng=None):
+    if isinstance(item.payload, MixedExample):
+        return pair_loss(model, item.payload, mix_layer, train, rng)
+    return model.sequence_loss(item.payload, train, rng)
+
+
+def per_example_reweighted_step(
+    model, aug_batch, meta_batch, cfg, opt_state, rng, mix_layer="embedding"
+):
+    """The reweighting-on training step with one graph and one `grad` per example.
+
+    Returns the lookahead values, the weights and the weighted loss.
+    """
+    losses = [example_loss(model, item, mix_layer, True, rng) for item in aug_batch]
+    meta_loss = ad.scale(
+        model.batch_loss(meta_batch, train=True, rng=rng), 1.0 / len(meta_batch)
+    )
+    eg = epsilon_grad(model.params, losses, [meta_loss], cfg.inner_lr)
+    weights = reweight(eg, cfg.delta)
+    total = dense_combine(eg.example_grads, weights.w)
+    loss_value = float(np.dot(weights.w, [loss.data for loss in losses]))
+    dense_adamw_step(model.params, clip_global_norm(total, cfg.clip), opt_state)
+    return eg, weights, loss_value
 
 
 def per_sentence_uniform_step(model, aug_batch, cfg, opt_state, rng, mix_layer="embedding"):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from oracles import brute_nll, numeric_gradient, rel_err, tsum
+from oracles import brute_nll, numeric_gradient, pair_loss, rel_err, tsum
 
 from metaner import autodiff as ad
 from metaner.autodiff import finite_diff_check, grad
@@ -18,6 +18,7 @@ from metaner.augment import (
     generate_augmented_set,
     mix_embeddings,
     mixup_loss,
+    packed_loss,
     sample_mixup_pair,
     token_substitute,
 )
@@ -376,7 +377,7 @@ class TestMixupLoss:
         mixed = mix_embeddings(e1, e2, mx.lam, mx.length)
         return model.forward_from_embeddings(mixed)
 
-    @pytest.mark.parametrize("layer, nodes", [("embedding", 29), ("encoder", 32)])
+    @pytest.mark.parametrize("layer, nodes", [("embedding", 21), ("encoder", 21)])
     def test_training_graph_size(self, layer, nodes):
         model = tiny_model(dropout=0.5)
         loss = mixup_loss(model, self.pair(), layer, True, np.random.default_rng(0))
@@ -448,6 +449,78 @@ class TestMixupLoss:
     def test_invalid_layer_rejected(self):
         with pytest.raises(ValueError, match="mix_layer"):
             mixup_loss(tiny_model(), self.pair(), mix_layer="logits")
+
+
+class TestPackedLoss:
+    """Plain sentences and mixup pairs as lanes of one graph, against one graph each."""
+
+    @staticmethod
+    def examples():
+        a, b, c = tiny_corpus().examples  # lengths 4, 3, 3
+        d = seq(["paris"], ["S-LOC"])
+        return [
+            b,
+            MixedExample(d, a, 0.37),  # first shorter
+            MixedExample(a, b, 0.0),  # second shorter
+            d,
+            MixedExample(c, d, 1.0),  # second shorter
+            MixedExample(b, c, 0.37),  # equal lengths
+            a,
+        ]
+
+    @staticmethod
+    def separate_losses(model, examples, layer):
+        return [
+            pair_loss(model, ex, layer) if isinstance(ex, MixedExample) else model.sequence_loss(ex)
+            for ex in examples
+        ]
+
+    @pytest.mark.parametrize("layer", ["embedding", "encoder"])
+    def test_per_example_losses_match_separate_graphs(self, layer):
+        model = tiny_model()
+        examples = self.examples()
+        loss = packed_loss(model, examples, layer)
+        want = np.array([t.item() for t in self.separate_losses(model, examples, layer)])
+        assert rel_err(loss.per_lane, want) < 1e-12
+        assert abs(loss.item() - want.sum()) < 1e-12
+
+    @pytest.mark.parametrize("layer", ["embedding", "encoder"])
+    def test_example_gradients_match_separate_graphs(self, layer):
+        model = tiny_model()
+        examples = self.examples()
+        n = len(examples)
+        rows = grad(packed_loss(model, examples, layer), model.params, per_example=True)
+        assert isinstance(rows, ad.ExampleGrads)
+        separate = [grad(t, model.params) for t in self.separate_losses(model, examples, layer)]
+        meta = grad(model.batch_loss(tiny_corpus().examples[1:]), model.params)
+        want = np.array([meta.dot(g) for g in separate])
+        assert np.max(np.abs(rows.dots(meta, n) - want)) <= 1e-12 * np.max(np.abs(want))
+        w = np.random.default_rng(3).random(n)
+        got, combined = rows.weighted(w), ad.combine(separate, w)
+        summed = grad(packed_loss(model, examples, layer), model.params)
+        for name in model.params.names():
+            assert rel_err(got[name], combined[name]) < 1e-12, name
+            assert rel_err(summed[name], ad.combine(separate, np.ones(n))[name]) < 1e-12
+
+    def test_without_pairs_is_the_batch_loss(self):
+        model = tiny_model(dropout=0.5)
+        plain = tiny_corpus().examples
+        got = packed_loss(model, plain, train=True, rng=np.random.default_rng(4))
+        want = model.batch_loss(plain, train=True, rng=np.random.default_rng(4))
+        assert got.item() == want.item()
+        g, w = grad(got, model.params), grad(want, model.params)
+        for name in model.params.names():
+            assert g[name].tobytes() == w[name].tobytes(), name
+
+    @pytest.mark.parametrize("layer", ["embedding", "encoder"])
+    def test_gradient_with_frozen_dropout(self, layer):
+        model = tiny_model(dropout=0.5)
+        examples = self.examples()[:3]
+        err = finite_diff_check(
+            lambda: packed_loss(model, examples, layer, True, np.random.default_rng(6)),
+            model.params,
+        )
+        assert err < 1e-6, layer
 
 
 class TestGenerateAugmentedSet:

@@ -135,19 +135,41 @@ class TestOpGradients:
         assert np.isfinite(out)
         assert out == pytest.approx(1000.0 + np.log(2.0))
 
-    def test_pad_rows(self):
-        arrays = {"x": self.rng.normal(size=(2, 3))}
+    def test_mix_rows(self):
+        arrays = {"a": self.rng.normal(size=(4, 3)), "b": self.rng.normal(size=(2, 3))}
         weights = constant(self.rng.normal(size=(5, 3)))
-        check_op(lambda s: tsum(ad.mul(ad.pad_rows(s["x"], 5), weights)), arrays)
+        rows_a, rows_b = [3, 0, -1, 1, 2], [-1, 1, 0, -1, 1]
+        coef_a, coef_b = [0.3, 1.0, 0.0, 0.6, 1.0], [0.7, 0.0, 1.0, 0.4, -2.0]
+        check_op(
+            lambda s: tsum(
+                ad.mul(ad.mix_rows(s["a"], s["b"], rows_a, rows_b, coef_a, coef_b), weights)
+            ),
+            arrays,
+        )
 
-    def test_pad_rows_values_and_identity(self):
-        x = constant(np.ones((2, 3)))
-        padded = ad.pad_rows(x, 4)
-        assert padded.shape == (4, 3)
-        np.testing.assert_array_equal(padded.data[2:], 0.0)
-        assert ad.pad_rows(x, 2) is x
-        with pytest.raises(ValueError):
-            ad.pad_rows(x, 1)
+    def test_mix_rows_of_one_tensor_with_itself(self):
+        arrays = {"x": self.rng.normal(size=(5, 3))}
+        weights = constant(self.rng.normal(size=(3, 3)))
+        rows = ([0, 1, 2], [3, 4, -1])
+        check_op(
+            lambda s: tsum(
+                ad.mul(ad.mix_rows(s["x"], s["x"], *rows, [0.4, 0.4, 1.0], [0.6, 0.6, 0.0]), weights)
+            ),
+            arrays,
+        )
+
+    def test_mix_rows_values_padding_and_exact_identity(self):
+        x = self.rng.normal(size=(3, 2))
+        out = ad.mix_rows(constant(x), constant(-x), [2, -1, 0], [0, 1, -1], [1.0, 0.5, 1.0], [0.0, 2.0, 0.3]).data
+        assert out[0].tobytes() == x[2].tobytes()  # coefficients 1 and 0: the row itself
+        np.testing.assert_array_equal(out[1], -2.0 * x[1])  # -1 reads zeros
+        np.testing.assert_array_equal(out[2], x[0])
+        with pytest.raises(ValueError, match="range"):
+            ad.mix_rows(constant(x), constant(x), [3], [0], [1.0], [0.0])
+        with pytest.raises(ValueError, match="one source row"):
+            ad.mix_rows(constant(x), constant(x), [0, 1], [0], [1.0], [0.0])
+        with pytest.raises(ValueError, match="equal d"):
+            ad.mix_rows(constant(x), constant(np.zeros((3, 4))), [0], [0], [1.0], [0.0])
 
     def test_embedding_lookup_with_repeats(self):
         arrays = {"table": self.rng.normal(size=(5, 3))}

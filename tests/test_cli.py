@@ -265,6 +265,7 @@ class TestBadNumbers:
             ("model.dropout", "1.0"),
             ("model.dropout", "-0.1"),
             ("model.hidden", "0"),
+            ("seed", "-1"),
         ],
     )
     def test_config_value_rejected_with_line(
@@ -277,6 +278,27 @@ class TestBadNumbers:
         err = capsys.readouterr().err
         assert f"{cfg}:{lineno}:" in err
         assert key.removeprefix("model.") in err
+
+    def test_emb_dim_unlike_the_vectors_names_file_and_line(
+        self, synth_dataset, tmp_path, capsys
+    ):
+        text = base_config(synth_dataset, tmp_path / "out", **{"model.emb_dim": 8})
+        cfg = write_config(tmp_path, text)
+        lineno = text.split("\n").index("model.emb_dim=8") + 1
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:{lineno}:" in err
+        assert str(synth_dataset["vectors"]) in err
+        assert "emb_dim" in err
+
+    def test_fraction_leaving_no_sentence_names_line(self, synth_dataset, tmp_path, capsys):
+        text = base_config(synth_dataset, tmp_path / "out", fraction=0.01)
+        cfg = write_config(tmp_path, text)
+        lineno = text.split("\n").index("fraction=0.01") + 1
+        assert main(["train", "--config", str(cfg)]) == 1
+        err = capsys.readouterr().err
+        assert f"{cfg}:{lineno}:" in err
+        assert "fraction" in err
 
     def test_non_finite_vector_rejected_with_line(self, synth_dataset, tmp_path, capsys):
         lines = synth_dataset["vectors"].read_text().splitlines()

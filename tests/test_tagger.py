@@ -443,6 +443,55 @@ class TestPackedBatch:
             numeric = numeric_gradient(lambda: score().item(), store[name].data)
             assert rel_err(analytic[name], numeric) < 1e-8, name
 
+    @pytest.mark.parametrize("lengths", LENGTHS, ids=str)
+    def test_weighted_gold_paths_are_weighted_sums(self, lengths):
+        rng = np.random.default_rng(400 + sum(lengths))
+        o, t = random_crf(rng, sum(lengths), 3)
+        paths = rng.integers(0, 3, size=(2, sum(lengths)))
+        coefs = rng.random((2, len(lengths)))
+        store = ad.ParamStore()
+        store.add("o", o)
+        store.add("t", t)
+
+        def score():
+            return crf_score(store["o"], store["t"], paths, lengths, coefs)
+
+        want = [
+            sum(c[k] * brute_score(o_k, t, tuple(y_k)) for c, y_k in zip(coefs, ys))
+            for k, (o_k, *ys) in enumerate(
+                zip(split_rows(o, lengths), *(split_rows(y, lengths) for y in paths))
+            )
+        ]
+        got = score()
+        assert rel_err(got.per_lane, np.array(want)) < 1e-12
+        assert abs(got.item() - sum(want)) < 1e-12
+        analytic = grad(got, store)
+        for name in ("o", "t"):
+            numeric = numeric_gradient(lambda: score().item(), store[name].data)
+            assert rel_err(analytic[name], numeric) < 1e-8, name
+
+    @pytest.mark.parametrize("lengths", LENGTHS, ids=str)
+    def test_per_lane_nll_in_sentence_order(self, lengths):
+        rng = np.random.default_rng(500 + sum(lengths))
+        o, t = random_crf(rng, sum(lengths), 3)
+        labels = rng.integers(0, 3, size=sum(lengths))
+        nll = crf_nll(ad.constant(o), ad.constant(t), labels, lengths)
+        want = [
+            brute_nll(o_k, t, tuple(y_k))
+            for o_k, y_k in zip(split_rows(o, lengths), split_rows(labels, lengths))
+        ]
+        assert rel_err(nll.per_lane, np.array(want)) < 1e-12
+
+    @pytest.mark.parametrize("lengths", LENGTHS, ids=str)
+    def test_lane_states_do_not_depend_on_companions(self, lengths):
+        rng = np.random.default_rng(600 + sum(lengths))
+        model = tiny_model(emb_dim=3, hidden=2, seed=len(lengths))
+        weights = [model.params[name] for name in LSTM_NAMES]
+        x = rng.normal(size=(sum(lengths), 3))
+        packed = bilstm(ad.constant(x), weights, lengths).data
+        for part, x_k in zip(split_rows(packed, lengths), split_rows(x, lengths)):
+            assert part.tobytes() == bilstm(ad.constant(x_k), weights).data.tobytes()
+
     def test_crf_marginals_match_brute_force(self):
         rng = np.random.default_rng(30)
         lengths = [1, 3, 2]
@@ -589,7 +638,7 @@ class TestEmbeddingGradient:
         for k, tokens in enumerate(token_lists):
             store.add(f"e{k}", table[model.table.indices(tokens)])
         leaves = iter(store[f"e{k}"] for k in range(len(token_lists)))
-        model.lookup_embeddings = lambda tokens: next(leaves)
+        model.lookup_embeddings = lambda tokens, owners=None: next(leaves)
         return store
 
     @staticmethod
@@ -615,16 +664,15 @@ class TestEmbeddingGradient:
         assert got.tobytes() == want.tobytes()
         np.testing.assert_array_equal(got[0], 0.0)
 
-    def test_mixup_two_lookups_match_dense_reference(self):
+    def test_mixup_pair_lookup_matches_dense_reference(self):
         model = tiny_model(seed=14)
         first, second = tiny_corpus().examples
         mx = MixedExample(first, second, lam=0.3)
         got = grad(mixup_loss(model, mx), model.params)["embed.table"]
-        store = self.leaf_lookups(model, [first.tokens, second.tokens])
+        tokens = first.tokens + second.tokens  # one lookup for both sentences
+        store = self.leaf_lookups(model, [tokens])
         upstream = grad(mixup_loss(model, mx), store)
-        want = self.scatter(model, first.tokens, upstream["e0"]) + self.scatter(
-            model, second.tokens, upstream["e1"]
-        )
+        want = self.scatter(model, tokens, upstream["e0"])
         assert rel_err(got, want) < 1e-12
         np.testing.assert_array_equal(got[0], 0.0)
 

@@ -8,7 +8,7 @@ import pytest
 
 from oracles import (
     dense_adamw_step,
-    dense_combine,
+    per_example_reweighted_step,
     per_sentence_uniform_step,
     pick,
     rel_err,
@@ -311,16 +311,14 @@ class TestRowSparseUpdate:
         steps=20,
         extra_words=0,
     ):
-        """Train `steps` steps; `reference` swaps in the dense combine and AdamW.
+        """Train `steps` steps; `reference` swaps in the dense AdamW.
 
-        With reweighting off the step reaches no `combine`: `reference` then
-        swaps in the dense AdamW only, and `per_sentence` with it runs the
-        per-sentence step instead, one gradient per example, then the dense
-        combine and AdamW. That step draws its dropout masks sentence by
-        sentence, the packed one layer by layer, so then both run with dropout
-        off.
+        With `per_sentence`, `reference` runs the step with one graph and one
+        gradient per example instead (the per-example reweighted step, or
+        the per-sentence uniform one), then the dense combine and AdamW.
+        Those steps draw their dropout masks example by example, the packed
+        one layer by layer, so then both run with dropout off.
         """
-        per_sentence = per_sentence and not meta_reweight
         corpus = toy_corpus()
         filler = [seq([f"w{i}"], ["O"]) for i in range(extra_words)]
         model = TaggerModel.build(
@@ -336,14 +334,8 @@ class TestRowSparseUpdate:
         state = AdamWState(lr=cfg.lr, weight_decay=1e-3)
         sample_rng, dropout_rng = np.random.default_rng(1), np.random.default_rng(2)
         seen = {"fired": [], "embedding_bytes": []}
-        combine_fn = dense_combine if reference else trainer_mod.combine
         clip_fn = trainer_mod.clip_global_norm
         step_fn = dense_adamw_step if reference else trainer_mod.adamw_step
-
-        def combine_and_record(maps, coeffs):
-            out = combine_fn(maps, coeffs)
-            seen["embedding_bytes"].append(out.stored("embed.table").nbytes)
-            return out
 
         def clip_and_record(grads, max_norm):
             out = clip_fn(grads, max_norm)
@@ -352,14 +344,15 @@ class TestRowSparseUpdate:
             return out
 
         with monkeypatch.context() as mp:
-            mp.setattr(trainer_mod, "combine", combine_and_record)
             mp.setattr(trainer_mod, "clip_global_norm", clip_and_record)
             mp.setattr(trainer_mod, "adamw_step", step_fn)
             for _ in range(steps):
                 aug = [pool[i] for i in sample_rng.integers(len(pool), size=3)]
                 meta_idx = sample_rng.integers(len(corpus), size=2)
                 meta = [corpus.examples[i] for i in meta_idx]
-                if per_sentence and reference:
+                if per_sentence and reference and meta_reweight:
+                    per_example_reweighted_step(model, aug, meta, cfg, state, dropout_rng)
+                elif per_sentence and reference:
                     per_sentence_uniform_step(model, aug, cfg, state, dropout_rng)
                 else:
                     meta_train_step(model, aug, meta, cfg, state, dropout_rng)
@@ -369,9 +362,9 @@ class TestRowSparseUpdate:
     def test_bit_identical_to_dense_update_without_clipping(
         self, monkeypatch, meta_reweight
     ):
-        # With reweighting off this checks AdamW on the packed gradient; that
-        # gradient sums in another order than per-sentence gradients do, so
-        # TestUniformStep compares it with the per-sentence step to 1e-12.
+        # This checks AdamW on the packed step's gradient; that gradient sums
+        # in another order than per-example gradients do, so TestUniformStep
+        # and TestReweightedStep compare it with those steps to 1e-12.
         params, state, seen = self.run_steps(monkeypatch, 1e9, meta_reweight, False)
         want_params, want_state, _ = self.run_steps(monkeypatch, 1e9, meta_reweight, True)
         assert not any(seen["fired"])
@@ -383,8 +376,9 @@ class TestRowSparseUpdate:
     @pytest.mark.parametrize("meta_reweight", [True, False])
     def test_close_to_dense_update_with_clipping(self, monkeypatch, meta_reweight):
         # The row-sparse norm sums fewer terms in another order, and the packed
-        # gradient sums over sentences in another order, so the clip factor,
-        # and everything after it, may differ in the last bits.
+        # gradient sums over examples in another order than the per-example
+        # reference, so the clip factor, and everything after it, may differ
+        # in the last bits.
         params, state, seen = self.run_steps(
             monkeypatch, 0.05, meta_reweight, False, per_sentence=True
         )
@@ -466,6 +460,102 @@ class TestUniformStep:
                 AdamWState(), np.random.default_rng(0), mix_layer,
             )
             assert len(calls) == 1
+
+
+class TestReweightedStep:
+    """The packed reweighted step against the per-example reference."""
+
+    @staticmethod
+    def pool():
+        """Ragged sentences and pairs with either member shorter, lambda 0, 0.37 and 1."""
+        corpus = toy_corpus()  # lengths 4, 3, 3, 2
+        ex = corpus.examples
+        pairs = [
+            MixedExample(ex[3], ex[0], 0.37),  # first shorter
+            MixedExample(ex[0], ex[1], 0.0),  # second shorter
+            MixedExample(ex[1], ex[3], 1.0),  # second shorter
+            MixedExample(ex[2], ex[1], 0.37),  # equal lengths
+        ]
+        mixed = [TrainExample(p, "mixup", f"mixup-{j}") for j, p in enumerate(pairs)]
+        return corpus, build_pool(corpus, []) + mixed
+
+    def run_steps(self, monkeypatch, mix_layer, packed, steps=20):
+        corpus, pool = self.pool()
+        model = TaggerModel.build(
+            corpus, ModelConfig(emb_dim=3, hidden=2, dropout=0.0), seed=7
+        )
+        cfg = TrainerConfig(lr=1e-2, beta=1.0, weight_decay=1e-3)
+        state = AdamWState(lr=cfg.lr, weight_decay=cfg.weight_decay)
+        sample_rng, dropout_rng = np.random.default_rng(1), np.random.default_rng(2)
+        eps, ws, losses = [], [], []
+
+        def recording_reweight(eg, delta):
+            eps.append(eg.values)
+            return reweight(eg, delta)
+
+        monkeypatch.setattr(trainer_mod, "reweight", recording_reweight)
+        for _ in range(steps):
+            aug = [pool[i] for i in sample_rng.integers(len(pool), size=6)]
+            meta = [corpus.examples[i] for i in sample_rng.integers(len(corpus), size=2)]
+            if packed:
+                weights, loss = meta_train_step(
+                    model, aug, meta, cfg, state, dropout_rng, mix_layer
+                )
+            else:
+                eg, weights, loss = per_example_reweighted_step(
+                    model, aug, meta, cfg, state, dropout_rng, mix_layer
+                )
+                eps.append(eg.values)
+            ws.append(weights.w)
+            losses.append(loss)
+        return eps, ws, losses, model.params.snapshot(), state
+
+    @pytest.mark.parametrize("mix_layer", ["embedding", "encoder"])
+    def test_matches_per_example_reference(self, monkeypatch, mix_layer):
+        eps, ws, losses, params, state = self.run_steps(monkeypatch, mix_layer, True)
+        want_eps, want_ws, want_losses, want_params, want_state = self.run_steps(
+            monkeypatch, mix_layer, False
+        )
+        assert len(eps) == len(want_eps) == 20
+        for got, want in zip(eps, want_eps):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        for got, want in zip(ws, want_ws):
+            assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert rel_err(np.array(losses), np.array(want_losses)) < 1e-12
+        pairs = [(params, want_params), (state.m, want_state.m), (state.v, want_state.v)]
+        for got, want in pairs:
+            for name in want:
+                scale = np.max(np.abs(want[name]))
+                assert np.max(np.abs(got[name] - want[name])) <= 1e-12 * scale, name
+
+    @pytest.mark.parametrize("mix_layer", ["embedding", "encoder"])
+    def test_two_backward_passes_and_no_per_example_maps(self, monkeypatch, mix_layer):
+        walks, maps = [], []
+
+        def counting_grad(*args, **kwargs):
+            walks.append(1)
+            return grad(*args, **kwargs)
+
+        map_init = ad.GradientMap.__init__
+
+        def counting_map(self, grads):
+            maps.append(1)
+            map_init(self, grads)
+
+        def no_combine(*args, **kwargs):
+            raise AssertionError("the reweighted step called combine")
+
+        monkeypatch.setattr(trainer_mod, "grad", counting_grad)
+        monkeypatch.setattr(ad.GradientMap, "__init__", counting_map)
+        monkeypatch.setattr(ad, "combine", no_combine)
+        corpus, pool = self.pool()
+        aug = [pool[i % len(pool)] for i in range(16)]
+        meta_train_step(
+            toy_model(), aug, corpus.examples[:2], TrainerConfig(), AdamWState(),
+            np.random.default_rng(0), mix_layer,
+        )
+        assert len(walks) <= 2
+        assert len(maps) <= 3  # the meta gradient, the weighted sum, its clipped copy
 
 
 class TestBuildPool:
