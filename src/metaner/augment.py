@@ -40,6 +40,11 @@ MIX_LAYERS = ("embedding", "encoder")
 _SUBSTITUTE_RETRIES = 25
 _GENERATE_REDRAWS = 50
 
+# Rows of the similarity matrix that `build_synonym_dict` holds at once. Small
+# and fixed: a block and its partitioned copy are each this many rows of V
+# floats, and at 4000 words 512- or 1024-row blocks were no faster.
+_SYNONYM_BLOCK = 256
+
 
 @dataclass
 class AugConfig:
@@ -174,7 +179,15 @@ def build_synonym_dict(
     k: int,
     stopwords: Iterable[str] = (),
 ) -> SynonymDict:
-    """Top-k cosine neighbors for every word, by exhaustive exact search.
+    """Top-k cosine neighbors for every word, by exact search in row blocks.
+
+    The similarities are taken `_SYNONYM_BLOCK` rows at a time, each row
+    against every word, so only a block and its partitioned copy are held,
+    never the V x V matrix. In each row, one partition finds the k-th largest
+    similarity; every word scoring at least that much is a candidate, ties
+    included, and the candidates are ranked by descending similarity, equal
+    scores in vector-file order. The result equals a stable sort of each
+    whole row, cut to k.
 
     Stop-words are dropped from both sides of the mapping, and words with a
     zero vector are dropped because their cosine is undefined.
@@ -196,13 +209,23 @@ def build_synonym_dict(
         return SynonymDict({})
     mat = np.stack([vectors[w] for w in words])
     mat = mat / np.linalg.norm(mat, axis=1, keepdims=True)
-    sims = mat @ mat.T
-    np.fill_diagonal(sims, -np.inf)
+    n = len(words)
+    top = min(k, n - 1)
     out: dict[str, list[tuple[str, float]]] = {}
-    top = min(k, len(words) - 1)
-    for i, w in enumerate(words):
-        order = np.argsort(-sims[i], kind="stable")[:top]
-        out[w] = [(words[j], float(sims[i, j])) for j in order]
+    # One buffer serves every block: a fresh block per iteration would be
+    # allocated while the last row views still hold the previous one.
+    buf = np.empty((min(_SYNONYM_BLOCK, n), n))
+    for lo in range(0, n, _SYNONYM_BLOCK):
+        block = mat[lo : lo + _SYNONYM_BLOCK]
+        sims = np.matmul(block, mat.T, out=buf[: len(block)])
+        rows = np.arange(len(sims))
+        sims[rows, lo + rows] = -np.inf
+        # Fancy indexing copies the column, so the partitioned block is freed.
+        kth = np.partition(sims, n - top, axis=1)[:, [n - top]]
+        for row, bound, w in zip(sims, kth, words[lo : lo + _SYNONYM_BLOCK]):
+            cand = np.flatnonzero(row >= bound)
+            order = cand[np.argsort(-row[cand], kind="stable")[:top]]
+            out[w] = [(words[j], float(row[j])) for j in order]
     return SynonymDict(out)
 
 

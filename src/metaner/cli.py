@@ -48,7 +48,7 @@ from .corpus import (
 )
 from .tagger import TaggerModel
 from .trainer import evaluate, read_weight_rows, train
-from .vectors import read_stopword_file, vector_width
+from .vectors import read_stopword_file, read_vector_file
 
 PROG = "metaner"
 
@@ -76,9 +76,9 @@ def _load_training_corpus(cfg: RunConfig) -> Corpus:
     return corpus
 
 
-def _check_vector_width(cfg: RunConfig) -> None:
+def _check_vector_width(cfg: RunConfig, vectors: dict[str, np.ndarray]) -> None:
     """The vectors initialize the embedding table, so their width must be emb_dim."""
-    width = vector_width(cfg.vectors)
+    width = next((v.size for v in vectors.values()), None)
     if width is not None and width != cfg.model.emb_dim:
         raise ConfigError(
             f"{cfg.where('model.emb_dim')}: model.emb_dim is {cfg.model.emb_dim}, "
@@ -86,8 +86,13 @@ def _check_vector_width(cfg: RunConfig) -> None:
         )
 
 
-def _pseudo_examples(cfg: RunConfig, corpus: Corpus) -> list[PseudoExample]:
-    """The pseudo set `cfg.method` asks for; dictionaries are built only for ts."""
+def _pseudo_examples(
+    cfg: RunConfig, corpus: Corpus, vectors: dict[str, np.ndarray] | str | None
+) -> list[PseudoExample]:
+    """The pseudo set `cfg.method` asks for; dictionaries are built only for ts.
+
+    `vectors` is `cfg.vectors`, as its path or already loaded.
+    """
     if cfg.method == "baseline":
         return []
     edict, sdict = EntityDict({}), SynonymDict({})
@@ -95,7 +100,7 @@ def _pseudo_examples(cfg: RunConfig, corpus: Corpus) -> list[PseudoExample]:
         edict = build_entity_dict(corpus)
         if cfg.vectors:
             stop = read_stopword_file(cfg.stopwords) if cfg.stopwords else set()
-            sdict = build_synonym_dict(cfg.vectors, cfg.aug.k, stop)
+            sdict = build_synonym_dict(vectors, cfg.aug.k, stop)
     return generate_augmented_set(
         corpus,
         cfg.aug,
@@ -152,7 +157,7 @@ def cmd_augment(args) -> int:
     _require(cfg, "augment", "train", "out")
     if cfg.method == "baseline":
         raise ConfigError("augment requires method=ts, mixup, or both")
-    pseudo = _pseudo_examples(cfg, _load_training_corpus(cfg))
+    pseudo = _pseudo_examples(cfg, _load_training_corpus(cfg), cfg.vectors)
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     substituted = [p.example for p in pseudo if isinstance(p, Substituted)]
@@ -178,12 +183,12 @@ def cmd_train(args) -> int:
     _require(cfg, "train", "train", "dev", "out")
     train_corpus = _load_training_corpus(cfg)
     dev_corpus = read_conll(cfg.dev, scheme=cfg.scheme).convert("BIOES")
-    if cfg.vectors:
-        _check_vector_width(cfg)
-    model = TaggerModel.build(
-        train_corpus, cfg.model, seed=cfg.seed, vector_path=cfg.vectors
-    )
-    pseudo = _pseudo_examples(cfg, train_corpus)
+    vectors = read_vector_file(cfg.vectors) if cfg.vectors else None
+    if vectors is not None:
+        _check_vector_width(cfg, vectors)
+    model = TaggerModel.build(train_corpus, cfg.model, seed=cfg.seed, vectors=vectors)
+    pseudo = _pseudo_examples(cfg, train_corpus, vectors)
+    del vectors  # set-up data: held through training, they raise the peak memory
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
     _write_resolved(cfg, out)

@@ -40,7 +40,6 @@ from . import autodiff as ad
 from .autodiff import ParamStore, Tensor, _logsumexp_stable
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import Corpus, LabeledSequence
-from .vectors import read_vector_file
 
 
 @dataclass
@@ -139,20 +138,20 @@ class TaggerModel:
         corpus: Corpus,
         config: ModelConfig,
         seed: int = 0,
-        vector_path: str | Path | None = None,
+        vectors: dict[str, np.ndarray] | None = None,
     ) -> "TaggerModel":
+        """A fresh model; the embedding rows of words in `vectors` start from them."""
         rng = np.random.default_rng(seed)
         vocab = list(corpus.token_vocab)
         if config.lowercase:
             lowered = sorted({t.lower() for t in vocab[2:]})
             vocab = vocab[:2] + lowered
         table = EmbeddingTable(vocab, lowercase=config.lowercase)
-        pretrained = read_vector_file(vector_path) if vector_path else None
-        if pretrained and config.lowercase:
-            pretrained = {w.lower(): v for w, v in pretrained.items()}
+        if vectors and config.lowercase:
+            vectors = {w.lower(): v for w, v in vectors.items()}
 
         store = ParamStore()
-        store.add("embed.table", table.init_matrix(config.emb_dim, rng, pretrained))
+        store.add("embed.table", table.init_matrix(config.emb_dim, rng, vectors))
         _lstm_direction(store, "lstm.fw", config.emb_dim, config.hidden, rng)
         _lstm_direction(store, "lstm.bw", config.emb_dim, config.hidden, rng)
         num_labels = len(corpus.label_vocab)
@@ -188,15 +187,6 @@ class TaggerModel:
         mask = (rng.random(x.shape) < keep) / keep
         return ad.mul(x, ad.constant(mask))
 
-    def embed(
-        self, tokens: Sequence[str], train: bool = False, rng: np.random.Generator | None = None
-    ) -> Tensor:
-        """Embedding stage: table lookup plus BiLSTM-input dropout when training."""
-        emb = self.lookup_embeddings(tokens)
-        if train:
-            emb = self.dropout(emb, rng)
-        return emb
-
     def encode_states(
         self,
         emb: Tensor,
@@ -213,18 +203,6 @@ class TaggerModel:
             for name in ("Wx", "Wh", "b")
         ]
         return bilstm(emb, weights, lengths, owners)
-
-    def encode(
-        self,
-        emb: Tensor,
-        train: bool = False,
-        rng: np.random.Generator | None = None,
-        lengths: Sequence[int] | None = None,
-    ) -> Tensor:
-        states = self.encode_states(emb, lengths)
-        if train:
-            states = self.dropout(states, rng)
-        return states
 
     def emissions(self, states: Tensor, owners: np.ndarray | None = None) -> Tensor:
         """Per-position label scores o = H W + b, shape (n, L)."""
@@ -245,7 +223,10 @@ class TaggerModel:
             raise ValueError(
                 f"embedding input must be (n, {self.config.emb_dim}), got {emb.shape}"
             )
-        return self.emissions(self.encode(emb, train, rng, lengths)), self.transitions()
+        states = self.encode_states(emb, lengths)
+        if train:
+            states = self.dropout(states, rng)
+        return self.emissions(states), self.transitions()
 
     def forward(
         self,
@@ -255,7 +236,9 @@ class TaggerModel:
         lengths: Sequence[int] | None = None,
     ) -> tuple[Tensor, Tensor]:
         """Emissions and transitions of packed sentences split by `lengths`."""
-        emb = self.embed(tokens, train, rng)
+        emb = self.lookup_embeddings(tokens)
+        if train:
+            emb = self.dropout(emb, rng)
         return self.forward_from_embeddings(emb, train, rng, lengths)
 
     # --- losses and decoding ----------------------------------------------

@@ -45,16 +45,6 @@ def read_vector_file(path: str | Path) -> dict[str, np.ndarray]:
     return vectors
 
 
-def vector_width(path: str | Path) -> int | None:
-    """Number of values on the first vector line; None for an empty file."""
-    with open(path, encoding="utf-8") as fh:
-        for raw in fh:
-            parts = raw.split()
-            if parts:
-                return len(parts) - 1
-    return None
-
-
 def write_vector_file(path: str | Path, vectors: dict[str, np.ndarray]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for word, vec in vectors.items():

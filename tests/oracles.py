@@ -5,20 +5,23 @@ numpy arrays, not the autodiff graph, so they cannot share bugs with the code
 under test. The others are earlier, simpler versions of the program, kept
 verbatim so that the faster code replacing them can be checked against them:
 the dense weighted update, the one-sentence BiLSTM and CRF partition nodes,
-and the uniform and the reweighted step with one graph and one gradient per
-example. `pick` and `tsum` are graph ops that only tests build.
+the uniform and the reweighted step with one graph and one gradient per
+example, and the synonym search over the whole similarity matrix. `pick` and
+`tsum` are graph ops that only tests build.
 """
 
 from __future__ import annotations
 
 import itertools
+import logging
 import math
-from collections.abc import Sequence
+from collections.abc import Iterable, Sequence
+from pathlib import Path
 
 import numpy as np
 
 from metaner import autodiff as ad
-from metaner.augment import MixedExample, mix_embeddings
+from metaner.augment import MixedExample, SynonymDict, mix_embeddings
 from metaner.autodiff import (
     GradientMap,
     NumericError,
@@ -32,6 +35,9 @@ from metaner.autodiff import (
 from metaner.optim import AdamWState, clip_global_norm
 from metaner.tagger import crf_log_partition, crf_score
 from metaner.trainer import epsilon_grad, reweight
+from metaner.vectors import read_vector_file
+
+logger = logging.getLogger(__name__)
 
 
 def brute_score(o: np.ndarray, t: np.ndarray, labels: tuple[int, ...]) -> float:
@@ -266,11 +272,17 @@ def pair_loss(model, mx, mix_layer="embedding", train=False, rng=None):
         mixed = mix_embeddings(e1, e2, mx.lam, n)
         if train:
             mixed = model.dropout(mixed, rng)
-        states = model.encode(mixed, train, rng)
+        states = model.encode_states(mixed)
+        if train:
+            states = model.dropout(states, rng)
     else:
-        h1 = model.encode_states(model.embed(mx.first.tokens, train, rng))
-        h2 = model.encode_states(model.embed(mx.second.tokens, train, rng))
-        states = mix_embeddings(h1, h2, mx.lam, n)
+        hs = []
+        for tokens in (mx.first.tokens, mx.second.tokens):
+            e = model.lookup_embeddings(tokens)
+            if train:
+                e = model.dropout(e, rng)
+            hs.append(model.encode_states(e))
+        states = mix_embeddings(hs[0], hs[1], mx.lam, n)
         if train:
             states = model.dropout(states, rng)
     o = model.emissions(states)
@@ -342,3 +354,46 @@ def tsum(a: Tensor) -> Tensor:
         return (np.broadcast_to(g, a.data.shape).copy(),)
 
     return Tensor(out, (a,), vjp)
+
+
+# --- the exhaustive synonym search ------------------------------------------------
+# `build_synonym_dict` as it was before the similarities were taken in row
+# blocks: the whole V x V matrix and one full stable sort per row. Kept verbatim
+# as the reference the blocked search must reproduce.
+
+
+def exhaustive_synonym_dict(
+    vectors: dict[str, np.ndarray] | str | Path,
+    k: int,
+    stopwords: Iterable[str] = (),
+) -> SynonymDict:
+    """Top-k cosine neighbors for every word, by exhaustive exact search.
+
+    Stop-words are dropped from both sides of the mapping, and words with a
+    zero vector are dropped because their cosine is undefined.
+    """
+    if not isinstance(vectors, dict):
+        vectors = read_vector_file(vectors)
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    stop = set(stopwords)
+    words = [w for w in vectors if w not in stop]
+    kept = []
+    for w in words:
+        if np.linalg.norm(vectors[w]) == 0.0:
+            logger.warning("dropping %r from synonym dictionary: zero vector", w)
+        else:
+            kept.append(w)
+    words = kept
+    if len(words) < 2:
+        return SynonymDict({})
+    mat = np.stack([vectors[w] for w in words])
+    mat = mat / np.linalg.norm(mat, axis=1, keepdims=True)
+    sims = mat @ mat.T
+    np.fill_diagonal(sims, -np.inf)
+    out: dict[str, list[tuple[str, float]]] = {}
+    top = min(k, len(words) - 1)
+    for i, w in enumerate(words):
+        order = np.argsort(-sims[i], kind="stable")[:top]
+        out[w] = [(words[j], float(sims[i, j])) for j in order]
+    return SynonymDict(out)

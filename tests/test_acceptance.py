@@ -40,7 +40,7 @@ from metaner.corpus import (
     span_f1,
 )
 from metaner.synthetic import synthetic_corpus, write_synthetic_dataset
-from metaner.vectors import read_stopword_file
+from metaner.vectors import read_stopword_file, read_vector_file
 from metaner.tagger import (
     ModelConfig,
     TaggerModel,
@@ -454,7 +454,10 @@ def corrupted_weight_means(seed: int, vector_path, stopword_path, steps: int = 1
             ),
         )
     model = TaggerModel.build(
-        corpus, ModelConfig(emb_dim=12, hidden=16), seed=seed, vector_path=vector_path
+        corpus,
+        ModelConfig(emb_dim=12, hidden=16),
+        seed=seed,
+        vectors=read_vector_file(vector_path),
     )
     cfg = TrainerConfig(
         steps=steps,
@@ -537,7 +540,7 @@ class TestAblationAndBaseline:
             corpus,
             ModelConfig(emb_dim=12, hidden=16),
             seed=0,
-            vector_path=dataset["vectors"],
+            vectors=read_vector_file(dataset["vectors"]),
         )
         cfg = TrainerConfig(
             steps=250, m=4, n=16, eval_every=50, seed=0, meta_reweight=False, lr=5e-3

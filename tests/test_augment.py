@@ -1,10 +1,20 @@
 """Dictionaries, token substitution, mixup pairs, and the composite mixup loss."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from oracles import brute_nll, numeric_gradient, pair_loss, rel_err, tsum
+from oracles import (
+    brute_nll,
+    exhaustive_synonym_dict,
+    numeric_gradient,
+    pair_loss,
+    rel_err,
+    tsum,
+)
 
+from metaner import augment
 from metaner import autodiff as ad
 from metaner.autodiff import finite_diff_check, grad
 from metaner.augment import (
@@ -165,6 +175,60 @@ class TestSynonymDict:
         write_vector_file(path, self.vectors())
         d = build_synonym_dict(path, k=1)
         assert d.synonyms["cat"][0][0] == "kitten"
+
+
+def tied_vectors(n, seed=0):
+    """n kept words with entries of +-1/4 in 16 dimensions, plus a stop-word and
+    a zero vector among them.
+
+    Every vector has unit norm and every dot product is a multiple of 1/16,
+    exact in any summation order, so equal cosines are exactly equal. Every
+    third word repeats an earlier word's vector.
+    """
+    rng = np.random.default_rng(seed)
+    rows = rng.choice([-0.25, 0.25], size=(n, 16))
+    rows[2::3] = rows[: len(rows[2::3])]
+    items = [(f"w{i}", rows[i]) for i in range(n)]
+    items[n // 2 : n // 2] = [("the", rows[0]), ("null", np.zeros(16))]
+    return dict(items)
+
+
+class TestBlockedSynonymSearch:
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 40])
+    @pytest.mark.parametrize("k_of", ["1", "n-1", "n+2"])
+    def test_equals_exhaustive_search_with_ties(self, monkeypatch, n, k_of):
+        monkeypatch.setattr(augment, "_SYNONYM_BLOCK", 3)
+        k = {"1": 1, "n-1": n - 1, "n+2": n + 2}[k_of]
+        vecs = tied_vectors(n, seed=n)
+        got = build_synonym_dict(vecs, k, stopwords={"the"})
+        want = exhaustive_synonym_dict(vecs, k, stopwords={"the"})
+        assert got.synonyms == want.synonyms
+        assert set(got.synonyms) == {f"w{i}" for i in range(n)}
+        assert all(len(pool) == min(k, n - 1) for pool in got.synonyms.values())
+
+    def test_random_vectors_match_across_blocks(self):
+        rng = np.random.default_rng(5)
+        vecs = {f"w{i}": rng.normal(size=20) for i in range(600)}
+        got = build_synonym_dict(vecs, k=5).synonyms
+        want = exhaustive_synonym_dict(vecs, k=5).synonyms
+        assert got.keys() == want.keys()
+        for word, pool in got.items():
+            assert [w for w, _ in pool] == [w for w, _ in want[word]]
+            np.testing.assert_allclose(
+                [s for _, s in pool], [s for _, s in want[word]], rtol=0, atol=1e-12
+            )
+
+    def test_never_holds_a_vocabulary_square(self):
+        n = 3000
+        rng = np.random.default_rng(0)
+        vecs = {f"w{i}": rng.normal(size=16) for i in range(n)}
+        tracemalloc.start()
+        try:
+            build_synonym_dict(vecs, k=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < n * n * 8 / 4
 
 
 class TestTokenSubstitute:

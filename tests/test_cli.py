@@ -1,6 +1,8 @@
 """End-to-end command tests against a small generated dataset."""
 
+import hashlib
 import json
+import sys
 
 import pytest
 
@@ -8,6 +10,7 @@ from metaner.augment import EntityDict, SynonymDict
 from metaner.cli import main
 from metaner.corpus import read_conll, span_f1
 from metaner.trainer import read_weight_rows
+from metaner.vectors import read_vector_file
 
 
 def base_config(synth_dataset, out_dir, **overrides):
@@ -28,6 +31,11 @@ def base_config(synth_dataset, out_dir, **overrides):
     }
     lines.update(overrides)
     return "\n".join(f"{k}={v}" for k, v in lines.items()) + "\n"
+
+
+# sha256 of `build-dict --k 5`'s synonyms.tsv on the seed-0 synthetic dataset,
+# as written by the exhaustive search over the whole similarity matrix.
+SYNONYMS_K5_SHA256 = "e120ad263654bef35e654464eb7c5ed2d12fd71ba9f834b1ad3e83b467abf34f"
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -58,6 +66,22 @@ class TestBuildDict:
         assert "the" not in sdict.synonyms
         assert (out / "resolved_args.cfg").exists()
         assert "entities.tsv" in capsys.readouterr().out
+
+    def test_synonym_dictionary_bytes_are_pinned(self, synth_dataset, tmp_path, capsys):
+        out = tmp_path / "dicts"
+        rc = main(
+            [
+                "build-dict",
+                "--train", str(synth_dataset["train"]),
+                "--vectors", str(synth_dataset["vectors"]),
+                "--stopwords", str(synth_dataset["stopwords"]),
+                "--k", "5",
+                "--out", str(out),
+            ]
+        )
+        assert rc == 0
+        got = hashlib.sha256((out / "synonyms.tsv").read_bytes()).hexdigest()
+        assert got == SYNONYMS_K5_SHA256
 
     def test_missing_flag_exits_one(self, capsys):
         assert main(["build-dict", "--out", "/tmp/x"]) == 1
@@ -127,6 +151,24 @@ class TestTrainCommand:
         assert len(rows) == 6 * 2
         resolved = (out / "resolved_config.cfg").read_text()
         assert "clip=5.0" in resolved.split("\n")
+
+    def test_reads_the_vector_file_once(self, synth_dataset, tmp_path, monkeypatch):
+        calls = []
+
+        def counting(path):
+            calls.append(path)
+            return read_vector_file(path)
+
+        # Every module that bound the reader, whichever they are.
+        for name, module in list(sys.modules.items()):
+            bound = vars(module).get("read_vector_file")
+            if name.startswith("metaner") and bound is read_vector_file:
+                monkeypatch.setattr(module, "read_vector_file", counting)
+        cfg = write_config(
+            tmp_path, base_config(synth_dataset, tmp_path / "run", method="both", steps=2)
+        )
+        assert main(["train", "--config", str(cfg)]) == 0
+        assert len(calls) == 1
 
     def test_missing_required_key_exits_one(self, synth_dataset, tmp_path, capsys):
         text = base_config(synth_dataset, tmp_path / "r")

@@ -80,9 +80,9 @@ def lstm_reference(Wx, Wh, b, xs, reverse=False):
 class TestEncoder:
     def test_shapes(self):
         model = tiny_model()
-        emb = model.embed(["john", "visits", "paris"])
+        emb = model.lookup_embeddings(["john", "visits", "paris"])
         assert emb.shape == (3, 4)
-        states = model.encode(emb)
+        states = model.encode_states(emb)
         assert states.shape == (3, 6)
         o = model.emissions(states)
         assert o.shape == (3, len(model.label_vocab))
@@ -127,7 +127,7 @@ class TestEncoder:
 
     def test_emissions_are_affine_in_states(self):
         model = tiny_model()
-        states = model.encode(model.embed(["acme", "hires"]))
+        states = model.encode_states(model.lookup_embeddings(["acme", "hires"]))
         o = model.emissions(states)
         expected = states.data @ model.params["crf.W"].data + model.params["crf.b"].data
         np.testing.assert_allclose(o.data, expected, rtol=1e-15)
@@ -136,7 +136,7 @@ class TestEncoder:
         model = tiny_model()
         tokens = ["john", "smith", "visits", "paris"]
         o1, t1 = model.forward(tokens)
-        o2, t2 = model.forward_from_embeddings(model.embed(tokens))
+        o2, t2 = model.forward_from_embeddings(model.lookup_embeddings(tokens))
         np.testing.assert_array_equal(o1.data, o2.data)
         assert t1 is t2
 
@@ -701,7 +701,10 @@ class TestPretrained:
         vectors = {"john": np.array([1.0, 2.0, 3.0, 4.0]), "paris": np.full(4, 0.5)}
         write_vector_file(vec_path, vectors)
         model = TaggerModel.build(
-            tiny_corpus(), ModelConfig(emb_dim=4, hidden=2), seed=0, vector_path=vec_path
+            tiny_corpus(),
+            ModelConfig(emb_dim=4, hidden=2),
+            seed=0,
+            vectors=read_vector_file(vec_path),
         )
         table = model.params["embed.table"].data
         np.testing.assert_array_equal(table[model.table.index("john")], vectors["john"])
@@ -714,7 +717,9 @@ class TestPretrained:
         write_vector_file(vec_path, {"john": np.array([1.0, 2.0])})
         with pytest.raises(ValueError, match="dim"):
             TaggerModel.build(
-                tiny_corpus(), ModelConfig(emb_dim=4, hidden=2), vector_path=vec_path
+                tiny_corpus(),
+                ModelConfig(emb_dim=4, hidden=2),
+                vectors=read_vector_file(vec_path),
             )
 
 
