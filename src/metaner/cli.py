@@ -237,10 +237,11 @@ def cmd_eval(args) -> int:
     scheme = _sniff_scheme(args.data)
     corpus = read_conll(args.data, scheme=scheme)
     model_scheme = _scheme_of(model.label_vocab)
+    sentences = [ex.tokens for ex in corpus.examples]
     predictions = []
-    for ex in corpus.examples:
-        labels = model.decode(ex.tokens)
-        pred = LabeledSequence(ex.tokens, tuple(labels), scheme=model_scheme)
+    for tokens, o in zip(sentences, model.sentence_emissions(sentences)):
+        labels = model.decode(tokens, o)
+        pred = LabeledSequence(tokens, tuple(labels), scheme=model_scheme)
         predictions.append(convert_scheme(pred, scheme, warn=False))
     metrics = span_f1(
         [list(p.labels) for p in predictions],

@@ -26,13 +26,21 @@ still running at a timestep are a prefix of the lanes and each step is one
 slice, with no padding and no masks. One sentence is the one-lane case of the
 same code. Every row can carry the index of the example that owns it, which
 the parameter gradients keep (see `autodiff`).
+
+Decoding builds no graph. `sentence_emissions` runs the BiLSTM recursion the
+training node uses over packed chunks of consecutive sentences, about 512 rows
+each, then computes each sentence's emissions with its own product; `decode`
+runs Viterbi on one sentence. A sentence's states are the same bits in any
+chunk, but one product over a chunk's states rounds some rows unlike the
+sentence's own product, hence the per-sentence emissions: labels and emissions
+are the same bits as decoding the sentence alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -40,6 +48,9 @@ from . import autodiff as ad
 from .autodiff import ParamStore, Tensor, _logsumexp_stable
 from .checkpoint import load_checkpoint, save_checkpoint
 from .corpus import Corpus, LabeledSequence
+
+_LSTM_PARAMS = [f"lstm.{d}.{name}" for d in ("fw", "bw") for name in ("Wx", "Wh", "b")]
+_DECODE_ROWS = 512  # packed rows per BiLSTM pass of `TaggerModel.sentence_emissions`
 
 
 @dataclass
@@ -197,11 +208,7 @@ class TaggerModel:
 
         `emb` holds packed sentences split by `lengths` (None: one sentence).
         """
-        weights = [
-            self.params[f"{prefix}.{name}"]
-            for prefix in ("lstm.fw", "lstm.bw")
-            for name in ("Wx", "Wh", "b")
-        ]
+        weights = [self.params[name] for name in _LSTM_PARAMS]
         return bilstm(emb, weights, lengths, owners)
 
     def emissions(self, states: Tensor, owners: np.ndarray | None = None) -> Tensor:
@@ -304,9 +311,45 @@ class TaggerModel:
     ) -> Tensor:
         return self.batch_loss([seq], train, rng)
 
-    def decode(self, tokens: Sequence[str]) -> list[str]:
-        o, t = self.forward(tokens, train=False)
-        path = viterbi(o.data, t.data)
+    def sentence_emissions(
+        self, sentences: Sequence[Sequence[str]]
+    ) -> Iterator[np.ndarray]:
+        """Each sentence's emission rows (len, L), in order, with no graph.
+
+        Consecutive sentences share one BiLSTM pass, in chunks of at most
+        `_DECODE_ROWS` rows (a longer sentence is a chunk of its own), looked
+        up straight from the embedding table. A sentence's states are the
+        same bits in any chunk, but rows of one product over the whole chunk
+        are not the rows of the sentence's own product, so each sentence's
+        emissions are its own `states @ W + b`: the bits `forward` gives.
+        """
+        table = self.params["embed.table"].data
+        weights = [self.params[name].data for name in _LSTM_PARAMS]
+        w, b = self.params["crf.W"].data, self.params["crf.b"].data
+        lengths = [len(tokens) for tokens in sentences]
+        for chunk in _chunks(lengths, _DECODE_ROWS):
+            tokens = [tok for sentence in sentences[chunk] for tok in sentence]
+            x = table[self.table.indices(tokens)]
+            states = _bilstm_forward(x, weights, Lanes(lengths[chunk], len(tokens)))[0]
+            for part in np.split(states, np.cumsum(lengths[chunk])[:-1]):
+                yield part @ w + b
+
+    def decode(
+        self, tokens: Sequence[str], emissions: np.ndarray | None = None
+    ) -> list[str]:
+        """Viterbi labels of one sentence.
+
+        `emissions` are the sentence's rows from `sentence_emissions`; None
+        computes them for this sentence alone.
+        """
+        if emissions is None:
+            (emissions,) = self.sentence_emissions([tokens])
+        if emissions.shape != (len(tokens), self.num_labels):
+            raise ValueError(
+                f"emissions must be ({len(tokens)}, {self.num_labels}), "
+                f"got {emissions.shape}"
+            )
+        path = viterbi(emissions, self.transitions().data)
         return [self.label_vocab[i] for i in path]
 
     # --- persistence --------------------------------------------------------
@@ -359,6 +402,19 @@ class Mix:
 
     def __call__(self, x: Tensor) -> Tensor:
         return ad.mix_rows(x, x, *self.rows, *self.coefs)
+
+
+def _chunks(lengths: Sequence[int], budget: int) -> Iterator[slice]:
+    """Runs of consecutive sentences whose `lengths` sum to at most `budget`
+    rows; a sentence longer than `budget` is a run of its own."""
+    first, rows = 0, 0
+    for k, size in enumerate(lengths):
+        if k > first and rows + size > budget:
+            yield slice(first, k)
+            first, rows = k, 0
+        rows += size
+    if first < len(lengths):
+        yield slice(first, len(lengths))
 
 
 def _sentence_lengths(lengths: Sequence[int] | None, n: int) -> list[int]:
@@ -419,51 +475,43 @@ class Lanes:
 # --- fused BiLSTM --------------------------------------------------------------
 
 
-def bilstm(
-    emb: Tensor,
-    weights: Sequence[Tensor],
-    lengths: Sequence[int] | None = None,
-    owners: np.ndarray | None = None,
-) -> Tensor:
-    """Both LSTM directions over packed sentences as one graph node, (n, 2H).
+def _bilstm_forward(
+    x: np.ndarray, w: Sequence[np.ndarray], lanes: Lanes
+) -> tuple[np.ndarray, tuple[np.ndarray, ...]]:
+    """The LSTM recursion of both directions over packed rows `x`, laid out by `lanes`.
 
-    `emb` holds the sentences' rows concatenated, split by `lengths`
-    (None: one sentence). `weights` holds (Wx, Wh, b) of the forward
-    direction, then of the backward one; gate order is (i, f, g, o). Both
-    directions of every sentence step together over the `Lanes` layout: the
-    live lanes at a timestep are a prefix, so a step is one
+    `w` holds (Wx, Wh, b) of the forward direction, then of the backward
+    one; gate order is (i, f, g, o). Both directions of every sentence step
+    together: the live lanes at a timestep are a prefix, so a step is one
     (2, a, H)·(2, H, 4H) matmul with no masking. The input projection
     X Wx^T + b is one GEMM. All four gates come from one tanh, since
     sigma(x) = (1 + tanh(x/2)) / 2 and halving the i, f, o rows is exact.
     Every product has at least two rows, since BLAS rounds a one-row product
     differently (a matrix-vector kernel): so a sentence's states are the same
-    bits whichever sentences share its batch.
+    bits whichever sentences share its lanes.
 
-    The vjp is backpropagation through time over the cached gates and cells.
-    It returns the weight gradients factored by position, row p owned by
-    owners of p's packed row: `Outer(d_pre, x)` for Wx, `Outer(d_pre,
-    h_prev)` for Wh and `RowSum(d_pre)` for b.
+    Returns the states (n, 2H) in packed row order, and the time-major
+    inputs, activated gates, cells, tanh of the cells and hidden states that
+    backpropagation reads, each (2, n, ·).
     """
-    n = emb.shape[0]
-    lanes = Lanes(lengths, n)
-    w = [t.data for t in weights]
+    n = x.shape[0]
     hid = w[1].shape[1]
     scale = np.full(4 * hid, 0.5)
     scale[2 * hid : 3 * hid] = 1.0
     shift = 1.0 - scale  # tanh(x/2) -> sigma(x) on i, f, o; g stays tanh(x)
-    xs = np.stack([emb.data[lanes.fw], emb.data[lanes.bw]])  # (2, n, E), time-major
-    pre_x = np.empty((2, n, 4 * hid))
+    xs = np.stack([x[lanes.fw], x[lanes.bw]])  # (2, n, E), time-major
+    # X Wx^T + b, scaled; each step activates its positions' i, f, g, o in place.
+    gates = np.empty((2, n, 4 * hid))
     wh_t = np.empty((2, hid, 4 * hid))  # Wh^T of both directions, scaled
     for d in range(2):
         wx, wh, b = w[3 * d : 3 * d + 3]
         if n > 1:
-            np.matmul(xs[d], wx.T, out=pre_x[d])
+            np.matmul(xs[d], wx.T, out=gates[d])
         else:
-            pre_x[d] = (xs[d, [0, 0]] @ wx.T)[:1]
-        pre_x[d] += b
+            gates[d] = (xs[d, [0, 0]] @ wx.T)[:1]
+        gates[d] += b
         np.multiply(wh.T, scale, out=wh_t[d])
-    pre_x *= scale
-    gates = np.empty((2, n, 4 * hid))  # activated i, f, g, o per position
+    gates *= scale
     cells = np.empty((2, n, hid))
     tanh_c = np.empty((2, n, hid))
     hs = np.zeros((2, n, hid))  # a lone lane's step reads one row past it
@@ -471,7 +519,7 @@ def bilstm(
     prev = 0
     for k, (s, a) in enumerate(lanes.steps):
         cur, last = slice(s, s + a), slice(prev, prev + a)
-        pre = pre_x[:, cur]
+        pre = gates[:, cur]
         if k:  # prev + 1 <= s < n, so the second row exists
             pre = pre + (hs[:, prev : prev + max(a, 2)] @ wh_t)[:, :a]
         act = np.tanh(pre, out=gates[:, cur])
@@ -485,6 +533,34 @@ def bilstm(
     out = np.empty((n, 2 * hid))
     out[lanes.fw, :hid] = hs[0]
     out[lanes.bw, hid:] = hs[1]
+    return out, (xs, gates, cells, tanh_c, hs)
+
+
+def bilstm(
+    emb: Tensor,
+    weights: Sequence[Tensor],
+    lengths: Sequence[int] | None = None,
+    owners: np.ndarray | None = None,
+) -> Tensor:
+    """Both LSTM directions over packed sentences as one graph node, (n, 2H).
+
+    `emb` holds the sentences' rows concatenated, split by `lengths`
+    (None: one sentence). `weights` holds (Wx, Wh, b) of the forward
+    direction, then of the backward one; the forward pass is
+    `_bilstm_forward` over the sentences' `Lanes`, so a sentence's states
+    are the same bits whichever sentences share its batch.
+
+    The vjp is backpropagation through time over the cached gates and cells.
+    It returns the weight gradients factored by position, row p owned by
+    owners of p's packed row: `Outer(d_pre, x)` for Wx, `Outer(d_pre,
+    h_prev)` for Wh and `RowSum(d_pre)` for b.
+    """
+    n = emb.shape[0]
+    lanes = Lanes(lengths, n)
+    w = [t.data for t in weights]
+    hid = w[1].shape[1]
+    out, (xs, gates, cells, tanh_c, hs) = _bilstm_forward(emb.data, w, lanes)
+    i_g, f_g, g_g, o_g = (gates[..., j * hid : (j + 1) * hid] for j in range(4))
 
     def vjp(g: np.ndarray):
         # Stacked again rather than kept, so a live graph holds no weight copies.

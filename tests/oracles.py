@@ -6,7 +6,8 @@ under test. The others are earlier, simpler versions of the program, kept
 verbatim so that the faster code replacing them can be checked against them:
 the dense weighted update, the one-sentence BiLSTM and CRF partition nodes,
 the uniform and the reweighted step with one graph and one gradient per
-example, and the synonym search over the whole similarity matrix. `pick` and
+example, decoding through one sentence's graph, and the synonym search over
+the whole similarity matrix. `pick` and
 `tsum` are graph ops that only tests build.
 """
 
@@ -33,7 +34,7 @@ from metaner.autodiff import (
     grad,
 )
 from metaner.optim import AdamWState, clip_global_norm
-from metaner.tagger import crf_log_partition, crf_score
+from metaner.tagger import crf_log_partition, crf_score, viterbi
 from metaner.trainer import epsilon_grad, reweight
 from metaner.vectors import read_vector_file
 
@@ -329,6 +330,15 @@ def per_sentence_uniform_step(model, aug_batch, cfg, opt_state, rng, mix_layer="
     grads = [grad(loss, model.params) for loss in losses]
     total = dense_combine(grads, np.full(len(grads), 1.0 / len(grads)))
     dense_adamw_step(model.params, clip_global_norm(total, cfg.clip), opt_state)
+
+
+def sentence_decode(model, tokens) -> tuple[np.ndarray, list[str]]:
+    """Emission rows and Viterbi labels of one sentence through its own graph.
+
+    This is decoding as it was before a corpus shared BiLSTM passes.
+    """
+    o, t = model.forward(tokens, train=False)
+    return o.data, [model.label_vocab[i] for i in viterbi(o.data, t.data)]
 
 
 # --- graph ops only tests build ------------------------------------------------

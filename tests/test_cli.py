@@ -2,13 +2,17 @@
 
 import hashlib
 import json
+import shutil
 import sys
 
 import pytest
 
+from oracles import sentence_decode
+
 from metaner.augment import EntityDict, SynonymDict
 from metaner.cli import main
 from metaner.corpus import read_conll, span_f1
+from metaner.tagger import TaggerModel
 from metaner.trainer import read_weight_rows
 from metaner.vectors import read_vector_file
 
@@ -36,6 +40,13 @@ def base_config(synth_dataset, out_dir, **overrides):
 # sha256 of `build-dict --k 5`'s synonyms.tsv on the seed-0 synthetic dataset,
 # as written by the exhaustive search over the whole similarity matrix.
 SYNONYMS_K5_SHA256 = "e120ad263654bef35e654464eb7c5ed2d12fd71ba9f834b1ad3e83b467abf34f"
+
+# sha256 of `eval`'s outputs for the `trained` checkpoint on the seed-0
+# synthetic test split, as written by decoding one sentence at a time.
+EVAL_SHA256 = {
+    "predictions_test.conll": "2543207acdb12f728dedc8113bdaa4e57f9b3b0ff9997ec0e6632a9b0b080620",
+    "metrics_test.json": "2b824c21d46ba0585a6c99deee97a9464d68b5ee58fad1ceb6921c37c8364d08",
+}
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -214,7 +225,9 @@ def run_dir(synth_dataset, tmp_path_factory):
 
 
 class TestEvalCommand:
-    def test_writes_predictions_and_metrics(self, synth_dataset, trained, capsys):
+    def test_writes_predictions_and_metrics(
+        self, synth_dataset, trained, capsys, tmp_path, monkeypatch
+    ):
         rc = main(["eval", "--model", str(trained), "--data", str(synth_dataset["test"])])
         assert rc == 0
         out_dir = trained.parent
@@ -226,6 +239,19 @@ class TestEvalCommand:
         assert set(metrics) == {"precision", "recall", "f1", "support"}
         stdout_metrics = json.loads(capsys.readouterr().out.strip().split("\n")[-1])
         assert stdout_metrics == metrics
+
+        # The same bytes as decoding each sentence through its own graph.
+        shutil.copy(trained, tmp_path / trained.name)
+        monkeypatch.setattr(
+            TaggerModel, "decode", lambda model, tokens, *_: sentence_decode(model, tokens)[1]
+        )
+        rc = main(["eval", "--model", str(tmp_path / trained.name),
+                   "--data", str(synth_dataset["test"])])
+        assert rc == 0
+        for name, digest in EVAL_SHA256.items():
+            got = (out_dir / name).read_bytes()
+            assert got == (tmp_path / name).read_bytes()
+            assert hashlib.sha256(got).hexdigest() == digest
 
     def test_bio_input_gets_bio_predictions(self, synth_dataset, trained, tmp_path):
         gold = read_conll(synth_dataset["test"]).convert("BIO")

@@ -13,10 +13,12 @@ from oracles import (
     rel_err,
     sentence_bilstm,
     sentence_crf_log_partition,
+    sentence_decode,
     tsum,
 )
 
 from metaner import autodiff as ad
+from metaner import tagger as tagger_mod
 from metaner.augment import MixedExample, mixup_loss
 from metaner.autodiff import RowGrad, finite_diff_check, grad
 from metaner.corpus import Corpus, LabeledSequence
@@ -625,6 +627,79 @@ class TestSequenceLoss:
         out = model.decode(["john", "visits", "paris"])
         assert len(out) == 3
         assert all(lab in model.label_vocab for lab in out)
+
+
+class TestCorpusDecode:
+    """`sentence_emissions` then `decode`, against one-sentence decode through the graph."""
+
+    @staticmethod
+    def ragged(seed):
+        """About 60 sentences, 1-token ones and a 600-token one among them."""
+        rng = np.random.default_rng(seed)
+        vocab = ["john", "smith", "visits", "paris", "acme", "hires", "unseen"]
+        lengths = [1, *rng.integers(1, 25, size=30), 600, 1, 1, *rng.integers(1, 25, size=30)]
+        return [tuple(rng.choice(vocab, size=n)) for n in lengths]
+
+    @staticmethod
+    def model(seed):
+        """CoNLL's 17 BIOES labels and, as built, a zero `crf.b`: one product
+        over many sentences' states then rounds some rows unlike each
+        sentence's own product, and the sum keeps the difference."""
+        labels = ["O"] + [f"{p}-{t}" for t in ("LOC", "MISC", "ORG", "PER") for p in "BIES"]
+        corpus = Corpus(tiny_corpus().examples, label_vocab=labels)
+        config = ModelConfig(emb_dim=8, hidden=20, dropout=0.0)
+        return TaggerModel.build(corpus, config, seed=seed)
+
+    @staticmethod
+    def corpus_decode(model, sentences):
+        emissions = list(model.sentence_emissions(sentences))
+        return emissions, [model.decode(s, o) for s, o in zip(sentences, emissions)]
+
+    @pytest.mark.parametrize("budget", [None, 7])
+    def test_same_bits_and_labels_as_one_sentence_decode(self, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(tagger_mod, "_DECODE_ROWS", budget)
+        rng = np.random.default_rng(41)
+        model = self.model(5)
+        model.params["crf.T"].data[:] = rng.normal(size=model.params["crf.T"].shape)
+        sentences = self.ragged(7)
+        lengths = [len(s) for s in sentences]
+        assert len(list(tagger_mod._chunks(lengths, tagger_mod._DECODE_ROWS))) > 1
+        emissions, labels = self.corpus_decode(model, sentences)
+        assert len(emissions) == len(sentences)
+        for tokens, o, got in zip(sentences, emissions, labels):
+            want_o, want = sentence_decode(model, tokens)
+            assert o.tobytes() == want_o.tobytes()
+            assert got == want
+            assert model.decode(tokens) == want
+
+    def test_ties_resolve_to_the_first_label(self):
+        model = self.model(6)
+        for name in ("crf.W", "crf.b", "crf.T"):
+            model.params[name].data[:] = 0.0
+        sentences = self.ragged(8)
+        _, labels = self.corpus_decode(model, sentences)
+        first = model.label_vocab[0]
+        assert labels == [[first] * len(s) for s in sentences]
+
+    @pytest.mark.parametrize(
+        "lengths, budget, want",
+        [
+            ([], 5, []),
+            ([5, 5], 5, [(0, 1), (1, 2)]),
+            ([2, 3, 1, 4], 5, [(0, 2), (2, 4)]),
+            ([1, 9, 1], 5, [(0, 1), (1, 2), (2, 3)]),
+            ([9], 5, [(0, 1)]),
+        ],
+    )
+    def test_chunks_fill_the_row_budget_in_order(self, lengths, budget, want):
+        chunks = tagger_mod._chunks(lengths, budget)
+        assert [(c.start, c.stop) for c in chunks] == want
+
+    def test_emissions_must_match_the_sentence(self):
+        model = tiny_model()
+        with pytest.raises(ValueError, match="emissions must be"):
+            model.decode(["john", "visits"], np.zeros((3, model.num_labels)))
 
 
 class TestEmbeddingGradient:

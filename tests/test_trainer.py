@@ -12,13 +12,14 @@ from oracles import (
     per_sentence_uniform_step,
     pick,
     rel_err,
+    sentence_decode,
 )
 
 from metaner import autodiff as ad
 from metaner import trainer as trainer_mod
 from metaner.autodiff import NumericError, grad
 from metaner.augment import AugConfig, MixedExample, generate_augmented_set
-from metaner.corpus import Corpus, LabeledSequence
+from metaner.corpus import Corpus, LabeledSequence, span_f1
 from metaner.tagger import ModelConfig, TaggerModel
 from metaner.trainer import (
     TrainerConfig,
@@ -697,3 +698,20 @@ class TestEvaluate:
         out = evaluate(model, corpus)
         assert set(out) == {"precision", "recall", "f1", "support"}
         assert out["support"] == 7
+
+    def test_decodes_each_sentence_once_in_corpus_order(self, monkeypatch):
+        corpus = toy_corpus()
+        model = toy_model(seed=2)
+        seen = []
+        decode = TaggerModel.decode
+
+        def counting(self, tokens, *args, **kwargs):
+            seen.append(tuple(tokens))
+            return decode(self, tokens, *args, **kwargs)
+
+        monkeypatch.setattr(TaggerModel, "decode", counting)
+        out = evaluate(model, corpus)
+        assert seen == [ex.tokens for ex in corpus.examples]
+        preds = [sentence_decode(model, ex.tokens)[1] for ex in corpus.examples]
+        golds = [list(ex.labels) for ex in corpus.examples]
+        assert out == span_f1(preds, golds, scheme=corpus.scheme)
