@@ -426,17 +426,19 @@ class ParamStore:
         return iter(self._entries.items())
 
     def snapshot(self) -> dict[str, Array]:
-        """Copy of every parameter array, e.g. for best-checkpoint keeping."""
+        """A fresh copy of every parameter array, sharing no memory with them."""
         return {name: t.data.copy() for name, t in self._entries.items()}
 
     def load_snapshot(self, arrays: Mapping[str, Array]) -> None:
+        """Copy `arrays` into the live parameter arrays, which keep their
+        identity."""
         for name, t in self._entries.items():
             src = np.asarray(arrays[name], dtype=np.float64)
             if src.shape != t.data.shape:
                 raise ValueError(
                     f"shape mismatch for {name!r}: {src.shape} vs {t.data.shape}"
                 )
-            t.data = src.copy()
+            np.copyto(t.data, src)
 
 
 class GradientMap(Mapping):

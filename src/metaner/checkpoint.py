@@ -15,6 +15,8 @@ Layout (all integers little-endian):
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from pathlib import Path
 from typing import Mapping
@@ -40,49 +42,54 @@ def save_checkpoint(path: str | Path, arrays: Mapping[str, np.ndarray], config: 
         fh.write(blob)
         fh.write(struct.pack("<I", len(arrays)))
         for name, arr in arrays.items():
-            a = np.ascontiguousarray(arr, dtype=np.float64)
+            # A contiguous little-endian float64 array is written from its
+            # own buffer, without a copy.
+            a = np.ascontiguousarray(arr, dtype="<f8")
             nb = name.encode("utf-8")
             fh.write(struct.pack("<I", len(nb)))
             fh.write(nb)
             fh.write(struct.pack("<I", a.ndim))
             fh.write(struct.pack(f"<{a.ndim}Q", *a.shape))
-            fh.write(a.astype("<f8", copy=False).tobytes())
+            fh.write(a.data)
 
 
 def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict, int]:
     """Read a checkpoint; returns (arrays, config, format_version).
 
     Rejects unknown magic and non-finite values: checkpoints are external
-    input.
+    input. Each array is read straight into its own buffer, so loading holds
+    the arrays and little else.
     """
-    raw = Path(path).read_bytes()
-    if raw[: len(MAGIC)] != MAGIC:
-        raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
-    off = len(MAGIC)
+    with open(path, "rb") as fh:
+        if fh.read(len(MAGIC)) != MAGIC:
+            raise CheckpointError(f"{path}: not a checkpoint file (bad magic)")
+        size = os.fstat(fh.fileno()).st_size
 
-    def take(n: int) -> bytes:
-        nonlocal off
-        if off + n > len(raw):
-            raise CheckpointError(f"{path}: truncated checkpoint")
-        chunk = raw[off : off + n]
-        off += n
-        return chunk
+        def need(n: int) -> None:
+            if fh.tell() + n > size:
+                raise CheckpointError(f"{path}: truncated checkpoint")
 
-    (blob_len,) = struct.unpack("<I", take(4))
-    header = json.loads(take(blob_len).decode("utf-8"))
-    version = header.get("format_version")
-    if version != FORMAT_VERSION:
-        raise CheckpointError(f"{path}: unsupported format version {version!r}")
-    (count,) = struct.unpack("<I", take(4))
-    arrays: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (name_len,) = struct.unpack("<I", take(4))
-        name = take(name_len).decode("utf-8")
-        (ndim,) = struct.unpack("<I", take(4))
-        shape = struct.unpack(f"<{ndim}Q", take(8 * ndim)) if ndim else ()
-        size = int(np.prod(shape)) if shape else 1
-        arr = np.frombuffer(take(8 * size), dtype="<f8").reshape(shape).astype(np.float64)
-        if not np.all(np.isfinite(arr)):
-            raise CheckpointError(f"{path}: non-finite values in array {name!r}")
-        arrays[name] = arr
+        def take(n: int) -> bytes:
+            need(n)
+            return fh.read(n)
+
+        (blob_len,) = struct.unpack("<I", take(4))
+        header = json.loads(take(blob_len).decode("utf-8"))
+        version = header.get("format_version")
+        if version != FORMAT_VERSION:
+            raise CheckpointError(f"{path}: unsupported format version {version!r}")
+        (count,) = struct.unpack("<I", take(4))
+        arrays: dict[str, np.ndarray] = {}
+        for _ in range(count):
+            (name_len,) = struct.unpack("<I", take(4))
+            name = take(name_len).decode("utf-8")
+            (ndim,) = struct.unpack("<I", take(4))
+            shape = struct.unpack(f"<{ndim}Q", take(8 * ndim))
+            need(8 * math.prod(shape))
+            arr = np.empty(shape, dtype="<f8")
+            if fh.readinto(arr) != arr.nbytes:
+                raise CheckpointError(f"{path}: truncated checkpoint")
+            if not np.isfinite(arr).all():
+                raise CheckpointError(f"{path}: non-finite values in array {name!r}")
+            arrays[name] = arr.astype(np.float64, copy=False)
     return arrays, header["config"], version

@@ -367,7 +367,8 @@ class TaggerModel:
         }
         if extra_config:
             config["run"] = extra_config
-        save_checkpoint(path, self.params.snapshot(), config)
+        arrays = {name: t.data for name, t in self.params.items()}
+        save_checkpoint(path, arrays, config)
 
     @classmethod
     def load(cls, path: str | Path) -> "TaggerModel":

@@ -308,7 +308,9 @@ def train(
     window = _WindowMeans()
     best_f1 = -1.0
     best_step = 0
-    best_snapshot = model.params.snapshot()
+    # One copy of the best parameters, allocated at the first improving eval
+    # and overwritten in place by later ones.
+    best: dict[str, np.ndarray] | None = None
 
     for step in range(1, cfg.steps + 1):
         aug_idx = sample_rng.integers(len(pool), size=cfg.n)
@@ -335,13 +337,17 @@ def train(
                 if record["dev_f1"] > best_f1:
                     best_f1 = record["dev_f1"]
                     best_step = step
-                    best_snapshot = model.params.snapshot()
+                    if best is None:
+                        best = model.params.snapshot()
+                    else:
+                        for name, t in model.params.items():
+                            np.copyto(best[name], t.data)
             else:
                 record["dev_f1"] = None
             history.append(record)
 
-    if dev is not None and cfg.steps > 0:
-        model.params.load_snapshot(best_snapshot)
+    if best is not None:
+        model.params.load_snapshot(best)
     if history_path is not None:
         with open(history_path, "w", encoding="utf-8") as fh:
             for record in history:

@@ -394,3 +394,38 @@ class TestDeterminism:
         g1, g2 = run(), run()
         for k in g1:
             np.testing.assert_array_equal(g1[k], g2[k])
+
+
+class TestParamStoreSnapshot:
+    def store(self):
+        rng = np.random.default_rng(3)
+        return make_store(w=rng.normal(size=(3, 4)), b=rng.normal(size=4))
+
+    def test_load_keeps_array_identity_and_copies_values(self):
+        store = self.store()
+        live = {name: t.data for name, t in store.items()}
+        rng = np.random.default_rng(4)
+        want = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=4)}
+        store.load_snapshot(want)
+        for name, t in store.items():
+            assert t.data is live[name], name
+            np.testing.assert_array_equal(t.data, want[name])
+            assert not np.shares_memory(t.data, want[name])
+
+    def test_wrong_shape_rejected(self):
+        store = self.store()
+        with pytest.raises(ValueError, match="shape mismatch for 'w'"):
+            store.load_snapshot({"w": np.zeros((4, 3)), "b": np.zeros(4)})
+
+    def test_snapshot_is_not_aliased(self):
+        store = self.store()
+        snap = store.snapshot()
+        want = {name: arr.copy() for name, arr in snap.items()}
+        for _, t in store.items():
+            t.data += 1.0
+        for name in want:
+            np.testing.assert_array_equal(snap[name], want[name])
+        store.load_snapshot(snap)
+        store["w"].data *= 2.0
+        np.testing.assert_array_equal(snap["w"], want["w"])
+        np.testing.assert_array_equal(store["w"].data, 2.0 * want["w"])

@@ -1,5 +1,8 @@
 """BiLSTM-CRF model: shapes, cell math, CRF exactness, gradients, persistence."""
 
+import hashlib
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -824,3 +827,25 @@ class TestPersistence:
             np.testing.assert_array_equal(back.params[name].data, arr)
         tokens = ["john", "smith", "visits", "paris"]
         assert back.decode(tokens) == model.decode(tokens)
+
+    def test_save_writes_the_live_arrays(self, tmp_path):
+        base = tiny_corpus()
+        vocab = base.token_vocab + [f"pad{i}" for i in range(5000)]
+        model = TaggerModel.build(
+            Corpus(base.examples, token_vocab=vocab), ModelConfig(emb_dim=256, hidden=2)
+        )
+        tracemalloc.start()
+        try:
+            model.save(tmp_path / "model.ckpt")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < model.params["embed.table"].data.nbytes / 4
+
+    # Fixed sha256 of this model's checkpoint: the file format must not drift.
+    PINNED_SHA256 = "ae3e219222002fcbe4cacc29d7ee8f5cdda075ed0e033afae91d33702f77517d"
+
+    def test_saved_bytes_are_pinned(self, tmp_path):
+        path = tmp_path / "model.ckpt"
+        tiny_model(seed=13).save(path, extra_config={"note": "pinned"})
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED_SHA256

@@ -639,14 +639,60 @@ class TestTrain:
         assert steps == set(range(1, 7))
         assert {row[2] for row in result.weight_rows} <= {"clean", "mixup"}
 
-    def test_best_dev_checkpoint_restored(self):
+    @staticmethod
+    def scripted_evaluate(monkeypatch, scores):
+        """Make the dev evals score `scores` in turn; returns the parameter
+        bytes seen at each eval."""
+        scores = iter(scores)
+        seen = []
+
+        def scripted(model, dev):
+            seen.append({n: t.data.tobytes() for n, t in model.params.items()})
+            return {"f1": next(scores)}
+
+        monkeypatch.setattr(trainer_mod, "evaluate", scripted)
+        return seen
+
+    def test_best_dev_checkpoint_restored(self, monkeypatch):
+        # Two improving evals share the best copy, a tie does not replace it,
+        # and the best is not the last eval.
+        seen = self.scripted_evaluate(monkeypatch, [0.2, 0.5, 0.4, 0.5])
         corpus = toy_corpus()
         model = toy_model(seed=4)
         cfg = TrainerConfig(steps=40, n=4, m=2, lr=0.02, eval_every=10, seed=2)
         result = train(model, corpus, [], corpus, cfg)
-        best = max(h["dev_f1"] for h in result.history)
-        assert result.best_dev_f1 == best
-        assert evaluate(result.model, corpus)["f1"] == best
+        assert [h["dev_f1"] for h in result.history] == [0.2, 0.5, 0.4, 0.5]
+        assert (result.best_dev_f1, result.best_step) == (0.5, 20)
+        assert len({seen[1]["embed.table"], seen[3]["embed.table"]}) == 2
+        assert result.model is model
+        for name, arr in model.params.items():
+            assert arr.data.tobytes() == seen[1][name], name
+
+    def test_peak_memory_holds_one_best_copy(self, monkeypatch):
+        # Growing the embedding table by G bytes may grow train()'s peak by
+        # AdamW's m and v plus one best copy of it, not a second copy.
+        base = toy_corpus()
+
+        def peak_bytes(extra_words):
+            scores = iter([0.1, 0.2, 0.3])
+            monkeypatch.setattr(trainer_mod, "evaluate", lambda *_: {"f1": next(scores)})
+            vocab = base.token_vocab + [f"pad{i}" for i in range(extra_words)]
+            corpus = Corpus(base.examples, token_vocab=vocab)
+            model = TaggerModel.build(corpus, ModelConfig(emb_dim=8, hidden=2), seed=0)
+            cfg = TrainerConfig(steps=6, n=2, m=1, eval_every=2, seed=0)
+            tracemalloc.start()
+            try:
+                train(model, corpus, [], corpus, cfg)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            return peak, model.params["embed.table"].data.nbytes
+
+        small, small_table = peak_bytes(0)
+        large, large_table = peak_bytes(50_000)
+        growth = large_table - small_table
+        assert growth == 50_000 * 8 * 8
+        assert large - small <= 3.5 * growth
 
     def test_output_files_round_trip(self, tmp_path):
         corpus = toy_corpus()
