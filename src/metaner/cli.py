@@ -47,6 +47,7 @@ from .corpus import (
     write_conll,
 )
 from .tagger import TaggerModel
+from .textio import open_text
 from .trainer import evaluate, read_weight_rows, train
 from .vectors import read_stopword_file, read_vector_file
 
@@ -60,7 +61,7 @@ def _scheme_of(labels: Iterable[str]) -> str:
 
 def _sniff_scheme(path: str | Path) -> str:
     """Scheme of the labels in the last column of a CoNLL file."""
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, CorpusFormatError) as fh:
         return _scheme_of(
             parts[-1] for parts in map(str.split, fh) if len(parts) >= 2
         )

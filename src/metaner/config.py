@@ -16,6 +16,7 @@ from pathlib import Path
 from .augment import MIX_LAYERS, AugConfig
 from .corpus import SCHEMES
 from .tagger import ModelConfig
+from .textio import open_text
 from .trainer import TrainerConfig
 
 METHODS = ("baseline", "ts", "mixup", "both")
@@ -132,7 +133,7 @@ def parse_config(path: str | Path) -> RunConfig:
         raise ConfigError(f"config file not found: {path}")
     sections: dict[str, dict] = {"run": {}, "model": {}, "aug": {}, "trainer": {}}
     lines: dict[str, int] = {}
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, ConfigError) as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.split("#", 1)[0].strip()
             if not line:

@@ -15,6 +15,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .textio import open_text
+
 logger = logging.getLogger(__name__)
 
 SCHEMES = ("BIO", "BIOES")
@@ -47,7 +49,7 @@ class LabeledSequence:
             raise ValueError(f"unknown scheme {self.scheme!r}")
         if len(self.tokens) != len(self.labels) or not self.tokens:
             raise ValueError("tokens and labels must be equal-length and nonempty")
-        for lab in self.labels:
+        for lab in dict.fromkeys(self.labels):
             validate_label(lab, self.scheme)
 
     def __len__(self) -> int:
@@ -93,7 +95,23 @@ class Corpus:
         return len(self.examples)
 
     def convert(self, target: str) -> "Corpus":
-        return Corpus([convert_scheme(ex, target) for ex in self.examples], scheme=target)
+        if not target == self.scheme == "BIOES":
+            return Corpus(
+                [convert_scheme(ex, target) for ex in self.examples], scheme=target
+            )
+        # BIOES as read: keep every sentence that is its own conversion, so
+        # that only the others are converted and a repair warns as it would.
+        examples = [
+            ex if _renders_as_itself(ex.labels) else convert_scheme(ex, target)
+            for ex in self.examples
+        ]
+        kept = all(new is old for new, old in zip(examples, self.examples))
+        return Corpus(
+            examples,
+            scheme=target,
+            label_vocab=list(self.label_vocab) if kept else [],
+            token_vocab=list(self.token_vocab),
+        )
 
 
 def read_conll(path: str | Path, scheme: str = "BIOES") -> Corpus:
@@ -102,6 +120,7 @@ def read_conll(path: str | Path, scheme: str = "BIOES") -> Corpus:
     examples: list[LabeledSequence] = []
     tokens: list[str] = []
     labels: list[str] = []
+    valid: set[str] = set()  # labels of this file already checked
 
     def flush():
         if tokens:
@@ -111,7 +130,7 @@ def read_conll(path: str | Path, scheme: str = "BIOES") -> Corpus:
             tokens.clear()
             labels.clear()
 
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, CorpusFormatError) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:
@@ -122,12 +141,15 @@ def read_conll(path: str | Path, scheme: str = "BIOES") -> Corpus:
                 raise CorpusFormatError(
                     f"{path}:{lineno}: expected 2 columns (token label), got {len(cols)}: {line!r}"
                 )
-            try:
-                validate_label(cols[1], scheme)
-            except ValueError as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
-            tokens.append(cols[0])
-            labels.append(cols[1])
+            token, label = cols
+            if label not in valid:
+                try:
+                    validate_label(label, scheme)
+                except ValueError as exc:
+                    raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
+                valid.add(label)
+            tokens.append(token)
+            labels.append(label)
     flush()
     return Corpus(examples, scheme=scheme)
 
@@ -198,6 +220,31 @@ def _parse_spans(
                 spans.append(Span(etype, i, i))
     close(len(labels) - 1)
     return spans
+
+
+def _renders_as_itself(labels: Sequence[str]) -> bool:
+    """Whether valid BIOES `labels` equal render_labels of their parsed spans.
+
+    They do when every span is B-X I-X... E-X or S-X and nothing else
+    follows an open B-X or I-X: one pass that carries the open type.
+    """
+    open_type = None
+    for label in labels:
+        if label == "O":
+            if open_type is not None:
+                return False
+            continue
+        prefix, etype = label[0], label[2:]
+        if prefix == "B" or prefix == "S":
+            if open_type is not None:
+                return False
+            if prefix == "B":
+                open_type = etype
+        elif open_type != etype:
+            return False
+        elif prefix == "E":
+            open_type = None
+    return open_type is None
 
 
 def extract_spans(seq: LabeledSequence) -> set[Span]:

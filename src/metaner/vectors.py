@@ -11,13 +11,44 @@ from pathlib import Path
 
 import numpy as np
 
+from .textio import open_text
+
 
 def read_vector_file(path: str | Path) -> dict[str, np.ndarray]:
-    """Load word vectors; all rows must share one dimension and be finite."""
+    """Load word vectors; all rows must share one dimension and be finite.
+
+    numpy's C reader parses the values; a light pass collects the words. A
+    file that numpy rejects or that holds a non-finite value is read again
+    line by line, which gives the same vectors or names the first bad line.
+    """
     path = Path(path)
+    with open_text(path, ValueError) as fh:
+        words = [head[0] for head in (line.split(None, 1) for line in fh) if head]
+    if not words:
+        return {}
+    try:
+        # Column 0 is the word. Reading every column, not `usecols`, makes
+        # numpy reject a row longer than the first one.
+        table = np.loadtxt(
+            path,
+            converters={0: lambda word: 0.0},
+            comments=None,
+            ndmin=2,
+            encoding="utf-8",
+        )
+    except ValueError:
+        return _read_vector_lines(path)
+    values = table[:, 1:]
+    if len(values) != len(words) or not values.size or not np.isfinite(values).all():
+        return _read_vector_lines(path)
+    return dict(zip(words, values))
+
+
+def _read_vector_lines(path: Path) -> dict[str, np.ndarray]:
+    """`read_vector_file` one line at a time, with `float` on every value."""
     vectors: dict[str, np.ndarray] = {}
     dim: int | None = None
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, ValueError) as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.strip()
             if not line:
@@ -52,5 +83,5 @@ def write_vector_file(path: str | Path, vectors: dict[str, np.ndarray]) -> None:
 
 
 def read_stopword_file(path: str | Path) -> set[str]:
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, ValueError) as fh:
         return {line.strip() for line in fh if line.strip()}

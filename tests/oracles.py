@@ -6,9 +6,9 @@ under test. The others are earlier, simpler versions of the program, kept
 verbatim so that the faster code replacing them can be checked against them:
 the dense weighted update, the one-sentence BiLSTM and CRF partition nodes,
 the uniform and the reweighted step with one graph and one gradient per
-example, decoding through one sentence's graph, and the synonym search over
-the whole similarity matrix. `pick` and
-`tsum` are graph ops that only tests build.
+example, decoding through one sentence's graph, the synonym search over the
+whole similarity matrix, and the vector file reader that called `float` on
+every value. `pick` and `tsum` are graph ops that only tests build.
 """
 
 from __future__ import annotations
@@ -407,3 +407,42 @@ def exhaustive_synonym_dict(
         order = np.argsort(-sims[i], kind="stable")[:top]
         out[w] = [(words[j], float(sims[i, j])) for j in order]
     return SynonymDict(out)
+
+
+# --- the line-by-line vector reader ---------------------------------------------
+# `read_vector_file` as it was before numpy's reader parsed the values: one
+# `float` call per value. Kept verbatim as the reference for the vectors it
+# returns and the errors it raises.
+
+
+def line_vector_file(path: str | Path) -> dict[str, np.ndarray]:
+    """Load word vectors; all rows must share one dimension and be finite."""
+    path = Path(path)
+    vectors: dict[str, np.ndarray] = {}
+    dim: int | None = None
+    with open(path, encoding="utf-8") as fh:
+        for lineno, raw in enumerate(fh, 1):
+            line = raw.strip()
+            if not line:
+                continue
+            parts = line.split()
+            if len(parts) < 2:
+                raise ValueError(f"{path}:{lineno}: expected 'word v1 v2 ...'")
+            word = parts[0]
+            try:
+                values = [float(x) for x in parts[1:]]
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: bad float in vector for {word!r}") from exc
+            if dim is None:
+                dim = len(values)
+            elif len(values) != dim:
+                raise ValueError(
+                    f"{path}:{lineno}: vector for {word!r} has dim {len(values)}, expected {dim}"
+                )
+            # A NaN or an infinity makes the sum non-finite. So can finite values
+            # that overflow, which the exact check then lets through; the sum
+            # alone costs a fraction of the exact check on every line.
+            if not math.isfinite(sum(values)) and not all(map(math.isfinite, values)):
+                raise ValueError(f"{path}:{lineno}: non-finite value in vector for {word!r}")
+            vectors[word] = np.array(values, dtype=np.float64)
+    return vectors

@@ -10,8 +10,9 @@ import pytest
 from oracles import sentence_decode
 
 from metaner.augment import EntityDict, SynonymDict
-from metaner.cli import main
-from metaner.corpus import read_conll, span_f1
+from metaner.cli import _load_training_corpus, main
+from metaner.config import RunConfig
+from metaner.corpus import convert_scheme, read_conll, span_f1, write_conll
 from metaner.tagger import TaggerModel
 from metaner.trainer import read_weight_rows
 from metaner.vectors import read_vector_file
@@ -47,6 +48,18 @@ EVAL_SHA256 = {
     "predictions_test.conll": "2543207acdb12f728dedc8113bdaa4e57f9b3b0ff9997ec0e6632a9b0b080620",
     "metrics_test.json": "2b824c21d46ba0585a6c99deee97a9464d68b5ee58fad1ceb6921c37c8364d08",
 }
+
+
+# sha256 of the corpus `_load_training_corpus` returns for the seed-0
+# synthetic train split (tokens, labels, label and token vocabularies), as
+# built when every sentence was converted to BIOES.
+TRAIN_CORPUS_SHA256 = "5ffb1084d7d160c68042c07abfd236c6d88ba65099eb016891f467f8988c186e"
+
+
+def corpus_digest(corpus):
+    sentences = [[list(ex.tokens), list(ex.labels)] for ex in corpus.examples]
+    blob = json.dumps(sentences + [corpus.label_vocab, corpus.token_vocab])
+    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def write_config(tmp_path, text, name="run.cfg"):
@@ -202,6 +215,33 @@ class TestTrainCommand:
         a, b = outs
         for name in ("history.jsonl", "weights.tsv", "model.ckpt", "summary.json"):
             assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
+class TestTrainingCorpus:
+    def test_corpus_is_pinned(self, synth_dataset):
+        corpus = _load_training_corpus(RunConfig(train=str(synth_dataset["train"])))
+        assert corpus_digest(corpus) == TRAIN_CORPUS_SHA256
+
+    def test_bio_copy_trains_as_the_bioes_original(self, synth_dataset, tmp_path):
+        """BIO input is converted, and then trains as its BIOES original does."""
+        bio = dict(synth_dataset)
+        for split in ("train", "dev", "test"):
+            examples = read_conll(synth_dataset[split]).examples
+            bio[split] = tmp_path / f"{split}.bio.conll"
+            write_conll([convert_scheme(ex, "BIO") for ex in examples], bio[split])
+        assert "E-" not in bio["train"].read_text()
+        outs = []
+        for name, dataset, extra in (
+            ("bioes", synth_dataset, {}),
+            ("bio", bio, {"scheme": "BIO"}),
+        ):
+            out = tmp_path / name
+            text = base_config(dataset, out, method="both", times=1, p_sub=0.5, **extra)
+            cfg = write_config(tmp_path, text, name=f"{name}.cfg")
+            assert main(["train", "--config", str(cfg)]) == 0
+            outs.append(out)
+        for name in ("summary.json", "history.jsonl", "weights.tsv"):
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
 @pytest.fixture(scope="module")
@@ -381,3 +421,33 @@ class TestBadNumbers:
         err = capsys.readouterr().err
         assert f"{vectors}:3:" in err
         assert "non-finite" in err
+
+
+class TestNotUtf8:
+    """A byte that is not UTF-8 is bad input: exit 1, naming the file and line."""
+
+    @staticmethod
+    def corrupt_line_3(src, dst):
+        lines = src.read_bytes().split(b"\n")
+        lines[2] = b"\xff" + lines[2]
+        dst.write_bytes(b"\n".join(lines))
+        return dst
+
+    @pytest.mark.parametrize("key", ["train", "vectors", "stopwords"])
+    def test_input_file(self, synth_dataset, tmp_path, capsys, key):
+        bad = self.corrupt_line_3(synth_dataset[key], tmp_path / f"bad-{key}.txt")
+        text = base_config(synth_dataset, tmp_path / "out", method="ts", **{key: bad})
+        cfg = write_config(tmp_path, text)
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert f"{bad}:3: not UTF-8" in capsys.readouterr().err
+
+    def test_config_file(self, synth_dataset, tmp_path, capsys):
+        cfg = write_config(tmp_path, base_config(synth_dataset, tmp_path / "out"))
+        self.corrupt_line_3(cfg, cfg)
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert f"{cfg}:3: not UTF-8" in capsys.readouterr().err
+
+    def test_eval_data_file(self, synth_dataset, trained, tmp_path, capsys):
+        bad = self.corrupt_line_3(synth_dataset["test"], tmp_path / "bad.conll")
+        assert main(["eval", "--model", str(trained), "--data", str(bad)]) == 1
+        assert f"{bad}:3: not UTF-8" in capsys.readouterr().err

@@ -1,5 +1,7 @@
 """CoNLL IO, scheme conversion, span extraction, F1 and subsampling."""
 
+import itertools
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,9 +12,12 @@ from metaner.corpus import (
     CorpusFormatError,
     LabeledSequence,
     Span,
+    _parse_spans,
+    _renders_as_itself,
     convert_scheme,
     extract_spans,
     read_conll,
+    render_labels,
     span_f1,
     subsample,
     write_conll,
@@ -48,6 +53,25 @@ class TestReadConll:
         path.write_text("EU Q-ORG\n")
         with pytest.raises(CorpusFormatError, match="bad.conll:1"):
             read_conll(path)
+
+    def test_bio_file_rejects_e_tags_a_bioes_file_accepted(self, tmp_path):
+        # Labels are checked once per file, so the BIOES file's E-PER must
+        # not pass the BIO file's.
+        good = tmp_path / "good.conll"
+        good.write_text("John B-PER\nSmith E-PER\n")
+        bad = tmp_path / "bad.conll"
+        bad.write_text("John B-PER\nSmith I-PER\n\nMary B-PER\nJones E-PER\n")
+        assert read_conll(good, scheme="BIOES").examples[0].labels == ("B-PER", "E-PER")
+        with pytest.raises(CorpusFormatError, match=r"bad.conll:5: label 'E-PER'"):
+            read_conll(bad, scheme="BIO")
+
+    def test_first_of_two_invalid_labels_reported(self, tmp_path):
+        path = tmp_path / "bad.conll"
+        path.write_text("a O\nb Q-ORG\nc Z-LOC\nd Q-ORG\n")
+        with pytest.raises(CorpusFormatError, match=r"bad.conll:2: label 'Q-ORG'"):
+            read_conll(path)
+        with pytest.raises(ValueError, match="'Q-ORG'"):
+            seq("abcd", ["O", "Q-ORG", "Z-LOC", "Q-ORG"])
 
     def test_write_read_round_trip(self, tmp_path):
         corpus = Corpus(
@@ -91,6 +115,67 @@ class TestConvertScheme:
         )
         back = convert_scheme(convert_scheme(original, "BIOES"), "BIO")
         assert back.labels == original.labels
+
+
+# Well-formed BIOES sentences plus the three kinds of ill-formed span that
+# conversion repairs or re-renders: a stray I-, a B- followed by O, a lone E-.
+MIXED_BIOES = [
+    (["John", "Smith", "visits", "Paris"], ["B-PER", "E-PER", "O", "S-LOC"]),
+    (["the", "big", "apple", "corp"], ["O", "I-ORG", "E-ORG", "O"]),
+    (["Mary", "left"], ["B-PER", "O"]),
+    (["Acme", "hires", "Bob"], ["S-ORG", "O", "S-PER"]),
+    (["in", "New", "York"], ["O", "O", "E-LOC"]),
+    (["New", "York", "City", "."], ["B-LOC", "I-LOC", "E-LOC", "O"]),
+]
+
+
+class TestConvertAsRead:
+    """BIOES to BIOES keeps the sentences that need no conversion."""
+
+    def write(self, tmp_path, sentences):
+        path = tmp_path / "mixed.conll"
+        write_conll([seq(toks, labs) for toks, labs in sentences], path)
+        return path
+
+    def test_mixed_file_matches_per_sentence_conversion(self, tmp_path, caplog):
+        path = self.write(tmp_path, MIXED_BIOES)
+        read = read_conll(path)
+        with caplog.at_level("WARNING"):
+            expected = [convert_scheme(ex, "BIOES") for ex in read.examples]
+        expected_records = [(r.levelno, r.getMessage()) for r in caplog.records]
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            converted = read.convert("BIOES")
+        assert [(r.levelno, r.getMessage()) for r in caplog.records] == expected_records
+        assert len(expected_records) == 2  # the stray I-ORG and the lone E-LOC
+        assert converted.examples == expected
+        fresh = Corpus(expected)
+        assert converted.label_vocab == fresh.label_vocab
+        assert converted.token_vocab == fresh.token_vocab
+        assert "I-ORG" not in converted.label_vocab
+
+    def test_well_formed_file_is_used_as_read(self, tmp_path, caplog):
+        well_formed = [s for i, s in enumerate(MIXED_BIOES) if i in (0, 3, 5)]
+        read = read_conll(self.write(tmp_path, well_formed))
+        with caplog.at_level("WARNING"):
+            converted = read.convert("BIOES")
+        assert not caplog.records
+        assert all(a is b for a, b in zip(converted.examples, read.examples))
+        fresh = Corpus([convert_scheme(ex, "BIOES") for ex in read.examples])
+        assert converted.examples == fresh.examples
+        assert converted.label_vocab == fresh.label_vocab
+        assert converted.token_vocab == fresh.token_vocab
+
+    def test_fixed_point_test_is_exact(self):
+        alphabet = ["O"] + [f"{p}-{t}" for p in "BIES" for t in ("X", "YY")]
+        count = 0
+        for n in range(1, 5):
+            for labels in itertools.product(alphabet, repeat=n):
+                spans = _parse_spans(labels, "BIOES", warn=False)
+                expected = render_labels(n, spans, "BIOES") == labels
+                assert _renders_as_itself(labels) == expected, labels
+                count += 1
+        assert count == 9 + 9**2 + 9**3 + 9**4
 
 
 @st.composite
