@@ -18,7 +18,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from collections.abc import Iterable
 from dataclasses import replace
 from pathlib import Path
 
@@ -42,29 +41,16 @@ from .corpus import (
     LabeledSequence,
     convert_scheme,
     read_conll,
+    scheme_of,
     span_f1,
     subsample,
     write_conll,
 )
 from .tagger import TaggerModel
-from .textio import open_text
 from .trainer import evaluate, read_weight_rows, train
 from .vectors import read_stopword_file, read_vector_file
 
 PROG = "metaner"
-
-
-def _scheme_of(labels: Iterable[str]) -> str:
-    """BIOES if any E-/S- label appears, else BIO."""
-    return "BIOES" if any(lab[:2] in ("E-", "S-") for lab in labels) else "BIO"
-
-
-def _sniff_scheme(path: str | Path) -> str:
-    """Scheme of the labels in the last column of a CoNLL file."""
-    with open_text(path, CorpusFormatError) as fh:
-        return _scheme_of(
-            parts[-1] for parts in map(str.split, fh) if len(parts) >= 2
-        )
 
 
 def _load_training_corpus(cfg: RunConfig) -> Corpus:
@@ -129,7 +115,7 @@ def _write_resolved(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def cmd_build_dict(args) -> int:
-    corpus = read_conll(args.train, scheme=_sniff_scheme(args.train)).convert("BIOES")
+    corpus = read_conll(args.train, scheme=None).convert("BIOES")
     edict = build_entity_dict(corpus)
     stop = read_stopword_file(args.stopwords) if args.stopwords else set()
     sdict = build_synonym_dict(args.vectors, args.k, stop)
@@ -235,13 +221,12 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = TaggerModel.load(args.model)
-    scheme = _sniff_scheme(args.data)
-    corpus = read_conll(args.data, scheme=scheme)
-    model_scheme = _scheme_of(model.label_vocab)
+    corpus = read_conll(args.data, scheme=None)
+    scheme = corpus.scheme
+    model_scheme = scheme_of(model.label_vocab)
     sentences = [ex.tokens for ex in corpus.examples]
     predictions = []
-    for tokens, o in zip(sentences, model.sentence_emissions(sentences)):
-        labels = model.decode(tokens, o)
+    for tokens, labels in zip(sentences, model.decode_all(sentences)):
         pred = LabeledSequence(tokens, tuple(labels), scheme=model_scheme)
         predictions.append(convert_scheme(pred, scheme, warn=False))
     metrics = span_f1(

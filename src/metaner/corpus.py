@@ -114,8 +114,17 @@ class Corpus:
         )
 
 
-def read_conll(path: str | Path, scheme: str = "BIOES") -> Corpus:
-    """Parse a two-column CoNLL file into a corpus in the declared scheme."""
+def scheme_of(labels: Iterable[str]) -> str:
+    """BIOES if any E-/S- label appears, else BIO."""
+    return "BIOES" if any(lab[:2] in ("E-", "S-") for lab in labels) else "BIO"
+
+
+def read_conll(path: str | Path, scheme: str | None = "BIOES") -> Corpus:
+    """Parse a two-column CoNLL file into a corpus in the declared scheme.
+
+    With `scheme=None` the scheme is `scheme_of` the labels in the file's
+    last column, read from the same lines that are then parsed.
+    """
     path = Path(path)
     examples: list[LabeledSequence] = []
     tokens: list[str] = []
@@ -131,7 +140,11 @@ def read_conll(path: str | Path, scheme: str = "BIOES") -> Corpus:
             labels.clear()
 
     with open_text(path, CorpusFormatError) as fh:
-        for lineno, raw in enumerate(fh, 1):
+        lines: Iterable[str] = fh
+        if scheme is None:
+            lines = fh.readlines()
+            scheme = scheme_of(p[-1] for p in map(str.split, lines) if len(p) >= 2)
+        for lineno, raw in enumerate(lines, 1):
             line = raw.strip()
             if not line:
                 flush()

@@ -29,15 +29,17 @@ the parameter gradients keep (see `autodiff`).
 
 Decoding builds no graph. `sentence_emissions` runs the BiLSTM recursion the
 training node uses over packed chunks of consecutive sentences, about 512 rows
-each, then computes each sentence's emissions with its own product; `decode`
-runs Viterbi on one sentence. A sentence's states are the same bits in any
-chunk, but one product over a chunk's states rounds some rows unlike the
-sentence's own product, hence the per-sentence emissions: labels and emissions
-are the same bits as decoding the sentence alone.
+each, then computes each sentence's emissions with its own product;
+`sentence_paths` runs Viterbi over each chunk's lanes at once, and `decode`
+labels one sentence. A sentence's states are the same bits in any chunk, but
+one product over a chunk's states rounds some rows unlike the sentence's own
+product, hence the per-sentence emissions: emissions and labels are those of
+decoding the sentence alone.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -334,23 +336,39 @@ class TaggerModel:
             for part in np.split(states, np.cumsum(lengths[chunk])[:-1]):
                 yield part @ w + b
 
+    def sentence_paths(self, sentences: Sequence[Sequence[str]]) -> Iterator[list[int]]:
+        """Each sentence's Viterbi label indices, in order, with no graph.
+
+        The emissions of each chunk of `sentence_emissions` go through one
+        packed `viterbi`; a sentence's path is the path of its rows alone.
+        """
+        lengths = [len(tokens) for tokens in sentences]
+        emissions = self.sentence_emissions(sentences)
+        t = self.transitions().data
+        for chunk in _chunks(lengths, _DECODE_ROWS):
+            sizes = lengths[chunk]
+            path = viterbi(np.concatenate([next(emissions) for _ in sizes]), t, sizes)
+            for end, size in zip(itertools.accumulate(sizes), sizes):
+                yield path[end - size : end]
+
     def decode(
-        self, tokens: Sequence[str], emissions: np.ndarray | None = None
+        self, tokens: Sequence[str], path: Sequence[int] | None = None
     ) -> list[str]:
         """Viterbi labels of one sentence.
 
-        `emissions` are the sentence's rows from `sentence_emissions`; None
-        computes them for this sentence alone.
+        `path` is the sentence's label indices from `sentence_paths`; None
+        decodes this sentence alone through the same pass.
         """
-        if emissions is None:
-            (emissions,) = self.sentence_emissions([tokens])
-        if emissions.shape != (len(tokens), self.num_labels):
-            raise ValueError(
-                f"emissions must be ({len(tokens)}, {self.num_labels}), "
-                f"got {emissions.shape}"
-            )
-        path = viterbi(emissions, self.transitions().data)
+        if path is None:
+            (path,) = self.sentence_paths([tokens])
+        if len(path) != len(tokens):
+            raise ValueError(f"path has {len(path)} labels for {len(tokens)} tokens")
         return [self.label_vocab[i] for i in path]
+
+    def decode_all(self, sentences: Sequence[Sequence[str]]) -> list[list[str]]:
+        """`decode` of each sentence, once each and in order, over one chunked pass."""
+        paths = self.sentence_paths(sentences)
+        return [self.decode(tokens, path) for tokens, path in zip(sentences, paths)]
 
     # --- persistence --------------------------------------------------------
 
@@ -758,20 +776,36 @@ def crf_nll(
     return LaneSum(nll.data, nll.parents, nll.vjp, log_z.per_lane - score.per_lane)
 
 
-def viterbi(o: np.ndarray, t: np.ndarray) -> list[int]:
-    """Highest-scoring label sequence; ties resolve to the lowest label index."""
+def viterbi(
+    o: np.ndarray, t: np.ndarray, lengths: Sequence[int] | None = None
+) -> list[int]:
+    """Highest-scoring label path of each packed sentence, concatenated.
+
+    `o` holds the sentences' emission rows, split by `lengths` (None: one
+    sentence). The recursion runs over all sentences at once on the `Lanes`
+    layout, one (a, L, L) add and argmax per timestep; ties resolve to the
+    lowest label index, and each path is the path of its sentence alone.
+    """
     n, num_labels = o.shape
-    start = t.shape[0] - 1
-    delta = t[start] + o[0]
-    back: list[np.ndarray] = []
-    for i in range(1, n):
-        scores = delta[:, None] + t[:num_labels]
-        best_prev = scores.argmax(axis=0)  # first (lowest) index wins ties
-        back.append(best_prev)
-        delta = scores[best_prev, np.arange(num_labels)] + o[i]
-    last = int(delta.argmax())
-    path = [last]
-    for bp in reversed(back):
-        path.append(int(bp[path[-1]]))
-    path.reverse()
-    return path
+    lanes = Lanes(lengths, n)
+    steps = lanes.steps
+    body = t[:num_labels]
+    ot = o[lanes.fw]  # emissions, time-major
+    delta = np.empty((n, num_labels))
+    delta[: steps[0][1]] = t[-1] + ot[: steps[0][1]]
+    back = np.zeros((n, num_labels), dtype=np.intp)  # best previous label per label
+    for (p, _), (s, a) in zip(steps, steps[1:]):
+        scores = delta[p : p + a, :, None] + body
+        back[s : s + a] = scores.argmax(axis=1)  # first (lowest) index wins ties
+        delta[s : s + a] = scores.max(axis=1) + ot[s : s + a]
+    final = delta[lanes.last].argmax(axis=1)  # one label per lane
+    y = np.empty_like(final)
+    rows = np.arange(len(final))
+    best = np.empty(n, dtype=np.intp)  # time-major
+    for (s, a), (_, a_next) in zip(reversed(steps), reversed(steps[1:] + [(n, 0)])):
+        y[a_next:a] = final[a_next:a]  # the lanes whose last step this is
+        best[s : s + a] = y[:a]
+        y[:a] = back[s : s + a][rows[:a], y[:a]]
+    path = np.empty(n, dtype=np.intp)
+    path[lanes.fw] = best
+    return path.tolist()

@@ -217,12 +217,10 @@ def meta_train_step(
 def evaluate(model: TaggerModel, corpus: Corpus) -> dict:
     """Span precision/recall/F1 of Viterbi decoding over a labeled corpus.
 
-    The emissions come from one chunked pass over the corpus, and each
-    sentence is decoded on its own, in corpus order.
+    Paths come from one chunked pass over the corpus, and each sentence is
+    decoded once, in corpus order.
     """
-    sentences = [ex.tokens for ex in corpus.examples]
-    emissions = model.sentence_emissions(sentences)
-    preds = [model.decode(tokens, o) for tokens, o in zip(sentences, emissions)]
+    preds = model.decode_all([ex.tokens for ex in corpus.examples])
     golds = [list(ex.labels) for ex in corpus.examples]
     return span_f1(preds, golds, scheme=corpus.scheme)
 

@@ -6,9 +6,10 @@ under test. The others are earlier, simpler versions of the program, kept
 verbatim so that the faster code replacing them can be checked against them:
 the dense weighted update, the one-sentence BiLSTM and CRF partition nodes,
 the uniform and the reweighted step with one graph and one gradient per
-example, decoding through one sentence's graph, the synonym search over the
-whole similarity matrix, and the vector file reader that called `float` on
-every value. `pick` and `tsum` are graph ops that only tests build.
+example, decoding through one sentence's graph and one sentence's Viterbi,
+the synonym search over the whole similarity matrix, and the vector file
+reader that called `float` on every value. `pick` and `tsum` are graph ops
+that only tests build.
 """
 
 from __future__ import annotations
@@ -34,7 +35,7 @@ from metaner.autodiff import (
     grad,
 )
 from metaner.optim import AdamWState, clip_global_norm
-from metaner.tagger import crf_log_partition, crf_score, viterbi
+from metaner.tagger import crf_log_partition, crf_score
 from metaner.trainer import epsilon_grad, reweight
 from metaner.vectors import read_vector_file
 
@@ -332,13 +333,33 @@ def per_sentence_uniform_step(model, aug_batch, cfg, opt_state, rng, mix_layer="
     dense_adamw_step(model.params, clip_global_norm(total, cfg.clip), opt_state)
 
 
+def sentence_viterbi(o: np.ndarray, t: np.ndarray) -> list[int]:
+    """Highest-scoring label sequence; ties resolve to the lowest label index."""
+    n, num_labels = o.shape
+    start = t.shape[0] - 1
+    delta = t[start] + o[0]
+    back: list[np.ndarray] = []
+    for i in range(1, n):
+        scores = delta[:, None] + t[:num_labels]
+        best_prev = scores.argmax(axis=0)  # first (lowest) index wins ties
+        back.append(best_prev)
+        delta = scores[best_prev, np.arange(num_labels)] + o[i]
+    last = int(delta.argmax())
+    path = [last]
+    for bp in reversed(back):
+        path.append(int(bp[path[-1]]))
+    path.reverse()
+    return path
+
+
 def sentence_decode(model, tokens) -> tuple[np.ndarray, list[str]]:
     """Emission rows and Viterbi labels of one sentence through its own graph.
 
-    This is decoding as it was before a corpus shared BiLSTM passes.
+    This is decoding as it was before a corpus shared BiLSTM passes and
+    Viterbi ran over many sentences at once.
     """
     o, t = model.forward(tokens, train=False)
-    return o.data, [model.label_vocab[i] for i in viterbi(o.data, t.data)]
+    return o.data, [model.label_vocab[i] for i in sentence_viterbi(o.data, t.data)]
 
 
 # --- graph ops only tests build ------------------------------------------------

@@ -62,6 +62,20 @@ def corpus_digest(corpus):
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def count_opens(monkeypatch, path):
+    """The `open` calls on `path` from here on, recorded as they happen."""
+    opened = []
+    real_open = open
+
+    def counting(file, *args, **kwargs):
+        if str(file) == str(path):
+            opened.append(file)
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr("builtins.open", counting)
+    return opened
+
+
 def write_config(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text, encoding="utf-8")
@@ -109,6 +123,19 @@ class TestBuildDict:
 
     def test_missing_flag_exits_one(self, capsys):
         assert main(["build-dict", "--out", "/tmp/x"]) == 1
+
+    def test_reads_the_train_file_once(self, synth_dataset, tmp_path, monkeypatch):
+        opened = count_opens(monkeypatch, synth_dataset["train"])
+        rc = main(
+            [
+                "build-dict",
+                "--train", str(synth_dataset["train"]),
+                "--vectors", str(synth_dataset["vectors"]),
+                "--out", str(tmp_path / "dicts"),
+            ]
+        )
+        assert rc == 0
+        assert len(opened) == 1
 
 
 class TestAugmentCommand:
@@ -308,6 +335,17 @@ class TestEvalCommand:
         gold = read_conll(synth_dataset["test"])
         labels = [list(ex.labels) for ex in gold.examples]
         assert span_f1(labels, labels, scheme="BIOES")["f1"] == 1.0
+
+    def test_reads_the_data_file_once(self, synth_dataset, trained, monkeypatch):
+        opened = count_opens(monkeypatch, synth_dataset["test"])
+        assert main(["eval", "--model", str(trained), "--data", str(synth_dataset["test"])]) == 0
+        assert len(opened) == 1
+
+    def test_bad_label_names_line_and_scheme(self, synth_dataset, trained, tmp_path, capsys):
+        bad = tmp_path / "bad.conll"
+        bad.write_text("John B-PER\nSmith I-PER\n\nParis X-LOC\n")
+        assert main(["eval", "--model", str(trained), "--data", str(bad)]) == 1
+        assert f"{bad}:4: label 'X-LOC' invalid for scheme BIO" in capsys.readouterr().err
 
     def test_missing_model_exits_one(self, synth_dataset, capsys):
         rc = main(["eval", "--model", "/nonexistent.ckpt", "--data", str(synth_dataset["test"])])

@@ -73,6 +73,16 @@ class TestReadConll:
         with pytest.raises(ValueError, match="'Q-ORG'"):
             seq("abcd", ["O", "Q-ORG", "Z-LOC", "Q-ORG"])
 
+    def test_no_scheme_takes_the_labels_scheme(self, tmp_path):
+        path = tmp_path / "toy.conll"
+        path.write_text("John B-PER\nSmith I-PER\n\nParis B-LOC\n")
+        assert read_conll(path, scheme=None).scheme == "BIO"
+        path.write_text("John B-PER\nSmith I-PER\n\nParis S-LOC\n")
+        assert read_conll(path, scheme=None).scheme == "BIOES"
+        path.write_text("John B-PER\nSmith I-PER x\n\nParis S-LOC\n")
+        with pytest.raises(CorpusFormatError, match="toy.conll:2: expected 2 columns"):
+            read_conll(path, scheme=None)
+
     def test_write_read_round_trip(self, tmp_path):
         corpus = Corpus(
             [

@@ -61,6 +61,8 @@ def test_step_has_the_parameters_the_probe_binds():
         ("tagger", "TaggerModel.decode", (None, ["tok"])),
         (*split(probes.EVALUATE), (None, None)),
         (*split(probes.CLIP), (None, 5.0)),
+        # (self, tokens, path), as `TaggerModel.decode_all` calls it
+        ("tagger", "TaggerModel.decode", (None, ["tok"], [0])),
     ],
 )
 def test_positional_calls_still_bind(module, attr, args):

@@ -17,6 +17,7 @@ from oracles import (
     sentence_bilstm,
     sentence_crf_log_partition,
     sentence_decode,
+    sentence_viterbi,
     tsum,
 )
 
@@ -336,6 +337,53 @@ class TestViterbi:
         assert viterbi(o, t) == [0, 1, 0, 1]
 
 
+class TestPackedViterbi:
+    """Packed `viterbi` against the one-sentence oracle, path for path."""
+
+    KINDS = ["ragged", "one_token", "equal", "ascending", "all_zero", "final_ties"]
+
+    @staticmethod
+    def final_ties(o, t, rng):
+        """Set o's last row so that two or more labels tie for the best path
+        score, and only there: scores are multiples of 1/256, so sums are exact."""
+        best = t[-1]  # best score of a path ending in each label, before its emission
+        for row in o[:-1]:
+            best = ((best + row)[:, None] + t[:-1]).max(axis=0)
+        tied = rng.permutation(o.shape[1])[: int(rng.integers(2, o.shape[1] + 1))]
+        o[-1] = 2.0**30 - best - 1.0
+        o[-1, tied] += 1.0
+
+    def packing(self, kind, rng):
+        num_labels = int(rng.integers(2, 6))
+        k = int(rng.integers(1, 9))
+        lengths = [int(n) for n in rng.integers(1, 12, size=k)]
+        if kind == "one_token":
+            lengths = [1] * k
+        elif kind == "equal":
+            lengths = [lengths[0]] * k
+        elif kind == "ascending":  # lanes run in the reverse of packed order
+            lengths = sorted(rng.choice(np.arange(1, 16), size=k + 1, replace=False))
+        n = sum(lengths)
+        o = rng.integers(-(2**20), 2**20, size=(n, num_labels)) / 256
+        t = rng.integers(-(2**20), 2**20, size=(num_labels + 1, num_labels)) / 256
+        if kind == "all_zero":  # every comparison is a tie
+            o[:], t[:] = 0.0, 0.0
+        if kind == "final_ties":
+            for part in split_rows(o, lengths):
+                self.final_ties(part, t, rng)
+        return o, t, lengths
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_equals_sentence_viterbi(self, kind):
+        rng = np.random.default_rng(len(kind))
+        for _ in range(40):  # 240 packings over the six kinds
+            o, t, lengths = self.packing(kind, rng)
+            want = [y for part in split_rows(o, lengths) for y in sentence_viterbi(part, t)]
+            assert viterbi(o, t, lengths) == want
+            if len(lengths) == 1:
+                assert viterbi(o, t) == want
+
+
 # --- packed sentences against per-sentence oracles --------------------------------
 
 LSTM_NAMES = [f"lstm.{d}.{w}" for d in ("fw", "bw") for w in ("Wx", "Wh", "b")]
@@ -633,7 +681,7 @@ class TestSequenceLoss:
 
 
 class TestCorpusDecode:
-    """`sentence_emissions` then `decode`, against one-sentence decode through the graph."""
+    """`sentence_emissions` and `decode_all`, against one-sentence decode through the graph."""
 
     @staticmethod
     def ragged(seed):
@@ -655,8 +703,7 @@ class TestCorpusDecode:
 
     @staticmethod
     def corpus_decode(model, sentences):
-        emissions = list(model.sentence_emissions(sentences))
-        return emissions, [model.decode(s, o) for s, o in zip(sentences, emissions)]
+        return list(model.sentence_emissions(sentences)), model.decode_all(sentences)
 
     @pytest.mark.parametrize("budget", [None, 7])
     def test_same_bits_and_labels_as_one_sentence_decode(self, budget, monkeypatch):
@@ -699,10 +746,10 @@ class TestCorpusDecode:
         chunks = tagger_mod._chunks(lengths, budget)
         assert [(c.start, c.stop) for c in chunks] == want
 
-    def test_emissions_must_match_the_sentence(self):
+    def test_path_must_match_the_sentence(self):
         model = tiny_model()
-        with pytest.raises(ValueError, match="emissions must be"):
-            model.decode(["john", "visits"], np.zeros((3, model.num_labels)))
+        with pytest.raises(ValueError, match="path has 3 labels for 2 tokens"):
+            model.decode(["john", "visits"], [0, 0, 0])
 
 
 class TestEmbeddingGradient:
