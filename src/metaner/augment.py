@@ -25,8 +25,6 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from . import autodiff as ad
-from .autodiff import Tensor
 from .corpus import Corpus, LabeledSequence, Span, extract_spans, render_labels
 from .tagger import LaneSum, Mix, TaggerModel
 from .vectors import read_vector_file
@@ -357,21 +355,6 @@ def sample_mixup_pair(
         j += 1
     lam = float(rng.beta(cfg.alpha, cfg.alpha))
     return MixedExample(corpus.examples[i], corpus.examples[j], lam, i, j)
-
-
-def mix_embeddings(e1: Tensor, e2: Tensor, lam: float, n: int) -> Tensor:
-    """Positionwise convex combination, zero-padding both inputs to n rows."""
-    if e1.data.ndim != 2 or e2.data.ndim != 2 or e1.shape[1] != e2.shape[1]:
-        raise ValueError(
-            f"mix inputs must be (n, d) with equal d, got {e1.shape} and {e2.shape}"
-        )
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError(f"lambda must be in [0, 1], got {lam}")
-    if n < max(e1.shape[0], e2.shape[0]):
-        raise ValueError("mix length shorter than an input sequence")
-    pos = np.arange(n)
-    rows = [np.where(pos < e.shape[0], pos, -1) for e in (e1, e2)]
-    return ad.mix_rows(e1, e2, *rows, np.full(n, lam), np.full(n, 1.0 - lam))
 
 
 def packed_loss(

@@ -707,32 +707,3 @@ def grad(
     if per_example:
         return ExampleGrads(factors)
     return GradientMap({name: f.collapse() for name, f in factors.items()})
-
-
-def finite_diff_check(
-    loss_fn: Callable[[], Tensor],
-    params: ParamStore,
-    h: float = 1e-5,
-) -> float:
-    """Max relative error between reverse-mode and central-difference gradients.
-
-    `loss_fn` must be deterministic given the parameters (dropout disabled or
-    its mask frozen); otherwise the result is meaningless.
-    """
-    analytic = grad(loss_fn(), params)
-    worst = 0.0
-    for name in params.names():
-        t = params[name]
-        flat = t.data.ravel()
-        a_flat = analytic[name].ravel()
-        for i in range(flat.size):
-            orig = flat[i]
-            flat[i] = orig + h
-            up = loss_fn().item()
-            flat[i] = orig - h
-            down = loss_fn().item()
-            flat[i] = orig
-            numeric = (up - down) / (2.0 * h)
-            denom = max(1.0, abs(a_flat[i]), abs(numeric))
-            worst = max(worst, abs(a_flat[i] - numeric) / denom)
-    return worst

@@ -74,10 +74,18 @@ def load_checkpoint(path: str | Path) -> tuple[dict[str, np.ndarray], dict, int]
             return fh.read(n)
 
         (blob_len,) = struct.unpack("<I", take(4))
-        header = json.loads(take(blob_len).decode("utf-8"))
+        blob = take(blob_len)
+        try:
+            header = json.loads(blob.decode("utf-8"))
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: header is not UTF-8 JSON: {exc}") from exc
+        if not isinstance(header, dict):
+            raise CheckpointError(f"{path}: header is not a JSON object")
         version = header.get("format_version")
         if version != FORMAT_VERSION:
             raise CheckpointError(f"{path}: unsupported format version {version!r}")
+        if not isinstance(header.get("config"), dict):
+            raise CheckpointError(f"{path}: header has no config block")
         (count,) = struct.unpack("<I", take(4))
         arrays: dict[str, np.ndarray] = {}
         for _ in range(count):

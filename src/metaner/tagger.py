@@ -48,7 +48,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor, _logsumexp_stable
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .corpus import Corpus, LabeledSequence
 
 _LSTM_PARAMS = [f"lstm.{d}.{name}" for d in ("fw", "bw") for name in ("Wx", "Wh", "b")]
@@ -220,23 +220,6 @@ class TaggerModel:
     def transitions(self) -> Tensor:
         return self.params["crf.T"]
 
-    def forward_from_embeddings(
-        self,
-        emb: Tensor,
-        train: bool = False,
-        rng: np.random.Generator | None = None,
-        lengths: Sequence[int] | None = None,
-    ) -> tuple[Tensor, Tensor]:
-        """Encoder and emission stages with the embedding stage bypassed."""
-        if emb.data.ndim != 2 or emb.shape[1] != self.config.emb_dim:
-            raise ValueError(
-                f"embedding input must be (n, {self.config.emb_dim}), got {emb.shape}"
-            )
-        states = self.encode_states(emb, lengths)
-        if train:
-            states = self.dropout(states, rng)
-        return self.emissions(states), self.transitions()
-
     def forward(
         self,
         tokens: Sequence[str],
@@ -248,7 +231,10 @@ class TaggerModel:
         emb = self.lookup_embeddings(tokens)
         if train:
             emb = self.dropout(emb, rng)
-        return self.forward_from_embeddings(emb, train, rng, lengths)
+        states = self.encode_states(emb, lengths)
+        if train:
+            states = self.dropout(states, rng)
+        return self.emissions(states), self.transitions()
 
     # --- losses and decoding ----------------------------------------------
 
@@ -390,9 +376,36 @@ class TaggerModel:
 
     @classmethod
     def load(cls, path: str | Path) -> "TaggerModel":
+        """The model `save` wrote; a config or arrays that do not fit raise
+        `CheckpointError` naming the file."""
         arrays, config, _ = load_checkpoint(path)
-        mc = ModelConfig(**config["model"])
+        kinds = {"model": dict, "label_vocab": list, "token_vocab": list}
+        invalid = [k for k, kind in kinds.items() if not isinstance(config.get(k), kind)]
+        if invalid:
+            raise CheckpointError(f"{path}: config has no valid {', '.join(invalid)}")
+        try:
+            mc = ModelConfig(**config["model"])
+        except (TypeError, ValueError) as exc:  # an unknown key, or a bad value
+            raise CheckpointError(f"{path}: bad model config: {exc}") from exc
         table = EmbeddingTable(config["token_vocab"], lowercase=mc.lowercase)
+        e, h, n = mc.emb_dim, mc.hidden, len(config["label_vocab"])
+        want = {
+            "embed.table": (len(table.vocab), e),
+            "crf.W": (2 * h, n), "crf.b": (n,), "crf.T": (n + 1, n),
+        }
+        for d in ("fw", "bw"):
+            want |= {f"lstm.{d}.Wx": (4 * h, e), f"lstm.{d}.Wh": (4 * h, h)}
+            want[f"lstm.{d}.b"] = (4 * h,)
+        got = {name: arr.shape for name, arr in arrays.items()}
+        bad = sorted(k for k in want.keys() | got.keys() if want.get(k) != got.get(k))
+        if bad:
+            raise CheckpointError(
+                f"{path}: arrays do not fit the model config: "
+                + ", ".join(
+                    f"{k} is {got.get(k, 'missing')}, expected {want.get(k, 'no array')}"
+                    for k in bad
+                )
+            )
         store = ParamStore()
         for name, arr in arrays.items():
             store.add(name, arr)

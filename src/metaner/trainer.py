@@ -18,22 +18,22 @@ batch's weights sum to slightly under one. With reweighting disabled the step
 degrades to the uniform 1/n average, which keeps the "with/without
 reweighting" comparison a one-flag diff.
 
-The step needs n dot products and one weighted sum, not n gradients. The
-augmented batch is one packed graph (`augment.packed_loss`: plain sentences
-and mixup pairs as prefix-active lanes, every row tagged with the example
-that owns it) and the meta batch another (`TaggerModel.batch_loss`), each
-with one backward pass. The augmented walk keeps its parameter gradients
-factored by row (`autodiff.ExampleGrads`): one contraction per weight against
-the meta gradient gives all n values <g_meta, g_i>, and the same rows scaled
-by their example's weight give sum_i w_i g_i, one `GradientMap` for clipping
-and AdamW. With reweighting disabled the augmented graph alone, scaled by
-1/n, gives the update. `epsilon_grad` is the general definition, one graph
-and one gradient per example, that the packed step is tested against.
+The step needs n dot products and one weighted sum, not n gradients.
+`epsilon_grad` computes the n values: the augmented batch is one packed graph
+(`augment.packed_loss`: plain sentences and mixup pairs as prefix-active
+lanes, every row tagged with the example that owns it) and the meta batch
+another (`TaggerModel.batch_loss`), each with one backward pass. The augmented
+walk keeps its parameter gradients factored by row (`autodiff.ExampleGrads`):
+one contraction per weight against the meta gradient gives all n values
+<g_meta, g_i>, and the same rows scaled by their example's weight give
+sum_i w_i g_i, one `GradientMap` for clipping and AdamW. With reweighting
+disabled the augmented graph alone, scaled by 1/n, gives the update. The
+acceptance gate checks `epsilon_grad` itself against the literal two-stage
+lookahead.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import logging
 import math
@@ -44,11 +44,12 @@ from typing import Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import GradientMap, NumericError, Tensor, _sigmoid_stable, grad
+from .autodiff import ExampleGrads, NumericError, Tensor, _sigmoid_stable, grad
 from .augment import MixedExample, PseudoExample, Substituted, mixup_loss, packed_loss
 from .corpus import Corpus, LabeledSequence, span_f1
 from .optim import AdamWState, adamw_step, clip_global_norm
-from .tagger import TaggerModel
+from .tagger import LaneSum, TaggerModel
+from .textio import open_text
 
 logger = logging.getLogger(__name__)
 
@@ -110,49 +111,46 @@ class TrainExample:
 
 
 @dataclass
-class EpsilonGrad:
-    """d(meta loss)/d(example weight) at the zero point, one scalar per example."""
-
-    values: np.ndarray
-    example_grads: list[GradientMap]
-
-
-@dataclass
 class WeightVector:
     w: np.ndarray  # normalized weights, sum slightly under 1
     w_hat: np.ndarray  # raw sigmoid outputs before normalization
 
 
 def epsilon_grad(
-    params: ad.ParamStore,
-    aug_losses: Sequence[Tensor],
-    meta_losses: Sequence[Tensor],
+    model: TaggerModel,
+    aug_batch: Sequence[TrainExample],
+    meta_batch: Sequence[LabeledSequence],
     beta: float,
-) -> EpsilonGrad:
+    mix_layer: str,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, ExampleGrads, LaneSum]:
     """Closed-form weight gradients from one lookahead step.
 
     The lookahead parameters are Theta - beta * sum_i eps_i g_i, linear in
     eps, so the chain rule collapses to -beta times the dot product of each
-    example gradient with the meta-batch gradient. Gradients are evaluated
-    once at the current parameters and reused by the caller for the weighted
-    update.
+    example gradient with the meta-batch gradient. Returns the n values, the
+    factored example gradients, which the caller weights for the update, and
+    the augmented batch's packed loss.
     """
-    if not aug_losses or not meta_losses:
-        raise ValueError("epsilon_grad needs nonempty loss batches")
-    example_grads = [grad(loss, params) for loss in aug_losses]
-    meta_total = functools.reduce(ad.add, meta_losses)
-    meta_grad = grad(ad.scale(meta_total, 1.0 / len(meta_losses)), params)
-    if not meta_grad.all_finite() or not all(g.all_finite() for g in example_grads):
+    if not aug_batch or not meta_batch:
+        raise ValueError("epsilon_grad needs nonempty batches")
+    losses = packed_loss(model, [item.payload for item in aug_batch], mix_layer, True, rng)
+    meta_loss = ad.scale(
+        model.batch_loss(meta_batch, train=True, rng=rng), 1.0 / len(meta_batch)
+    )
+    example_grads = grad(losses, model.params, per_example=True)
+    meta_grad = grad(meta_loss, model.params)
+    if not meta_grad.all_finite() or not example_grads.all_finite():
         raise NumericError("non-finite gradients in lookahead step")
-    values = np.array([-beta * meta_grad.dot(g) for g in example_grads])
-    return EpsilonGrad(values, example_grads)
+    eps = -beta * example_grads.dots(meta_grad, len(aug_batch))
+    return eps, example_grads, losses
 
 
-def reweight(eg: EpsilonGrad, delta: float = 1e-8) -> WeightVector:
+def reweight(values: np.ndarray, delta: float = 1e-8) -> WeightVector:
     """Map weight gradients to normalized example weights."""
     if delta <= 0:
         raise ValueError(f"delta must be > 0, got {delta}")
-    w_hat = _sigmoid_stable(-eg.values)
+    w_hat = _sigmoid_stable(-values)
     w = w_hat / (w_hat.sum() + delta)
     return WeightVector(w, w_hat)
 
@@ -185,23 +183,18 @@ def meta_train_step(
     """One outer-optimizer step; returns the batch weights and weighted loss."""
     if not aug_batch or not meta_batch:
         raise ValueError("batches must be nonempty")
-    n = len(aug_batch)
-    losses = packed_loss(model, [item.payload for item in aug_batch], mix_layer, True, rng)
     if cfg.meta_reweight:
-        meta_loss = ad.scale(
-            model.batch_loss(meta_batch, train=True, rng=rng), 1.0 / len(meta_batch)
+        eps, example_grads, losses = epsilon_grad(
+            model, aug_batch, meta_batch, cfg.inner_lr, mix_layer, rng
         )
-        example_grads = grad(losses, model.params, per_example=True)
-        meta_grad = grad(meta_loss, model.params)
-        if not meta_grad.all_finite() or not example_grads.all_finite():
-            raise NumericError("non-finite gradients in lookahead step")
-        eps = -cfg.inner_lr * example_grads.dots(meta_grad, n)
-        weights = reweight(EpsilonGrad(eps, []), cfg.delta)
+        weights = reweight(eps, cfg.delta)
         if np.all(weights.w == 0.0):
             logger.warning("all example weights are zero; taking a no-op step")
         total = example_grads.weighted(weights.w)
         loss_value = float(np.dot(weights.w, losses.per_lane))
     else:
+        n = len(aug_batch)
+        losses = packed_loss(model, [item.payload for item in aug_batch], mix_layer, True, rng)
         loss = ad.scale(losses, 1.0 / n)
         weights = _uniform_weights(n)
         total = grad(loss, model.params)
@@ -365,12 +358,19 @@ def write_weight_rows(
 
 
 def read_weight_rows(path: str | Path) -> list[tuple[int, str, str, float]]:
+    """Rows of a `write_weight_rows` dump; a bad row raises naming its line."""
     rows = []
-    with open(path, encoding="utf-8") as fh:
+    with open_text(path, ValueError) as fh:
         header = fh.readline()
         if header.strip() != "step\texample_id\tprovenance\tweight":
-            raise ValueError(f"{path} is not a weight dump")
-        for line in fh:
-            step, ident, provenance, w = line.rstrip("\n").split("\t")
-            rows.append((int(step), ident, provenance, float(w)))
+            raise ValueError(f"{path}:1: not a weight dump header")
+        for lineno, line in enumerate(fh, 2):
+            fields = line.rstrip("\n").split("\t")
+            if len(fields) != 4:
+                raise ValueError(f"{path}:{lineno}: expected 4 columns, got {len(fields)}")
+            step, ident, provenance, w = fields
+            try:
+                rows.append((int(step), ident, provenance, float(w)))
+            except ValueError as exc:
+                raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return rows

@@ -6,24 +6,27 @@ under test. The others are earlier, simpler versions of the program, kept
 verbatim so that the faster code replacing them can be checked against them:
 the dense weighted update, the one-sentence BiLSTM and CRF partition nodes,
 the uniform and the reweighted step with one graph and one gradient per
-example, decoding through one sentence's graph and one sentence's Viterbi,
-the synonym search over the whole similarity matrix, and the vector file
-reader that called `float` on every value. `pick` and `tsum` are graph ops
-that only tests build.
+example (and the lookahead values they take), decoding through one
+sentence's graph and one sentence's Viterbi, the synonym search over the
+whole similarity matrix, and the vector file reader that called `float` on
+every value. `finite_diff_check` compares the engine's gradients with
+central differences. `pick`, `tsum` and `mix_embeddings` are graph ops that
+only tests build.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import logging
 import math
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from pathlib import Path
 
 import numpy as np
 
 from metaner import autodiff as ad
-from metaner.augment import MixedExample, SynonymDict, mix_embeddings
+from metaner.augment import MixedExample, SynonymDict
 from metaner.autodiff import (
     GradientMap,
     NumericError,
@@ -36,7 +39,7 @@ from metaner.autodiff import (
 )
 from metaner.optim import AdamWState, clip_global_norm
 from metaner.tagger import crf_log_partition, crf_score
-from metaner.trainer import epsilon_grad, reweight
+from metaner.trainer import reweight
 from metaner.vectors import read_vector_file
 
 logger = logging.getLogger(__name__)
@@ -93,6 +96,35 @@ def numeric_gradient(fn, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
 def rel_err(analytic: np.ndarray, numeric: np.ndarray) -> float:
     denom = np.maximum(1.0, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def finite_diff_check(
+    loss_fn: Callable[[], Tensor],
+    params: ParamStore,
+    h: float = 1e-5,
+) -> float:
+    """Max relative error between reverse-mode and central-difference gradients.
+
+    `loss_fn` must be deterministic given the parameters (dropout disabled or
+    its mask frozen); otherwise the result is meaningless.
+    """
+    analytic = grad(loss_fn(), params)
+    worst = 0.0
+    for name in params.names():
+        t = params[name]
+        flat = t.data.ravel()
+        a_flat = analytic[name].ravel()
+        for i in range(flat.size):
+            orig = flat[i]
+            flat[i] = orig + h
+            up = loss_fn().item()
+            flat[i] = orig - h
+            down = loss_fn().item()
+            flat[i] = orig
+            numeric = (up - down) / (2.0 * h)
+            denom = max(1.0, abs(a_flat[i]), abs(numeric))
+            worst = max(worst, abs(a_flat[i] - numeric) / denom)
+    return worst
 
 
 # --- dense weighted update ---------------------------------------------------------
@@ -301,6 +333,30 @@ def example_loss(model, item, mix_layer="embedding", train=True, rng=None):
     return model.sequence_loss(item.payload, train, rng)
 
 
+def per_example_epsilon_grad(
+    params: ParamStore,
+    aug_losses: Sequence[Tensor],
+    meta_losses: Sequence[Tensor],
+    beta: float,
+) -> tuple[np.ndarray, list[GradientMap]]:
+    """Closed-form weight gradients from one lookahead step, one `grad` per loss.
+
+    The lookahead parameters are Theta - beta * sum_i eps_i g_i, linear in
+    eps, so the chain rule collapses to -beta times the dot product of each
+    example gradient with the meta-batch gradient. Returns the values and
+    the example gradients, which the caller reuses for the weighted update.
+    """
+    if not aug_losses or not meta_losses:
+        raise ValueError("epsilon_grad needs nonempty loss batches")
+    example_grads = [grad(loss, params) for loss in aug_losses]
+    meta_total = functools.reduce(ad.add, meta_losses)
+    meta_grad = grad(ad.scale(meta_total, 1.0 / len(meta_losses)), params)
+    if not meta_grad.all_finite() or not all(g.all_finite() for g in example_grads):
+        raise NumericError("non-finite gradients in lookahead step")
+    values = np.array([-beta * meta_grad.dot(g) for g in example_grads])
+    return values, example_grads
+
+
 def per_example_reweighted_step(
     model, aug_batch, meta_batch, cfg, opt_state, rng, mix_layer="embedding"
 ):
@@ -312,12 +368,14 @@ def per_example_reweighted_step(
     meta_loss = ad.scale(
         model.batch_loss(meta_batch, train=True, rng=rng), 1.0 / len(meta_batch)
     )
-    eg = epsilon_grad(model.params, losses, [meta_loss], cfg.inner_lr)
-    weights = reweight(eg, cfg.delta)
-    total = dense_combine(eg.example_grads, weights.w)
+    values, example_grads = per_example_epsilon_grad(
+        model.params, losses, [meta_loss], cfg.inner_lr
+    )
+    weights = reweight(values, cfg.delta)
+    total = dense_combine(example_grads, weights.w)
     loss_value = float(np.dot(weights.w, [loss.data for loss in losses]))
     dense_adamw_step(model.params, clip_global_norm(total, cfg.clip), opt_state)
-    return eg, weights, loss_value
+    return values, weights, loss_value
 
 
 def per_sentence_uniform_step(model, aug_batch, cfg, opt_state, rng, mix_layer="embedding"):
@@ -385,6 +443,21 @@ def tsum(a: Tensor) -> Tensor:
         return (np.broadcast_to(g, a.data.shape).copy(),)
 
     return Tensor(out, (a,), vjp)
+
+
+def mix_embeddings(e1: Tensor, e2: Tensor, lam: float, n: int) -> Tensor:
+    """Positionwise convex combination, zero-padding both inputs to n rows."""
+    if e1.data.ndim != 2 or e2.data.ndim != 2 or e1.shape[1] != e2.shape[1]:
+        raise ValueError(
+            f"mix inputs must be (n, d) with equal d, got {e1.shape} and {e2.shape}"
+        )
+    if not 0.0 <= lam <= 1.0:
+        raise ValueError(f"lambda must be in [0, 1], got {lam}")
+    if n < max(e1.shape[0], e2.shape[0]):
+        raise ValueError("mix length shorter than an input sequence")
+    pos = np.arange(n)
+    rows = [np.where(pos < e.shape[0], pos, -1) for e in (e1, e2)]
+    return ad.mix_rows(e1, e2, *rows, np.full(n, lam), np.full(n, 1.0 - lam))
 
 
 # --- the exhaustive synonym search ------------------------------------------------

@@ -26,7 +26,6 @@ from metaner.augment import (
     build_entity_dict,
     build_synonym_dict,
     generate_augmented_set,
-    mix_embeddings,
     mixup_loss,
     sample_mixup_pair,
     token_substitute,
@@ -48,7 +47,7 @@ from metaner.tagger import (
     crf_nll,
     viterbi,
 )
-from metaner.trainer import EpsilonGrad, TrainerConfig, epsilon_grad, reweight, train
+from metaner.trainer import TrainerConfig, TrainExample, epsilon_grad, reweight, train
 
 REPO_ROOT = Path(__file__).resolve().parents[1]
 
@@ -148,7 +147,7 @@ class TestGradientSoundness:
             labels = [int(rng.integers(num_labels)) for _ in range(n)]
             worst = max(
                 worst,
-                ad.finite_diff_check(
+                oracles.finite_diff_check(
                     lambda: crf_nll(store["o"], store["t"], labels), store
                 ),
             )
@@ -162,7 +161,7 @@ class TestGradientSoundness:
             ex = corpus.examples[k % len(corpus)]
             worst = max(
                 worst,
-                ad.finite_diff_check(
+                oracles.finite_diff_check(
                     lambda: model.sequence_loss(
                         ex, train=True, rng=np.random.default_rng(99)
                     ),
@@ -181,7 +180,7 @@ class TestGradientSoundness:
             layer = "embedding" if k % 2 == 0 else "encoder"
             worst = max(
                 worst,
-                ad.finite_diff_check(
+                oracles.finite_diff_check(
                     lambda: mixup_loss(
                         model, mx, layer, train=True, rng=np.random.default_rng(7)
                     ),
@@ -219,8 +218,8 @@ class TestMixupIdentity:
 
             e1 = model.lookup_embeddings(mx.first.tokens)
             e2 = model.lookup_embeddings(mx.second.tokens)
-            mixed = mix_embeddings(e1, e2, mx.lam, mx.length)
-            o, t = model.forward_from_embeddings(mixed)
+            mixed = oracles.mix_embeddings(e1, e2, mx.lam, mx.length)
+            o, t = model.emissions(model.encode_states(mixed)), model.transitions()
             combo = mx.lam * crf_nll(o, t, y1).item() + (1 - mx.lam) * crf_nll(
                 o, t, y2
             ).item()
@@ -228,7 +227,7 @@ class TestMixupIdentity:
 
             s1 = model.encode_states(e1)
             s2 = model.encode_states(e2)
-            mixed_states = mix_embeddings(s1, s2, mx.lam, mx.length)
+            mixed_states = oracles.mix_embeddings(s1, s2, mx.lam, mx.length)
             o_enc = model.emissions(mixed_states)
             t_enc = model.transitions()
             combo_enc = mx.lam * crf_nll(o_enc, t_enc, y1).item() + (
@@ -279,14 +278,24 @@ def two_stage_fd(model, loss_builders, meta_examples, beta, i, h=1e-5):
 
 
 class TestMetaGradient:
+    """`epsilon_grad`, which the reweighted step calls, against the literal lookahead.
+
+    Each batch mixes plain sentences with mixup pairs, mixed at the embedding
+    layer in even configurations and at the encoder layer in odd ones. The
+    models have dropout off, so the training-mode graphs `epsilon_grad` builds
+    are the ones the finite difference measures, and each g_i it steps along
+    comes from the oracle's one graph per example.
+    """
+
     def test_closed_form_matches_two_stage_execution(self, capsys):
         worst = 0.0
         n_configs = 0
+        pairs = {"embedding": 0, "encoder": 0}
         for k in range(20):
             rng = np.random.default_rng(200 + k)
             corpus = tiny_corpus(seed=60 + k, n_sentences=6)
             model = TaggerModel.build(
-                corpus, ModelConfig(emb_dim=4, hidden=3), seed=100 + k
+                corpus, ModelConfig(emb_dim=4, hidden=3, dropout=0.0), seed=100 + k
             )
             n_aug = int(rng.integers(2, 5))
             n_meta = int(rng.integers(1, 4))
@@ -297,30 +306,42 @@ class TestMetaGradient:
                 corpus.examples[int(rng.integers(len(corpus)))] for _ in range(n_meta)
             ]
             beta = float(10 ** rng.uniform(-2, 0))
-            aug_losses = [model.sequence_loss(ex) for ex in aug_exs]
-            meta_losses = [model.sequence_loss(ex) for ex in meta_exs]
-            eg = epsilon_grad(model.params, aug_losses, meta_losses, beta)
-            builders = [lambda ex=ex: model.sequence_loss(ex) for ex in aug_exs]
-            for i in range(n_aug):
+            mix_layer = ("embedding", "encoder")[k % 2]
+            batch = [TrainExample(ex, "clean", f"clean-{j}") for j, ex in enumerate(aug_exs)]
+            for j in range(int(rng.integers(1, 3))):
+                first, second = rng.choice(len(corpus), size=2, replace=False)
+                mx = MixedExample(
+                    corpus.examples[first], corpus.examples[second], float(rng.uniform())
+                )
+                at = int(rng.integers(len(batch) + 1))
+                batch.insert(at, TrainExample(mx, "mixup", f"mixup-{j}"))
+                pairs[mix_layer] += 1
+            eps, _, _ = epsilon_grad(model, batch, meta_exs, beta, mix_layer, rng)
+            builders = [
+                lambda item=item: oracles.example_loss(model, item, mix_layer) for item in batch
+            ]
+            for i in range(len(batch)):
                 fd = two_stage_fd(model, builders, meta_exs, beta, i)
-                worst = max(worst, rel_scalar(float(eg.values[i]), fd))
+                worst = max(worst, rel_scalar(float(eps[i]), fd))
             n_configs += 1
 
-            w = reweight(eg, delta=1e-8)
-            sigma = 1.0 / (1.0 + np.exp(eg.values))
+            w = reweight(eps, delta=1e-8)
+            sigma = 1.0 / (1.0 + np.exp(eps))
             assert np.max(np.abs(w.w_hat - sigma)) <= 1e-15
             expected_sum = w.w_hat.sum() / (w.w_hat.sum() + 1e-8)
             assert abs(w.w.sum() - expected_sum) <= 1e-14
 
-        hand = reweight(EpsilonGrad(np.array([-math.log(3), math.log(3)]), []))
+        hand = reweight(np.array([-math.log(3), math.log(3)]))
         hand_ok = np.max(np.abs(hand.w_hat - np.array([0.75, 0.25]))) <= 1e-12
 
-        ok = worst <= 1e-4 and n_configs >= 20 and hand_ok
+        ok = worst <= 1e-4 and n_configs >= 20 and min(pairs.values()) > 0 and hand_ok
         verdict(
             capsys,
             "meta-gradient correctness",
             ok,
-            f"max rel err {worst:.2e} (tol 1e-4) over {n_configs} configurations; "
+            f"max rel err {worst:.2e} (tol 1e-4) over {n_configs} configurations "
+            f"({pairs['embedding']} embedding-mixup and {pairs['encoder']} "
+            f"encoder-mixup pairs); "
             f"sigmoid/normalization identities at machine precision; "
             f"hand case (0.75, 0.25) ok={hand_ok}",
         )

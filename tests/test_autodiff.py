@@ -14,11 +14,10 @@ from metaner.autodiff import (
     Tensor,
     combine,
     constant,
-    finite_diff_check,
     grad,
 )
 
-from oracles import numeric_gradient, pick, rel_err, tsum
+from oracles import finite_diff_check, numeric_gradient, pick, rel_err, tsum
 
 
 def square(t: Tensor) -> Tensor:

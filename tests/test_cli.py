@@ -3,13 +3,16 @@
 import hashlib
 import json
 import shutil
+import struct
 import sys
 
+import numpy as np
 import pytest
 
 from oracles import sentence_decode
 
 from metaner.augment import EntityDict, SynonymDict
+from metaner.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from metaner.cli import _load_training_corpus, main
 from metaner.config import RunConfig
 from metaner.corpus import convert_scheme, read_conll, span_f1, write_conll
@@ -54,6 +57,30 @@ EVAL_SHA256 = {
 # synthetic train split (tokens, labels, label and token vocabularies), as
 # built when every sentence was converted to BIOES.
 TRAIN_CORPUS_SHA256 = "5ffb1084d7d160c68042c07abfd236c6d88ba65099eb016891f467f8988c186e"
+
+
+# sha256 of `train`'s artifacts for three seed-1 runs on the seed-0 synthetic
+# dataset: the `trained` fixture (method=baseline, reweighting on), and
+# method=both with the embedding-layer (`run_dir`) and the encoder-layer
+# (`encoder_run_dir`) mix, as written when the reweighted step computed its
+# lookahead weights inline.
+TRAIN_SHA256 = {
+    "trained": {
+        "history.jsonl": "52223b4203eea6e07b6f3395cf9d62b83b1dee27cd0430a55e55bdbdd41c1371",
+        "weights.tsv": "10687bba1a5eeeb2bcd8de5979b1a1686e402bec828113d2d60bd1484a750236",
+        "model.ckpt": "bcd27f938ada4c8fbb228922562b5701d1cab595c32bd7bbcf700f518c969222",
+    },
+    "run_dir": {
+        "history.jsonl": "2d0668d37372cc4b52399e377a92bb73509d730b7c2e4938cf5abd48cb836429",
+        "weights.tsv": "2fff3779f01be6441ca374934d12ea406d0649441b46bf35dac7b361e7e33081",
+        "model.ckpt": "20ed26fc9ea6058bdfab447882098efbfa77d57ef4b428bf31ecac291d3ed3c0",
+    },
+    "encoder_run_dir": {
+        "history.jsonl": "79c89b99924661cdf762e45149ad6b89ac8535febc2b8e49d12f4d1e96c34283",
+        "weights.tsv": "42592fac6db14d97c1b3ceb8b7aa281eacae6d932c22c36f165a48925dcc3eea",
+        "model.ckpt": "f5fe84be32790ccb99223ab6922fe430556c978e2a088cdc6a6008108b2d269c",
+    },
+}
 
 
 def corpus_digest(corpus):
@@ -291,6 +318,27 @@ def run_dir(synth_dataset, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def encoder_run_dir(synth_dataset, tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("encoder-mix")
+    out = tmp / "run"
+    text = base_config(
+        synth_dataset, out, method="both", times=1, p_sub=0.5, mix_layer="encoder"
+    )
+    assert main(["train", "--config", str(write_config(tmp, text))]) == 0
+    return out
+
+
+class TestTrainingBytes:
+    @pytest.mark.parametrize("fixture", sorted(TRAIN_SHA256))
+    def test_artifacts_are_pinned(self, request, fixture):
+        out = request.getfixturevalue(fixture)
+        if out.is_file():  # `trained` is the checkpoint
+            out = out.parent
+        for name, digest in TRAIN_SHA256[fixture].items():
+            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
 class TestEvalCommand:
     def test_writes_predictions_and_metrics(
         self, synth_dataset, trained, capsys, tmp_path, monkeypatch
@@ -347,6 +395,46 @@ class TestEvalCommand:
         assert main(["eval", "--model", str(trained), "--data", str(bad)]) == 1
         assert f"{bad}:4: label 'X-LOC' invalid for scheme BIO" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "case, message",
+        [
+            ("header-not-json", "header is not UTF-8 JSON"),
+            ("no-config", "header has no config block"),
+            ("no-token-vocab", "config has no valid token_vocab"),
+            ("model-not-object", "config has no valid model"),
+            ("unknown-model-key", "unexpected keyword argument 'depth'"),
+            ("missing-array", "crf.T is missing, expected (11, 10)"),
+            ("bad-shape", "crf.b is (3,), expected (10,)"),
+        ],
+    )
+    def test_malformed_checkpoint_exits_one_naming_file(
+        self, synth_dataset, trained, tmp_path, capsys, case, message
+    ):
+        arrays, config, version = load_checkpoint(trained)
+        header = None
+        if case == "header-not-json":
+            header = b"{nope"
+        elif case == "no-config":
+            header = json.dumps({"format_version": version}).encode()
+        elif case == "no-token-vocab":
+            del config["token_vocab"]
+        elif case == "model-not-object":
+            config["model"] = 3
+        elif case == "unknown-model-key":
+            config["model"]["depth"] = 2
+        elif case == "missing-array":
+            del arrays["crf.T"]
+        elif case == "bad-shape":
+            arrays["crf.b"] = np.zeros(3)
+        bad = tmp_path / "bad.ckpt"
+        if header is None:
+            save_checkpoint(bad, arrays, config)
+        else:
+            bad.write_bytes(MAGIC + struct.pack("<I", len(header)) + header + struct.pack("<I", 0))
+        assert main(["eval", "--model", str(bad), "--data", str(synth_dataset["test"])]) == 1
+        err = capsys.readouterr().err
+        assert f"{bad}: " in err and message in err
+
     def test_missing_model_exits_one(self, synth_dataset, capsys):
         rc = main(["eval", "--model", "/nonexistent.ckpt", "--data", str(synth_dataset["test"])])
         assert rc == 1
@@ -369,6 +457,23 @@ class TestInspectWeights:
     def test_missing_weights_exits_one(self, tmp_path, capsys):
         assert main(["inspect-weights", "--run", str(tmp_path)]) == 1
         assert "weights.tsv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row, message",
+        [
+            ("2\tclean-0\tclean", "expected 4 columns, got 3"),
+            ("2\tclean-0\tclean\tabc", "could not convert string to float: 'abc'"),
+            ("two\tclean-0\tclean\t0.5", "invalid literal for int()"),
+        ],
+        ids=["three-columns", "bad-weight", "bad-step"],
+    )
+    def test_bad_row_names_file_and_line(self, run_dir, tmp_path, capsys, row, message):
+        lines = (run_dir / "weights.tsv").read_text().split("\n")
+        lines[2] = row
+        (tmp_path / "weights.tsv").write_text("\n".join(lines))
+        assert main(["inspect-weights", "--run", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert f"{tmp_path / 'weights.tsv'}:3: {message}" in err
 
 
 class TestExitCodes:
@@ -484,6 +589,11 @@ class TestNotUtf8:
         self.corrupt_line_3(cfg, cfg)
         assert main(["train", "--config", str(cfg)]) == 1
         assert f"{cfg}:3: not UTF-8" in capsys.readouterr().err
+
+    def test_weights_file(self, run_dir, tmp_path, capsys):
+        bad = self.corrupt_line_3(run_dir / "weights.tsv", tmp_path / "weights.tsv")
+        assert main(["inspect-weights", "--run", str(tmp_path)]) == 1
+        assert f"{bad}:3: not UTF-8" in capsys.readouterr().err
 
     def test_eval_data_file(self, synth_dataset, trained, tmp_path, capsys):
         bad = self.corrupt_line_3(synth_dataset["test"], tmp_path / "bad.conll")

@@ -12,6 +12,7 @@ from oracles import (
     brute_nll,
     brute_score,
     brute_viterbi_score,
+    finite_diff_check,
     numeric_gradient,
     rel_err,
     sentence_bilstm,
@@ -24,7 +25,7 @@ from oracles import (
 from metaner import autodiff as ad
 from metaner import tagger as tagger_mod
 from metaner.augment import MixedExample, mixup_loss
-from metaner.autodiff import RowGrad, finite_diff_check, grad
+from metaner.autodiff import RowGrad, grad
 from metaner.corpus import Corpus, LabeledSequence
 from metaner.optim import AdamWState, adamw_step
 from metaner.tagger import (
@@ -137,19 +138,6 @@ class TestEncoder:
         o = model.emissions(states)
         expected = states.data @ model.params["crf.W"].data + model.params["crf.b"].data
         np.testing.assert_allclose(o.data, expected, rtol=1e-15)
-
-    def test_forward_from_embeddings_matches_forward(self):
-        model = tiny_model()
-        tokens = ["john", "smith", "visits", "paris"]
-        o1, t1 = model.forward(tokens)
-        o2, t2 = model.forward_from_embeddings(model.lookup_embeddings(tokens))
-        np.testing.assert_array_equal(o1.data, o2.data)
-        assert t1 is t2
-
-    def test_forward_from_embeddings_rejects_wrong_width(self):
-        model = tiny_model(emb_dim=4)
-        with pytest.raises(ValueError, match=r"\(n, 4\)"):
-            model.forward_from_embeddings(ad.constant(np.zeros((3, 5))))
 
     def test_unknown_token_maps_to_unk_row(self):
         model = tiny_model()

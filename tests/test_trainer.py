@@ -8,6 +8,8 @@ import pytest
 
 from oracles import (
     dense_adamw_step,
+    example_loss,
+    per_example_epsilon_grad,
     per_example_reweighted_step,
     per_sentence_uniform_step,
     pick,
@@ -28,7 +30,6 @@ from metaner.trainer import (
     build_pool,
     epsilon_grad,
     evaluate,
-    example_loss,
     meta_train_step,
     read_weight_rows,
     reweight,
@@ -99,65 +100,69 @@ class TestTrainerConfig:
 
 
 class TestEpsilonGrad:
+    """`epsilon_grad`, the lookahead values the reweighted step takes.
+
+    Orthogonality and antisymmetry need losses no training batch builds, so
+    they are checked on the per-example oracle the packed step is compared
+    with (`TestReweightedStep`).
+    """
+
     def test_identical_example_gives_negative_norm_squared(self):
         model = toy_model()
         ex = toy_corpus().examples[0]
         beta = 0.2
-        eg = epsilon_grad(
-            model.params,
-            [model.sequence_loss(ex)],
-            [model.sequence_loss(ex)],
-            beta,
+        eps, _, _ = epsilon_grad(
+            model, [TrainExample(ex, "clean", "clean-0")], [ex], beta, "embedding",
+            np.random.default_rng(0),
         )
         g = grad(model.sequence_loss(ex), model.params)
         want = -beta * g.global_norm() ** 2
-        assert abs(eg.values[0] - want) < 1e-12
-        assert eg.values[0] < 0
-        assert reweight(eg).w_hat[0] > 0.5
+        assert abs(eps[0] - want) <= 1e-12 * abs(want)
+        assert eps[0] < 0
+        assert reweight(eps).w_hat[0] > 0.5
 
     def test_orthogonal_gradients_give_zero(self):
         store = ad.ParamStore()
         store.add("x", np.array([1.0, 2.0]))
         aug = [pick(store["x"], 0)]
         meta = [pick(store["x"], 1)]
-        eg = epsilon_grad(store, aug, meta, beta=0.5)
-        assert eg.values[0] == 0.0
-        assert reweight(eg).w_hat[0] == 0.5
+        values, _ = per_example_epsilon_grad(store, aug, meta, beta=0.5)
+        assert values[0] == 0.0
+        assert reweight(values).w_hat[0] == 0.5
 
     def test_antisymmetric_in_example_gradient(self):
         model = toy_model()
         corpus = toy_corpus()
         loss = model.sequence_loss(corpus.examples[0])
-        eg = epsilon_grad(
+        values, _ = per_example_epsilon_grad(
             model.params,
             [loss, ad.scale(model.sequence_loss(corpus.examples[0]), -1.0)],
             [model.sequence_loss(corpus.examples[1])],
             beta=0.3,
         )
-        assert abs(eg.values[0] + eg.values[1]) < 1e-15
+        assert abs(values[0] + values[1]) < 1e-15
 
     def test_matches_two_stage_finite_differences(self):
         corpus = toy_corpus()
-        for seed in range(3):
+        mx = MixedExample(corpus.examples[0], corpus.examples[1], lam=0.35)
+        batch = [
+            TrainExample(corpus.examples[2], "clean", "clean-2"),
+            TrainExample(mx, "mixup", "mixup-0"),
+        ]
+        meta_examples = [corpus.examples[1], corpus.examples[3]]
+        beta = 0.25
+        for seed, mix_layer in enumerate(["embedding", "encoder", "embedding"]):
             model = toy_model(seed=seed)
-            mx = MixedExample(corpus.examples[0], corpus.examples[1], lam=0.35)
-            builders = [
-                lambda: model.sequence_loss(corpus.examples[2]),
-                lambda: example_loss(
-                    model, TrainExample(mx, "mixup", "mixup-0"), train=False
-                ),
-            ]
-            meta_examples = [corpus.examples[1], corpus.examples[3]]
-            beta = 0.25
-            eg = epsilon_grad(
-                model.params,
-                [b() for b in builders],
-                [model.sequence_loss(ex) for ex in meta_examples],
-                beta,
+            eps, _, _ = epsilon_grad(
+                model, batch, meta_examples, beta, mix_layer, np.random.default_rng(0)
             )
+            builders = [
+                lambda item=item: example_loss(model, item, mix_layer, train=False)
+                for item in batch
+            ]
             for i in range(2):
                 fd = two_stage_fd(model, builders, meta_examples, beta, i)
-                assert rel_err(np.array(eg.values[i]), np.array(fd)) < 1e-4
+                assert rel_err(np.array(eps[i]), np.array(fd)) < 1e-4, mix_layer
 
     def test_peak_memory_does_not_grow_with_vocabulary(self):
         example, meta_example = toy_corpus().examples[:2]
@@ -166,11 +171,12 @@ class TestEpsilonGrad:
             filler = [seq([f"w{i}"], ["O"]) for i in range(extra_words)]
             corpus = Corpus(toy_corpus().examples + filler)
             model = TaggerModel.build(corpus, ModelConfig(emb_dim=4, hidden=3), seed=0)
-            losses = [model.sequence_loss(example)]
-            meta_losses = [model.sequence_loss(meta_example)]
+            batch = [TrainExample(example, "clean", "clean-0")]
             tracemalloc.start()
             try:
-                epsilon_grad(model.params, losses, meta_losses, beta=0.1)
+                epsilon_grad(
+                    model, batch, [meta_example], 0.1, "embedding", np.random.default_rng(0)
+                )
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
@@ -183,16 +189,17 @@ class TestEpsilonGrad:
 
     def test_empty_batches_rejected(self):
         model = toy_model()
-        loss = model.sequence_loss(toy_corpus().examples[0])
+        ex = toy_corpus().examples[0]
+        rng = np.random.default_rng(0)
         with pytest.raises(ValueError):
-            epsilon_grad(model.params, [], [loss], 0.1)
+            epsilon_grad(model, [], [ex], 0.1, "embedding", rng)
         with pytest.raises(ValueError):
-            epsilon_grad(model.params, [loss], [], 0.1)
+            epsilon_grad(model, [TrainExample(ex, "clean", "clean-0")], [], 0.1, "embedding", rng)
 
 
 class TestReweight:
     def eg(self, values):
-        return trainer_mod.EpsilonGrad(np.asarray(values, dtype=float), [])
+        return np.asarray(values, dtype=float)
 
     def test_zero_gradients_give_uniform_half(self):
         n = 4
@@ -289,6 +296,24 @@ class TestMetaTrainStep:
         a, b = run(), run()
         for name in a:
             np.testing.assert_array_equal(a[name], b[name])
+
+    def test_calls_epsilon_grad_once_when_reweighting(self, monkeypatch):
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return epsilon_grad(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "epsilon_grad", counting)
+        corpus = toy_corpus()
+        aug, meta = self.batch(toy_model(), corpus)
+        for meta_reweight, want in ((True, 1), (False, 0)):
+            calls.clear()
+            meta_train_step(
+                toy_model(), aug, meta, TrainerConfig(meta_reweight=meta_reweight),
+                AdamWState(), np.random.default_rng(0),
+            )
+            assert len(calls) == want, meta_reweight
 
     def test_empty_batch_rejected(self):
         model = toy_model()
@@ -490,9 +515,9 @@ class TestReweightedStep:
         sample_rng, dropout_rng = np.random.default_rng(1), np.random.default_rng(2)
         eps, ws, losses = [], [], []
 
-        def recording_reweight(eg, delta):
-            eps.append(eg.values)
-            return reweight(eg, delta)
+        def recording_reweight(values, delta):
+            eps.append(values)
+            return reweight(values, delta)
 
         monkeypatch.setattr(trainer_mod, "reweight", recording_reweight)
         for _ in range(steps):
@@ -503,10 +528,10 @@ class TestReweightedStep:
                     model, aug, meta, cfg, state, dropout_rng, mix_layer
                 )
             else:
-                eg, weights, loss = per_example_reweighted_step(
+                values, weights, loss = per_example_reweighted_step(
                     model, aug, meta, cfg, state, dropout_rng, mix_layer
                 )
-                eps.append(eg.values)
+                eps.append(values)
             ws.append(weights.w)
             losses.append(loss)
         return eps, ws, losses, model.params.snapshot(), state
