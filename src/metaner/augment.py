@@ -25,7 +25,14 @@ from typing import Iterable, Sequence, Union
 
 import numpy as np
 
-from .corpus import Corpus, LabeledSequence, Span, extract_spans, render_labels
+from .corpus import (
+    Corpus,
+    LabeledSequence,
+    Span,
+    _span_arrays,
+    extract_spans,
+    render_labels,
+)
 from .tagger import LaneSum, Mix, TaggerModel
 from .vectors import read_vector_file
 
@@ -156,20 +163,23 @@ class SynonymDict:
 
 
 def build_entity_dict(corpus: Corpus) -> EntityDict:
-    """Collect every gold mention under its entity type, first-seen order."""
-    mentions: dict[str, list[tuple[str, ...]]] = {}
-    seen: set[tuple[str, tuple[str, ...]]] = set()
-    for ex in corpus.examples:
-        for span in sorted(extract_spans(ex), key=lambda s: s.start):
-            surface = tuple(ex.tokens[span.start : span.end + 1])
-            key = (span.entity_type, surface)
-            if key in seen:
-                continue
-            seen.add(key)
-            mentions.setdefault(span.entity_type, []).append(surface)
-    if not mentions:
+    """Collect every gold mention under its entity type, first-seen order.
+
+    The spans are those `extract_spans` finds, parsed in one pass over the
+    corpus; each stray I-/E- repair is logged as `extract_spans` logs it.
+    """
+    types: dict[str, int] = {}
+    spans = _span_arrays(
+        [ex.labels for ex in corpus.examples], corpus.scheme, types, warn=True
+    )
+    names = list(types)
+    found: dict[str, dict[tuple[str, ...], None]] = {}
+    for sentence, start, end, typ in zip(*(a.tolist() for a in spans)):
+        surface = corpus.examples[sentence].tokens[start : end + 1]
+        found.setdefault(names[typ], {})[surface] = None
+    if not found:
         logger.warning("corpus has no entity spans; entity substitution disabled")
-    return EntityDict(mentions)
+    return EntityDict({etype: list(pool) for etype, pool in found.items()})
 
 
 def build_synonym_dict(

@@ -53,8 +53,16 @@ from .vectors import read_stopword_file, read_vector_file
 PROG = "metaner"
 
 
+def _read_corpus(path: str, scheme: str | None, name: str) -> Corpus:
+    """`read_conll(path)`, refusing a file with no sentences; `name` is its key or flag."""
+    corpus = read_conll(path, scheme=scheme)
+    if not len(corpus):
+        raise CorpusFormatError(f"{path}: the {name} corpus has no sentences")
+    return corpus
+
+
 def _load_training_corpus(cfg: RunConfig) -> Corpus:
-    corpus = read_conll(cfg.train, scheme=cfg.scheme).convert("BIOES")
+    corpus = _read_corpus(cfg.train, cfg.scheme, "train").convert("BIOES")
     if cfg.fraction < 1.0:
         try:
             corpus = subsample(corpus, cfg.fraction, seed=cfg.seed)
@@ -115,7 +123,7 @@ def _write_resolved(cfg: RunConfig, out_dir: Path) -> None:
 
 
 def cmd_build_dict(args) -> int:
-    corpus = read_conll(args.train, scheme=None).convert("BIOES")
+    corpus = _read_corpus(args.train, None, "--train").convert("BIOES")
     edict = build_entity_dict(corpus)
     stop = read_stopword_file(args.stopwords) if args.stopwords else set()
     sdict = build_synonym_dict(args.vectors, args.k, stop)
@@ -169,7 +177,7 @@ def cmd_train(args) -> int:
     cfg = parse_config(args.config)
     _require(cfg, "train", "train", "dev", "out")
     train_corpus = _load_training_corpus(cfg)
-    dev_corpus = read_conll(cfg.dev, scheme=cfg.scheme).convert("BIOES")
+    dev_corpus = _read_corpus(cfg.dev, cfg.scheme, "dev").convert("BIOES")
     vectors = read_vector_file(cfg.vectors) if cfg.vectors else None
     if vectors is not None:
         _check_vector_width(cfg, vectors)
@@ -207,7 +215,7 @@ def cmd_train(args) -> int:
         "dev": evaluate(result.model, dev_corpus),
     }
     if cfg.test:
-        test_corpus = read_conll(cfg.test, scheme=cfg.scheme).convert("BIOES")
+        test_corpus = _read_corpus(cfg.test, cfg.scheme, "test").convert("BIOES")
         summary["test"] = evaluate(result.model, test_corpus)
     (out / "summary.json").write_text(
         json.dumps(summary, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -221,7 +229,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     model = TaggerModel.load(args.model)
-    corpus = read_conll(args.data, scheme=None)
+    corpus = _read_corpus(args.data, None, "--data")
     scheme = corpus.scheme
     model_scheme = scheme_of(model.label_vocab)
     sentences = [ex.tokens for ex in corpus.examples]

@@ -4,12 +4,17 @@ Sentences are pre-tokenized; a CoNLL file has one `token label` pair per
 line (whitespace-separated) and a blank line between sentences. All corpus
 functions are pure; repairs of noisy label transitions are logged as
 warnings rather than rejected, since public corpora contain such noise.
+
+Spans are parsed two ways under one repair policy: `_parse_spans` walks one
+sentence (scheme conversion, token substitution), and `_span_arrays` parses
+a whole corpus in one numpy pass (span F1, the entity dictionary).
 """
 
 from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -294,8 +299,70 @@ def convert_scheme(
     )
 
 
-def labels_to_spans(labels: Sequence[str], scheme: str, warn: bool = True) -> set[Span]:
-    return set(_parse_spans(labels, scheme, warn=warn))
+def _span_arrays(
+    sequences: Sequence[Sequence[str]],
+    scheme: str,
+    types: dict[str, int],
+    warn: bool = False,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Every span of many label sequences, as `_parse_spans` would find them.
+
+    Returns (sentence, start, end, type) int64 arrays, one entry per span in
+    sentence then start order; `start` and `end` are inclusive positions in
+    the sentence, and `type` indexes `types`, which is extended with any new
+    entity type. Each distinct label is validated once. The repair policy is
+    local: position i continues the open span exactly when, in the same
+    sentence, label i is I-X or E-X and label i-1 is B-X or I-X. A span starts
+    at each non-O position that does not continue and ends where the next
+    position does not. With `warn`, each I-/E- that starts a span is logged
+    as the repair `_parse_spans` logs.
+    """
+    lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
+    flat = list(chain.from_iterable(sequences))
+    index = {label: i for i, label in enumerate(dict.fromkeys(flat))}
+    # Per distinct label: its type id (-1 for O), the type it leaves open
+    # (B-, I-) and the type it continues (I-, E-); -1 and -2 match nothing.
+    typ = np.full(len(index), -1, dtype=np.int64)
+    opens = np.full(len(index), -1, dtype=np.int64)
+    joins = np.full(len(index), -2, dtype=np.int64)
+    for label, i in index.items():
+        prefix, etype = validate_label(label, scheme)
+        if prefix != "O":
+            typ[i] = types.setdefault(etype, len(types))
+            if prefix in "BI":
+                opens[i] = typ[i]
+            if prefix in "IE":
+                joins[i] = typ[i]
+    codes = np.fromiter(map(index.__getitem__, flat), dtype=np.int64, count=len(flat))
+    offsets = np.cumsum(lengths) - lengths
+    cont = np.zeros(len(flat) + 1, dtype=bool)  # one past the end never continues
+    cont[1 : len(flat)] = joins[codes[1:]] == opens[codes[:-1]]
+    cont[offsets] = False  # a sentence's first position continues nothing
+    entity = typ[codes] >= 0
+    starts = np.flatnonzero(entity & ~cont[:-1])
+    ends = np.flatnonzero(entity & ~cont[1:])
+    sentence = np.repeat(np.arange(len(lengths)), lengths)[starts]
+    start, end = starts - offsets[sentence], ends - offsets[sentence]
+    if warn:
+        names = list(index)
+        for pos, code in zip(start.tolist(), codes[starts].tolist()):
+            if joins[code] >= 0:
+                logger.warning(
+                    "repairing stray %s at position %d: treating as B-%s",
+                    names[code], pos, names[code][2:],
+                )
+    return sentence, start, end, typ[codes[starts]]
+
+
+def _raise_first_error(
+    pred: Sequence[Sequence[str]], gold: Sequence[Sequence[str]], scheme: str
+) -> None:
+    """Raise the error a sentence-by-sentence scan of pred and gold meets first."""
+    for p_labels, g_labels in zip(pred, gold):
+        if len(p_labels) != len(g_labels):
+            raise ValueError("sentence length mismatch between pred and gold")
+        for label in chain(p_labels, g_labels):
+            validate_label(label, scheme)
 
 
 def span_f1(
@@ -306,19 +373,29 @@ def span_f1(
     """Micro-averaged exact span match (type + boundaries).
 
     Precision and recall use the 0-when-undefined convention; F1 is 0 when
-    P + R = 0. `support` counts gold spans.
+    P + R = 0. `support` counts gold spans. Each side's spans are parsed in
+    one `_span_arrays` pass, silently repaired, and matched as int64 keys.
     """
     if len(pred) != len(gold):
         raise ValueError(f"pred has {len(pred)} sentences, gold has {len(gold)}")
-    tp = fp = fn = 0
-    for p_labels, g_labels in zip(pred, gold):
-        if len(p_labels) != len(g_labels):
+    types: dict[str, int] = {}
+    try:
+        if any(map(int.__ne__, map(len, pred), map(len, gold))):
             raise ValueError("sentence length mismatch between pred and gold")
-        p_spans = labels_to_spans(p_labels, scheme, warn=False)
-        g_spans = labels_to_spans(g_labels, scheme, warn=False)
-        tp += len(p_spans & g_spans)
-        fp += len(p_spans - g_spans)
-        fn += len(g_spans - p_spans)
+        p_spans = _span_arrays(pred, scheme, types)
+        g_spans = _span_arrays(gold, scheme, types)
+    except ValueError:
+        _raise_first_error(pred, gold, scheme)  # the error the scan meets first
+        raise
+    width = max(map(len, gold), default=0)
+
+    def keys(spans):
+        sentence, start, end, typ = spans
+        return ((sentence * width + start) * width + end) * len(types) + typ
+
+    tp = len(set(keys(p_spans).tolist()).intersection(keys(g_spans).tolist()))
+    fp = len(p_spans[0]) - tp
+    fn = len(g_spans[0]) - tp
     precision = tp / (tp + fp) if tp + fp else 0.0
     recall = tp / (tp + fn) if tp + fn else 0.0
     f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0

@@ -809,8 +809,10 @@ def viterbi(
     back = np.zeros((n, num_labels), dtype=np.intp)  # best previous label per label
     for (p, _), (s, a) in zip(steps, steps[1:]):
         scores = delta[p : p + a, :, None] + body
-        back[s : s + a] = scores.argmax(axis=1)  # first (lowest) index wins ties
-        delta[s : s + a] = scores.max(axis=1) + ot[s : s + a]
+        prev = scores.argmax(axis=1)  # first (lowest) index wins ties
+        back[s : s + a] = prev
+        top = np.take_along_axis(scores, prev[:, None], axis=1)[:, 0]  # the maxima
+        delta[s : s + a] = top + ot[s : s + a]
     final = delta[lanes.last].argmax(axis=1)  # one label per lane
     y = np.empty_like(final)
     rows = np.arange(len(final))

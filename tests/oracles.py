@@ -7,8 +7,9 @@ verbatim so that the faster code replacing them can be checked against them:
 the dense weighted update, the one-sentence BiLSTM and CRF partition nodes,
 the uniform and the reweighted step with one graph and one gradient per
 example (and the lookahead values they take), decoding through one
-sentence's graph and one sentence's Viterbi, the synonym search over the
-whole similarity matrix, and the vector file reader that called `float` on
+sentence's graph and one sentence's Viterbi, span F1 and the entity
+dictionary from one `_parse_spans` call per sentence, the synonym search over
+the whole similarity matrix, and the vector file reader that called `float` on
 every value. `finite_diff_check` compares the engine's gradients with
 central differences. `pick`, `tsum` and `mix_embeddings` are graph ops that
 only tests build.
@@ -26,7 +27,7 @@ from pathlib import Path
 import numpy as np
 
 from metaner import autodiff as ad
-from metaner.augment import MixedExample, SynonymDict
+from metaner.augment import EntityDict, MixedExample, SynonymDict
 from metaner.autodiff import (
     GradientMap,
     NumericError,
@@ -37,12 +38,14 @@ from metaner.autodiff import (
     _sigmoid_stable,
     grad,
 )
+from metaner.corpus import Corpus, _parse_spans, extract_spans
 from metaner.optim import AdamWState, clip_global_norm
 from metaner.tagger import crf_log_partition, crf_score
 from metaner.trainer import reweight
 from metaner.vectors import read_vector_file
 
 logger = logging.getLogger(__name__)
+augment_logger = logging.getLogger("metaner.augment")  # build_entity_dict's
 
 
 def brute_score(o: np.ndarray, t: np.ndarray, labels: tuple[int, ...]) -> float:
@@ -418,6 +421,50 @@ def sentence_decode(model, tokens) -> tuple[np.ndarray, list[str]]:
     """
     o, t = model.forward(tokens, train=False)
     return o.data, [model.label_vocab[i] for i in sentence_viterbi(o.data, t.data)]
+
+
+def span_f1(
+    pred: Sequence[Sequence[str]],
+    gold: Sequence[Sequence[str]],
+    scheme: str = "BIOES",
+) -> dict[str, float]:
+    """Micro-averaged exact span match (type + boundaries).
+
+    Precision and recall use the 0-when-undefined convention; F1 is 0 when
+    P + R = 0. `support` counts gold spans.
+    """
+    if len(pred) != len(gold):
+        raise ValueError(f"pred has {len(pred)} sentences, gold has {len(gold)}")
+    tp = fp = fn = 0
+    for p_labels, g_labels in zip(pred, gold):
+        if len(p_labels) != len(g_labels):
+            raise ValueError("sentence length mismatch between pred and gold")
+        p_spans = set(_parse_spans(p_labels, scheme, warn=False))
+        g_spans = set(_parse_spans(g_labels, scheme, warn=False))
+        tp += len(p_spans & g_spans)
+        fp += len(p_spans - g_spans)
+        fn += len(g_spans - p_spans)
+    precision = tp / (tp + fp) if tp + fp else 0.0
+    recall = tp / (tp + fn) if tp + fn else 0.0
+    f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+    return {"precision": precision, "recall": recall, "f1": f1, "support": tp + fn}
+
+
+def build_entity_dict(corpus: Corpus) -> EntityDict:
+    """Collect every gold mention under its entity type, first-seen order."""
+    mentions: dict[str, list[tuple[str, ...]]] = {}
+    seen: set[tuple[str, tuple[str, ...]]] = set()
+    for ex in corpus.examples:
+        for span in sorted(extract_spans(ex), key=lambda s: s.start):
+            surface = tuple(ex.tokens[span.start : span.end + 1])
+            key = (span.entity_type, surface)
+            if key in seen:
+                continue
+            seen.add(key)
+            mentions.setdefault(span.entity_type, []).append(surface)
+    if not mentions:
+        augment_logger.warning("corpus has no entity spans; entity substitution disabled")
+    return EntityDict(mentions)
 
 
 # --- graph ops only tests build ------------------------------------------------

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+import oracles
 from oracles import (
     brute_nll,
     exhaustive_synonym_dict,
@@ -107,6 +108,41 @@ class TestEntityDict:
             d = build_entity_dict(corpus)
         assert d.mentions == {}
         assert "no entity spans" in caplog.text
+
+    def test_equals_oracle_with_stray_tags(self, caplog):
+        corpus = Corpus(
+            [
+                seq(["john", "smith", "visits"], ["I-PER", "E-PER", "O"]),
+                seq(["acme", "corp", "in", "paris"], ["B-ORG", "E-LOC", "O", "E-LOC"]),
+                seq(["john", "smith"], ["B-PER", "E-PER"]),
+                seq(["the", "acme", "corp"], ["O", "I-ORG", "I-ORG"]),
+                seq(["paris", "acme"], ["S-LOC", "E-ORG"]),
+            ]
+        )
+        with caplog.at_level("WARNING"):
+            want = oracles.build_entity_dict(corpus)
+        expected = caplog.record_tuples
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            got = build_entity_dict(corpus)
+        assert got.mentions == want.mentions
+        assert list(got.mentions) == ["PER", "ORG", "LOC"]
+        assert caplog.record_tuples == expected
+        assert len(expected) == 5
+
+    def test_no_entities_warns_as_oracle(self, caplog):
+        corpus = Corpus([seq(["just", "words"], ["O", "O"])])
+        with caplog.at_level("WARNING"):
+            oracles.build_entity_dict(corpus)
+        expected = caplog.record_tuples
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            build_entity_dict(corpus)
+        assert caplog.record_tuples == expected
+
+    def test_equals_oracle_on_synthetic_corpus(self):
+        corpus = synthetic_corpus(60, seed=4)
+        assert build_entity_dict(corpus).mentions == oracles.build_entity_dict(corpus).mentions
 
     def test_sample_missing_type_returns_none(self):
         d = build_entity_dict(tiny_corpus())

@@ -63,22 +63,26 @@ TRAIN_CORPUS_SHA256 = "5ffb1084d7d160c68042c07abfd236c6d88ba65099eb016891f467f89
 # dataset: the `trained` fixture (method=baseline, reweighting on), and
 # method=both with the embedding-layer (`run_dir`) and the encoder-layer
 # (`encoder_run_dir`) mix, as written when the reweighted step computed its
-# lookahead weights inline.
+# lookahead weights inline. `summary.json` holds the dev and test span F1,
+# as scored when `span_f1` parsed each sentence's spans on its own.
 TRAIN_SHA256 = {
     "trained": {
         "history.jsonl": "52223b4203eea6e07b6f3395cf9d62b83b1dee27cd0430a55e55bdbdd41c1371",
         "weights.tsv": "10687bba1a5eeeb2bcd8de5979b1a1686e402bec828113d2d60bd1484a750236",
         "model.ckpt": "bcd27f938ada4c8fbb228922562b5701d1cab595c32bd7bbcf700f518c969222",
+        "summary.json": "cefd2906c32aebb8977e6040af48dda2179e0556c4161b83b16a4c2294a19b8e",
     },
     "run_dir": {
         "history.jsonl": "2d0668d37372cc4b52399e377a92bb73509d730b7c2e4938cf5abd48cb836429",
         "weights.tsv": "2fff3779f01be6441ca374934d12ea406d0649441b46bf35dac7b361e7e33081",
         "model.ckpt": "20ed26fc9ea6058bdfab447882098efbfa77d57ef4b428bf31ecac291d3ed3c0",
+        "summary.json": "c1bc16fa8155b271c7a94db5ff65776b75b0854f2124c05fc0aab1d3e739f4ab",
     },
     "encoder_run_dir": {
         "history.jsonl": "79c89b99924661cdf762e45149ad6b89ac8535febc2b8e49d12f4d1e96c34283",
         "weights.tsv": "42592fac6db14d97c1b3ceb8b7aa281eacae6d932c22c36f165a48925dcc3eea",
         "model.ckpt": "f5fe84be32790ccb99223ab6922fe430556c978e2a088cdc6a6008108b2d269c",
+        "summary.json": "c1bc16fa8155b271c7a94db5ff65776b75b0854f2124c05fc0aab1d3e739f4ab",
     },
 }
 
@@ -599,3 +603,44 @@ class TestNotUtf8:
         bad = self.corrupt_line_3(synth_dataset["test"], tmp_path / "bad.conll")
         assert main(["eval", "--model", str(trained), "--data", str(bad)]) == 1
         assert f"{bad}:3: not UTF-8" in capsys.readouterr().err
+
+
+class TestEmptyCorpus:
+    """A corpus file with no sentence is bad input: exit 1, naming the file."""
+
+    @staticmethod
+    def empty(tmp_path):
+        path = tmp_path / "empty.conll"
+        path.write_text("\n\n")
+        return path
+
+    @pytest.mark.parametrize("key", ["train", "dev", "test"])
+    def test_train_command(self, synth_dataset, tmp_path, capsys, key):
+        bad = self.empty(tmp_path)
+        cfg = write_config(tmp_path, base_config(synth_dataset, tmp_path / "out", **{key: bad}))
+        assert main(["train", "--config", str(cfg)]) == 1
+        assert f"{bad}: the {key} corpus has no sentences" in capsys.readouterr().err
+
+    def test_augment_command(self, synth_dataset, tmp_path, capsys):
+        bad = self.empty(tmp_path)
+        text = base_config(synth_dataset, tmp_path / "out", method="ts", train=bad)
+        assert main(["augment", "--config", str(write_config(tmp_path, text))]) == 1
+        assert f"{bad}: the train corpus has no sentences" in capsys.readouterr().err
+
+    def test_eval_command(self, trained, tmp_path, capsys):
+        bad = self.empty(tmp_path)
+        assert main(["eval", "--model", str(trained), "--data", str(bad)]) == 1
+        assert f"{bad}: the --data corpus has no sentences" in capsys.readouterr().err
+
+    def test_build_dict_command(self, synth_dataset, tmp_path, capsys):
+        bad = self.empty(tmp_path)
+        rc = main(
+            [
+                "build-dict",
+                "--train", str(bad),
+                "--vectors", str(synth_dataset["vectors"]),
+                "--out", str(tmp_path / "dicts"),
+            ]
+        )
+        assert rc == 1
+        assert f"{bad}: the --train corpus has no sentences" in capsys.readouterr().err

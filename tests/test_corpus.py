@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from metaner.corpus import (
     Corpus,
     CorpusFormatError,
@@ -14,6 +15,7 @@ from metaner.corpus import (
     Span,
     _parse_spans,
     _renders_as_itself,
+    _span_arrays,
     convert_scheme,
     extract_spans,
     read_conll,
@@ -272,6 +274,118 @@ class TestSpanF1:
         out = span_f1(labels, labels, scheme="BIO")
         if extract_spans(example):
             assert out["f1"] == 1.0
+
+
+ALPHABETS = {
+    "BIOES": ["O"] + [f"{p}-{t}" for p in "BIES" for t in ("X", "YY")],
+    "BIO": ["O"] + [f"{p}-{t}" for p in "BI" for t in ("X", "YY")],
+}
+
+
+def three_type_labels(scheme):
+    return ["O"] + [f"{p}-{t}" for p in scheme if p != "O" for t in ("PER", "LOC", "ORG")]
+
+
+def random_corpus(rng, scheme, n_max=12, len_max=9):
+    """Random label sequences in `scheme`, malformed ones and empty ones included."""
+    alphabet = three_type_labels(scheme)
+    return [
+        [str(lab) for lab in rng.choice(alphabet, size=rng.integers(0, len_max))]
+        for _ in range(rng.integers(0, n_max))
+    ]
+
+
+class TestSpanArrays:
+    @pytest.mark.parametrize("scheme", sorted(ALPHABETS))
+    def test_equals_parse_spans_on_every_short_sequence(self, scheme):
+        alphabet = ALPHABETS[scheme]
+        sequences = [
+            labels
+            for n in range(1, 5)
+            for labels in itertools.product(alphabet, repeat=n)
+        ]
+        assert len(sequences) == sum(len(alphabet) ** n for n in range(1, 5))
+        types: dict[str, int] = {}
+        # One pass over all of them, so no span may run across a sentence end.
+        sentence, start, end, typ = _span_arrays(sequences, scheme, types)
+        names = list(types)
+        got = [[] for _ in sequences]
+        for i, s_, e, t in zip(sentence, start, end, typ):
+            got[i].append(Span(names[t], int(s_), int(e)))
+        for labels, spans in zip(sequences, got):
+            assert spans == _parse_spans(labels, scheme, warn=False), labels
+
+    def test_empty_sentences_and_corpus(self):
+        types: dict[str, int] = {}
+        sequences = [[], ["S-X"], [], ["B-X", "E-X"], []]
+        sentence, start, end, typ = _span_arrays(sequences, "BIOES", types)
+        assert sentence.tolist() == [1, 3]
+        assert start.tolist() == [0, 0] and end.tolist() == [0, 1]
+        assert typ.tolist() == [0, 0] and types == {"X": 0}
+        assert all(len(a) == 0 for a in _span_arrays([], "BIOES", {}))
+
+    def test_warns_each_repair_as_parse_spans(self, caplog):
+        sequences = [["I-X", "E-YY", "O"], ["B-X", "I-X", "E-X", "E-X"], ["O", "I-YY"]]
+        with caplog.at_level("WARNING"):
+            for labels in sequences:
+                _parse_spans(labels, "BIOES")
+        expected = caplog.record_tuples
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            _span_arrays(sequences, "BIOES", {}, warn=True)
+        assert caplog.record_tuples == expected
+        assert len(expected) == 4
+
+
+class TestSpanF1Oracle:
+    @pytest.mark.parametrize("scheme", ["BIO", "BIOES"])
+    def test_equals_oracle_on_random_corpora(self, scheme):
+        rng = np.random.default_rng(7)
+        alphabet = three_type_labels(scheme)
+        for _ in range(400):
+            gold = random_corpus(rng, scheme)
+            # Predictions: each label kept or redrawn, so that spans partly match.
+            pred = [
+                [lab if rng.random() < 0.6 else str(rng.choice(alphabet)) for lab in labels]
+                for labels in gold
+            ]
+            out = span_f1(pred, gold, scheme=scheme)
+            assert out == oracles.span_f1(pred, gold, scheme=scheme), (pred, gold)
+            assert type(out["support"]) is int
+        assert span_f1([], [], scheme) == oracles.span_f1([], [], scheme)
+
+    def test_same_error_as_oracle(self):
+        rng = np.random.default_rng(11)
+        cases = [([["O"]], [["O", "O"]]), ([["O"]], [["O"], ["O"]]), ([["X-PER"]], [["O"]])]
+        for _ in range(300):
+            gold = random_corpus(rng, "BIOES", n_max=6, len_max=5)
+            pred = [list(labels) for labels in gold]
+            # One to three faults anywhere: a bad label on either side, or a
+            # sentence one label short, so the first one met decides the error.
+            for _ in range(rng.integers(1, 4)):
+                side = pred if rng.random() < 0.5 else gold
+                nonempty = [labels for labels in side if labels]
+                if not nonempty:
+                    continue
+                labels = nonempty[rng.integers(len(nonempty))]
+                if rng.random() < 0.5:
+                    labels[rng.integers(len(labels))] = str(rng.choice(["B-", "Q-X", "E", "O-X"]))
+                else:
+                    labels.pop()
+            cases.append((pred, gold))
+        raised = 0
+        for pred, gold in cases:
+            try:
+                oracles.span_f1(pred, gold)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as got:
+                    span_f1(pred, gold)
+                assert type(got.value) is type(exc), (pred, gold)
+                assert str(got.value) == str(exc), (pred, gold)
+                raised += 1
+            else:
+                assert span_f1(pred, gold) == oracles.span_f1(pred, gold)
+        assert raised > 200
 
 
 class TestSubsample:

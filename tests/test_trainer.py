@@ -15,13 +15,14 @@ from oracles import (
     pick,
     rel_err,
     sentence_decode,
+    span_f1,
 )
 
 from metaner import autodiff as ad
 from metaner import trainer as trainer_mod
 from metaner.autodiff import NumericError, grad
 from metaner.augment import AugConfig, MixedExample, generate_augmented_set
-from metaner.corpus import Corpus, LabeledSequence, span_f1
+from metaner.corpus import Corpus, LabeledSequence
 from metaner.tagger import ModelConfig, TaggerModel
 from metaner.trainer import (
     TrainerConfig,
