@@ -29,9 +29,8 @@ from .corpus import (
     Corpus,
     LabeledSequence,
     Span,
-    _span_arrays,
-    extract_spans,
     render_labels,
+    sentence_spans,
 )
 from .tagger import LaneSum, Mix, TaggerModel
 from .vectors import read_vector_file
@@ -162,21 +161,20 @@ class SynonymDict:
         return cls(synonyms)
 
 
-def build_entity_dict(corpus: Corpus) -> EntityDict:
+def build_entity_dict(
+    corpus: Corpus, spans: Sequence[Sequence[Span]] | None = None
+) -> EntityDict:
     """Collect every gold mention under its entity type, first-seen order.
 
-    The spans are those `extract_spans` finds, parsed in one pass over the
-    corpus; each stray I-/E- repair is logged as `extract_spans` logs it.
+    `spans` are each sentence's spans, as `sentence_spans` parses them; when
+    not given they are parsed here, and each stray I-/E- repair is logged.
     """
-    types: dict[str, int] = {}
-    spans = _span_arrays(
-        [ex.labels for ex in corpus.examples], corpus.scheme, types, warn=True
-    )
-    names = list(types)
+    if spans is None:
+        spans = sentence_spans([ex.labels for ex in corpus.examples], corpus.scheme, warn=True)
     found: dict[str, dict[tuple[str, ...], None]] = {}
-    for sentence, start, end, typ in zip(*(a.tolist() for a in spans)):
-        surface = corpus.examples[sentence].tokens[start : end + 1]
-        found.setdefault(names[typ], {})[surface] = None
+    for ex, sentence in zip(corpus.examples, spans):
+        for span in sentence:
+            found.setdefault(span.entity_type, {})[ex.tokens[span.start : span.end + 1]] = None
     if not found:
         logger.warning("corpus has no entity spans; entity substitution disabled")
     return EntityDict({etype: list(pool) for etype, pool in found.items()})
@@ -295,9 +293,11 @@ def token_substitute(
     sdict: SynonymDict,
     cfg: AugConfig,
     rng: np.random.Generator,
+    spans: Iterable[Span],
 ) -> Substituted | None:
     """Substitute entity mentions and ordinary words in one sentence.
 
+    `spans` are the sentence's entity spans, as `sentence_spans` parses them.
     Walks the sentence left to right. Each entity span backed by the entity
     dictionary fires with probability gamma * p_sub and is replaced by a
     uniformly sampled same-type mention (labels re-rendered for the new
@@ -308,14 +308,14 @@ def token_substitute(
     """
     if ex.scheme != "BIOES":
         raise ValueError(f"token substitution expects BIOES input, got {ex.scheme}")
-    spans = {s.start: s for s in extract_spans(ex)}
+    starts = {s.start: s for s in spans}
     for _ in range(_SUBSTITUTE_RETRIES):
         tokens: list[str] = []
         labels: list[str] = []
         records: list[Replacement] = []
         i = 0
         while i < len(ex):
-            span = spans.get(i)
+            span = starts.get(i)
             if span is not None:
                 surface = tuple(ex.tokens[span.start : span.end + 1])
                 pool = edict.mentions.get(span.entity_type)
@@ -451,13 +451,15 @@ def generate_augmented_set(
     sdict: SynonymDict | None = None,
     use_ts: bool = True,
     use_mixup: bool = False,
+    spans: Sequence[Sequence[Span]] | None = None,
 ) -> list[PseudoExample]:
     """Produce times * |corpus| pseudo examples, split evenly across methods.
 
     Each output slot draws from its own generator seeded with
     SeedSequence([seed, slot]), so slots are independent of each other and
     across seeds, and the whole set is reproducible (and could be filled in
-    parallel).
+    parallel). `spans` are as for `build_entity_dict`, which can share them;
+    when not given they are parsed here, with no repair logged.
     """
     total = cfg.times * len(corpus)
     if total == 0:
@@ -467,6 +469,8 @@ def generate_augmented_set(
     if use_ts:
         edict = edict if edict is not None else EntityDict({})
         sdict = sdict if sdict is not None else SynonymDict({})
+        if spans is None:
+            spans = sentence_spans([ex.labels for ex in corpus.examples], corpus.scheme)
     if use_ts and use_mixup:
         ts_slots = total - total // 2
     elif use_ts:
@@ -482,7 +486,7 @@ def generate_augmented_set(
             for _ in range(_GENERATE_REDRAWS):
                 idx = int(slot_rng.integers(len(corpus)))
                 produced = token_substitute(
-                    corpus.examples[idx], edict, sdict, cfg, slot_rng
+                    corpus.examples[idx], edict, sdict, cfg, slot_rng, spans[idx]
                 )
                 if produced is not None:
                     produced = replace(produced, source_index=idx)

@@ -39,15 +39,15 @@ from .corpus import (
     Corpus,
     CorpusFormatError,
     LabeledSequence,
-    convert_scheme,
     read_conll,
     scheme_of,
+    sentence_spans,
     span_f1,
     subsample,
     write_conll,
 )
 from .tagger import TaggerModel
-from .trainer import evaluate, read_weight_rows, train
+from .trainer import WEIGHT_HEADER, WEIGHT_ROW, evaluate, read_weight_rows, train
 from .vectors import read_stopword_file, read_vector_file
 
 PROG = "metaner"
@@ -90,9 +90,11 @@ def _pseudo_examples(
     """
     if cfg.method == "baseline":
         return []
-    edict, sdict = EntityDict({}), SynonymDict({})
+    edict, sdict, spans = EntityDict({}), SynonymDict({}), None
     if cfg.use_ts:
-        edict = build_entity_dict(corpus)
+        # One parse of the corpus serves the dictionary and the substitution.
+        spans = sentence_spans([ex.labels for ex in corpus.examples], corpus.scheme, warn=True)
+        edict = build_entity_dict(corpus, spans)
         if cfg.vectors:
             stop = read_stopword_file(cfg.stopwords) if cfg.stopwords else set()
             sdict = build_synonym_dict(vectors, cfg.aug.k, stop)
@@ -104,6 +106,7 @@ def _pseudo_examples(
         sdict=sdict,
         use_ts=cfg.use_ts,
         use_mixup=cfg.use_mixup,
+        spans=spans,
     )
 
 
@@ -230,21 +233,21 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     model = TaggerModel.load(args.model)
     corpus = _read_corpus(args.data, None, "--data")
-    scheme = corpus.scheme
     model_scheme = scheme_of(model.label_vocab)
     sentences = [ex.tokens for ex in corpus.examples]
-    predictions = []
-    for tokens, labels in zip(sentences, model.decode_all(sentences)):
-        pred = LabeledSequence(tokens, tuple(labels), scheme=model_scheme)
-        predictions.append(convert_scheme(pred, scheme, warn=False))
+    decoded = [
+        LabeledSequence(tokens, tuple(labels), scheme=model_scheme)
+        for tokens, labels in zip(sentences, model.decode_all(sentences))
+    ]
+    predictions = Corpus(decoded, scheme=model_scheme).convert(corpus.scheme, warn=False)
     metrics = span_f1(
-        [list(p.labels) for p in predictions],
-        [list(g.labels) for g in corpus.examples],
+        [p.labels for p in predictions.examples],
+        [g.labels for g in corpus.examples],
         scheme=corpus.scheme,
     )
     out_dir = Path(args.model).parent
     stem = Path(args.data).stem
-    write_conll(Corpus(predictions, scheme=scheme), out_dir / f"predictions_{stem}.conll")
+    write_conll(predictions, out_dir / f"predictions_{stem}.conll")
     metrics_path = out_dir / f"metrics_{stem}.json"
     metrics_path.write_text(
         json.dumps(metrics, indent=2, sort_keys=True) + "\n", encoding="utf-8"
@@ -260,9 +263,9 @@ def cmd_inspect_weights(args) -> int:
         raise ConfigError(f"no weights.tsv found in {run_dir}")
     rows = read_weight_rows(weights_path)
     if not args.summary:
-        print("step\texample_id\tprovenance\tweight")
-        for step, ident, provenance, w in rows:
-            print(f"{step}\t{ident}\t{provenance}\t{repr(w)}")
+        print(WEIGHT_HEADER)
+        for row in rows:
+            print(WEIGHT_ROW.format(*row))
         return 0
     last_step = max((r[0] for r in rows), default=0)
     cutoff = last_step * 2 / 3

@@ -9,11 +9,10 @@ configuration next to their artifacts.
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .augment import MIX_LAYERS, AugConfig
+from .augment import AugConfig
 from .corpus import SCHEMES
 from .tagger import ModelConfig
 from .textio import open_text
@@ -78,15 +77,6 @@ def _boolean(raw: str) -> bool:
     raise ValueError(f"expected true or false, got {raw!r}")
 
 
-def _choice(options):
-    def cast(raw: str) -> str:
-        if raw not in options:
-            raise ValueError(f"expected one of {options}, got {raw!r}")
-        return raw
-
-    return cast
-
-
 # key -> (section, field, cast). Sections: run-level fields, the model
 # dataclass, augmentation, and trainer; the flat file hides that split.
 _KEYS: dict[str, tuple[str, str, object]] = {
@@ -97,9 +87,9 @@ _KEYS: dict[str, tuple[str, str, object]] = {
     "stopwords": ("run", "stopwords", str),
     "out": ("run", "out", str),
     "fraction": ("run", "fraction", float),
-    "scheme": ("run", "scheme", _choice(SCHEMES)),
+    "scheme": ("run", "scheme", str),
     "seed": ("run", "seed", int),
-    "method": ("run", "method", _choice(METHODS)),
+    "method": ("run", "method", str),
     "model.emb_dim": ("model", "emb_dim", int),
     "model.hidden": ("model", "hidden", int),
     "model.dropout": ("model", "dropout", float),
@@ -109,7 +99,7 @@ _KEYS: dict[str, tuple[str, str, object]] = {
     "k": ("aug", "k", int),
     "times": ("aug", "times", int),
     "alpha": ("aug", "alpha", float),
-    "mix_layer": ("aug", "mix_layer", _choice(MIX_LAYERS)),
+    "mix_layer": ("aug", "mix_layer", str),
     "steps": ("trainer", "steps", int),
     "meta_batch": ("trainer", "m", int),
     "batch": ("trainer", "n", int),
@@ -125,6 +115,14 @@ _KEYS: dict[str, tuple[str, str, object]] = {
 }
 
 _PATH_KEYS = ("train", "dev", "test", "vectors", "stopwords")
+
+# The dataclass that holds each section's fields and checks their values.
+_SECTIONS = {
+    "run": RunConfig,
+    "model": ModelConfig,
+    "aug": AugConfig,
+    "trainer": TrainerConfig,
+}
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -157,29 +155,20 @@ def parse_config(path: str | Path) -> RunConfig:
                 raise ConfigError(
                     f"{path}:{lineno}: invalid value for {key!r}: {exc}"
                 ) from exc
+            # Check the value on its own line: the fields set before it passed,
+            # so an error here is this line's, and reports the file's values.
+            try:
+                _SECTIONS[section](**sections[section])
+            except ValueError as exc:
+                raise ConfigError(f"{path}:{lineno}: {exc}") from exc
 
-    def build(factory, kwargs, section):
-        try:
-            return factory(**kwargs)
-        except ValueError as exc:
-            lineno = _blame(str(exc), section, lines)
-            where = f"{path}:{lineno}" if lineno else str(path)
-            raise ConfigError(f"{where}: {exc}") from exc
-
-    model = build(ModelConfig, sections["model"], "model")
-    aug = build(AugConfig, sections["aug"], "aug")
-    trainer = build(TrainerConfig, sections["trainer"], "trainer")
-    cfg = build(
-        RunConfig,
-        dict(
-            sections["run"],
-            model=model,
-            aug=aug,
-            trainer=trainer,
-            source=str(path),
-            lines=lines,
-        ),
-        "run",
+    cfg = RunConfig(
+        **sections["run"],
+        model=ModelConfig(**sections["model"]),
+        aug=AugConfig(**sections["aug"]),
+        trainer=TrainerConfig(**sections["trainer"]),
+        source=str(path),
+        lines=lines,
     )
     for key in _PATH_KEYS:
         value = getattr(cfg, key)
@@ -188,19 +177,6 @@ def parse_config(path: str | Path) -> RunConfig:
                 f"{path}:{lines.get(key, '?')}: {key} file does not exist: {value}"
             )
     return cfg
-
-
-def _blame(message: str, section: str, lines: dict[str, int]) -> int | None:
-    """Best-effort mapping from a validation message back to a config line.
-
-    A key or field name counts only as a whole word, so that field `m` is not
-    found in "must" nor `beta` in "beta1".
-    """
-    words = set(re.findall(r"\w+(?:\.\w+)*", message))
-    for key, (sec, attr, _) in _KEYS.items():
-        if sec == section and key in lines and (attr in words or key in words):
-            return lines[key]
-    return None
 
 
 def _format(value) -> str:

@@ -5,9 +5,9 @@ line (whitespace-separated) and a blank line between sentences. All corpus
 functions are pure; repairs of noisy label transitions are logged as
 warnings rather than rejected, since public corpora contain such noise.
 
-Spans are parsed two ways under one repair policy: `_parse_spans` walks one
-sentence (scheme conversion, token substitution), and `_span_arrays` parses
-a whole corpus in one numpy pass (span F1, the entity dictionary).
+Spans have one parser, `_span_arrays`, which parses a whole corpus in one
+numpy pass; scheme conversion, token substitution, span F1 and the entity
+dictionary all take their spans from it, a corpus at a time.
 """
 
 from __future__ import annotations
@@ -99,18 +99,29 @@ class Corpus:
     def __len__(self) -> int:
         return len(self.examples)
 
-    def convert(self, target: str) -> "Corpus":
-        if not target == self.scheme == "BIOES":
-            return Corpus(
-                [convert_scheme(ex, target) for ex in self.examples], scheme=target
-            )
-        # BIOES as read: keep every sentence that is its own conversion, so
-        # that only the others are converted and a repair warns as it would.
-        examples = [
-            ex if _renders_as_itself(ex.labels) else convert_scheme(ex, target)
-            for ex in self.examples
+    def convert(self, target: str, warn: bool = True) -> "Corpus":
+        """This corpus in `target`; every sentence keeps its entity spans.
+
+        BIOES to BIOES keeps each sentence that is its own conversion, as the
+        same object. The others are parsed in one `_span_arrays` pass, which
+        logs each repair when `warn`, and rendered in `target`. The label
+        vocabulary is carried when no sentence changed.
+        """
+        if target not in SCHEMES:
+            raise ValueError(f"unknown scheme {target!r}")
+        examples = list(self.examples)
+        as_read = target == self.scheme == "BIOES"
+        redo = [
+            i
+            for i, ex in enumerate(examples)
+            if not (as_read and _renders_as_itself(ex.labels))
         ]
-        kept = all(new is old for new, old in zip(examples, self.examples))
+        spans = sentence_spans([examples[i].labels for i in redo], self.scheme, warn)
+        for i, found in zip(redo, spans):
+            ex = examples[i]
+            labels = render_labels(len(ex), found, target)
+            examples[i] = LabeledSequence(ex.tokens, labels, scheme=target)
+        kept = target == self.scheme and not redo
         return Corpus(
             examples,
             scheme=target,
@@ -186,60 +197,6 @@ def write_conll(corpus_or_examples: Corpus | Iterable[LabeledSequence], path: st
             fh.write("\n")
 
 
-def _parse_spans(
-    labels: Sequence[str], scheme: str, warn_context: str = "", warn: bool = True
-) -> list[Span]:
-    """Lenient span parse shared by extract_spans and convert_scheme.
-
-    Repair policy: an I-/E- tag without a matching open span opens a new one
-    (treated as B-); an open span is closed by any incompatible tag. Repairs
-    warn by default; scoring paths silence them because model output is
-    routinely invalid early in training.
-    """
-    spans: list[Span] = []
-    open_type: str | None = None
-    open_start = 0
-
-    def close(end: int):
-        nonlocal open_type
-        if open_type is not None:
-            spans.append(Span(open_type, open_start, end))
-            open_type = None
-
-    for i, label in enumerate(labels):
-        prefix, etype = validate_label(label, scheme)
-        if prefix == "O":
-            close(i - 1)
-        elif prefix == "B":
-            close(i - 1)
-            open_type, open_start = etype, i
-        elif prefix == "S":
-            close(i - 1)
-            spans.append(Span(etype, i, i))
-        elif prefix == "I":
-            if open_type != etype:
-                if warn:
-                    logger.warning(
-                        "repairing stray %s at position %d%s: treating as B-%s",
-                        label, i, warn_context, etype,
-                    )
-                close(i - 1)
-                open_type, open_start = etype, i
-        else:  # "E"
-            if open_type == etype:
-                close(i)
-            else:
-                if warn:
-                    logger.warning(
-                        "repairing stray %s at position %d%s: treating as B-%s",
-                        label, i, warn_context, etype,
-                    )
-                close(i - 1)
-                spans.append(Span(etype, i, i))
-    close(len(labels) - 1)
-    return spans
-
-
 def _renders_as_itself(labels: Sequence[str]) -> bool:
     """Whether valid BIOES `labels` equal render_labels of their parsed spans.
 
@@ -266,8 +223,8 @@ def _renders_as_itself(labels: Sequence[str]) -> bool:
 
 
 def extract_spans(seq: LabeledSequence) -> set[Span]:
-    """Maximal typed entity spans; O positions contribute nothing."""
-    return set(_parse_spans(seq.labels, seq.scheme))
+    """Maximal typed entity spans of one sentence, each repair logged."""
+    return set(sentence_spans([seq.labels], seq.scheme, warn=True)[0])
 
 
 def render_labels(length: int, spans: Iterable[Span], scheme: str) -> tuple[str, ...]:
@@ -287,16 +244,22 @@ def render_labels(length: int, spans: Iterable[Span], scheme: str) -> tuple[str,
     return tuple(labels)
 
 
-def convert_scheme(
-    seq: LabeledSequence, target: str, warn: bool = True
-) -> LabeledSequence:
-    """Re-express the labels in `target`; the entity span set is preserved."""
-    if target not in SCHEMES:
-        raise ValueError(f"unknown scheme {target!r}")
-    spans = _parse_spans(seq.labels, seq.scheme, warn=warn)
-    return LabeledSequence(
-        seq.tokens, render_labels(len(seq), spans, target), scheme=target
-    )
+def convert_scheme(seq: LabeledSequence, target: str) -> LabeledSequence:
+    """One sentence in `target`, as `Corpus.convert` converts it."""
+    return Corpus([seq], scheme=seq.scheme).convert(target).examples[0]
+
+
+def sentence_spans(
+    sequences: Sequence[Sequence[str]], scheme: str, warn: bool = False
+) -> list[list[Span]]:
+    """Each label sequence's spans in start order, from one `_span_arrays` pass."""
+    types: dict[str, int] = {}
+    sentence, start, end, typ = _span_arrays(sequences, scheme, types, warn)
+    names = list(types)
+    out: list[list[Span]] = [[] for _ in sequences]
+    for i, s, e, t in zip(sentence.tolist(), start.tolist(), end.tolist(), typ.tolist()):
+        out[i].append(Span(names[t], s, e))
+    return out
 
 
 def _span_arrays(
@@ -305,7 +268,7 @@ def _span_arrays(
     types: dict[str, int],
     warn: bool = False,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Every span of many label sequences, as `_parse_spans` would find them.
+    """Every span of many label sequences, repaired leniently.
 
     Returns (sentence, start, end, type) int64 arrays, one entry per span in
     sentence then start order; `start` and `end` are inclusive positions in
@@ -314,8 +277,11 @@ def _span_arrays(
     local: position i continues the open span exactly when, in the same
     sentence, label i is I-X or E-X and label i-1 is B-X or I-X. A span starts
     at each non-O position that does not continue and ends where the next
-    position does not. With `warn`, each I-/E- that starts a span is logged
-    as the repair `_parse_spans` logs.
+    position does not. So an I-X or E-X with no open X span starts a new
+    span (which an E-X also ends), and any other label closes an open span.
+    With `warn`, each I-/E- that starts a span is logged as a repair; scoring
+    paths leave it off because model output is routinely ill-formed early in
+    training.
     """
     lengths = np.fromiter(map(len, sequences), dtype=np.int64, count=len(sequences))
     flat = list(chain.from_iterable(sequences))

@@ -348,13 +348,18 @@ def train(
     return TrainResult(model, history, max(best_f1, 0.0), best_step, weight_rows)
 
 
+# The weights.tsv format: a header, then one row per (step, example).
+WEIGHT_HEADER = "step\texample_id\tprovenance\tweight"
+WEIGHT_ROW = "{}\t{}\t{}\t{!r}"  # step, example id, provenance, weight
+
+
 def write_weight_rows(
     path: str | Path, rows: Sequence[tuple[int, str, str, float]]
 ) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("step\texample_id\tprovenance\tweight\n")
-        for step, ident, provenance, w in rows:
-            fh.write(f"{step}\t{ident}\t{provenance}\t{repr(w)}\n")
+        fh.write(WEIGHT_HEADER + "\n")
+        for row in rows:
+            fh.write(WEIGHT_ROW.format(*row) + "\n")
 
 
 def read_weight_rows(path: str | Path) -> list[tuple[int, str, str, float]]:
@@ -362,7 +367,7 @@ def read_weight_rows(path: str | Path) -> list[tuple[int, str, str, float]]:
     rows = []
     with open_text(path, ValueError) as fh:
         header = fh.readline()
-        if header.strip() != "step\texample_id\tprovenance\tweight":
+        if header.strip() != WEIGHT_HEADER:
             raise ValueError(f"{path}:1: not a weight dump header")
         for lineno, line in enumerate(fh, 2):
             fields = line.rstrip("\n").split("\t")

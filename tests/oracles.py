@@ -7,8 +7,9 @@ verbatim so that the faster code replacing them can be checked against them:
 the dense weighted update, the one-sentence BiLSTM and CRF partition nodes,
 the uniform and the reweighted step with one graph and one gradient per
 example (and the lookahead values they take), decoding through one
-sentence's graph and one sentence's Viterbi, span F1 and the entity
-dictionary from one `_parse_spans` call per sentence, the synonym search over
+sentence's graph and one sentence's Viterbi, `_parse_spans`, which parses
+one sentence's spans, with the scheme conversion, span F1 and entity
+dictionary built on one call of it per sentence, the synonym search over
 the whole similarity matrix, and the vector file reader that called `float` on
 every value. `finite_diff_check` compares the engine's gradients with
 central differences. `pick`, `tsum` and `mix_embeddings` are graph ops that
@@ -38,7 +39,14 @@ from metaner.autodiff import (
     _sigmoid_stable,
     grad,
 )
-from metaner.corpus import Corpus, _parse_spans, extract_spans
+from metaner.corpus import (
+    SCHEMES,
+    Corpus,
+    LabeledSequence,
+    Span,
+    render_labels,
+    validate_label,
+)
 from metaner.optim import AdamWState, clip_global_norm
 from metaner.tagger import crf_log_partition, crf_score
 from metaner.trainer import reweight
@@ -46,6 +54,7 @@ from metaner.vectors import read_vector_file
 
 logger = logging.getLogger(__name__)
 augment_logger = logging.getLogger("metaner.augment")  # build_entity_dict's
+corpus_logger = logging.getLogger("metaner.corpus")  # the span repairs'
 
 
 def brute_score(o: np.ndarray, t: np.ndarray, labels: tuple[int, ...]) -> float:
@@ -423,6 +432,77 @@ def sentence_decode(model, tokens) -> tuple[np.ndarray, list[str]]:
     return o.data, [model.label_vocab[i] for i in sentence_viterbi(o.data, t.data)]
 
 
+# --- span parsing, one sentence at a time ----------------------------------------
+# The per-sentence parser that `corpus._span_arrays` replaced, and the scheme
+# conversion, span F1 and entity dictionary built on it.
+
+
+def _parse_spans(
+    labels: Sequence[str], scheme: str, warn: bool = True
+) -> list[Span]:
+    """Lenient span parse of one sentence.
+
+    Repair policy: an I-/E- tag without a matching open span opens a new one
+    (treated as B-); an open span is closed by any incompatible tag. Repairs
+    warn by default; scoring paths silence them because model output is
+    routinely invalid early in training.
+    """
+    spans: list[Span] = []
+    open_type: str | None = None
+    open_start = 0
+
+    def close(end: int):
+        nonlocal open_type
+        if open_type is not None:
+            spans.append(Span(open_type, open_start, end))
+            open_type = None
+
+    for i, label in enumerate(labels):
+        prefix, etype = validate_label(label, scheme)
+        if prefix == "O":
+            close(i - 1)
+        elif prefix == "B":
+            close(i - 1)
+            open_type, open_start = etype, i
+        elif prefix == "S":
+            close(i - 1)
+            spans.append(Span(etype, i, i))
+        elif prefix == "I":
+            if open_type != etype:
+                if warn:
+                    corpus_logger.warning(
+                        "repairing stray %s at position %d: treating as B-%s",
+                        label, i, etype,
+                    )
+                close(i - 1)
+                open_type, open_start = etype, i
+        else:  # "E"
+            if open_type == etype:
+                close(i)
+            else:
+                if warn:
+                    corpus_logger.warning(
+                        "repairing stray %s at position %d: treating as B-%s",
+                        label, i, etype,
+                    )
+                close(i - 1)
+                spans.append(Span(etype, i, i))
+    close(len(labels) - 1)
+    return spans
+
+
+def convert_scheme(
+    seq: LabeledSequence, target: str, warn: bool = True
+) -> LabeledSequence:
+    """Re-express the labels in `target`; the entity span set is preserved."""
+    if target not in SCHEMES:
+        raise ValueError(f"unknown scheme {target!r}")
+    spans = _parse_spans(seq.labels, seq.scheme, warn=warn)
+    return LabeledSequence(
+        seq.tokens, render_labels(len(seq), spans, target), scheme=target
+    )
+
+
 def span_f1(
     pred: Sequence[Sequence[str]],
     gold: Sequence[Sequence[str]],
@@ -455,7 +535,7 @@ def build_entity_dict(corpus: Corpus) -> EntityDict:
     mentions: dict[str, list[tuple[str, ...]]] = {}
     seen: set[tuple[str, tuple[str, ...]]] = set()
     for ex in corpus.examples:
-        for span in sorted(extract_spans(ex), key=lambda s: s.start):
+        for span in _parse_spans(ex.labels, ex.scheme):
             surface = tuple(ex.tokens[span.start : span.end + 1])
             key = (span.entity_type, surface)
             if key in seen:

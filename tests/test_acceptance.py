@@ -35,6 +35,7 @@ from metaner.corpus import (
     Corpus,
     LabeledSequence,
     convert_scheme,
+    extract_spans,
     read_conll,
     span_f1,
 )
@@ -375,10 +376,11 @@ class TestSamplerStatistics:
         sdict = SynonymDict({"runs": [("jogs", 1.0), ("walks", 0.9)]})
         cfg = AugConfig(gamma=0.2, p_sub=0.6)
         rng = np.random.default_rng(1)
+        spans = extract_spans(ex)
         entity_ops = 0
         total_ops = 0
         while total_ops < 5000:
-            sub = token_substitute(ex, edict, sdict, cfg, rng)
+            sub = token_substitute(ex, edict, sdict, cfg, rng, spans)
             if sub is None:
                 continue
             for r in sub.replacements:

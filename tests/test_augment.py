@@ -142,7 +142,11 @@ class TestEntityDict:
 
     def test_equals_oracle_on_synthetic_corpus(self):
         corpus = synthetic_corpus(60, seed=4)
-        assert build_entity_dict(corpus).mentions == oracles.build_entity_dict(corpus).mentions
+        want = oracles.build_entity_dict(corpus).mentions
+        assert build_entity_dict(corpus).mentions == want
+        # Spans parsed by the caller, as `metaner train` shares them with substitution.
+        spans = [oracles._parse_spans(ex.labels, "BIOES") for ex in corpus.examples]
+        assert build_entity_dict(corpus, spans).mentions == want
 
     def test_sample_missing_type_returns_none(self):
         d = build_entity_dict(tiny_corpus())
@@ -278,7 +282,9 @@ class TestTokenSubstitute:
     def test_forced_entity_replacement(self):
         ex = seq(["john", "visits", "paris"], ["S-PER", "O", "S-LOC"])
         cfg = AugConfig(gamma=1.0, p_sub=1.0)
-        out = token_substitute(ex, self.edict(), self.sdict(), cfg, np.random.default_rng(0))
+        out = token_substitute(
+            ex, self.edict(), self.sdict(), cfg, np.random.default_rng(0), extract_spans(ex)
+        )
         assert out.example.tokens == ("mary", "visits", "rome")
         assert out.example.labels == ("S-PER", "O", "S-LOC")
         assert {r.kind for r in out.replacements} == {"entity"}
@@ -286,7 +292,9 @@ class TestTokenSubstitute:
     def test_forced_synonym_replacement(self):
         ex = seq(["john", "visits", "paris"], ["S-PER", "O", "S-LOC"])
         cfg = AugConfig(gamma=0.0, p_sub=1.0)
-        out = token_substitute(ex, self.edict(), self.sdict(), cfg, np.random.default_rng(0))
+        out = token_substitute(
+            ex, self.edict(), self.sdict(), cfg, np.random.default_rng(0), extract_spans(ex)
+        )
         assert out.example.tokens == ("john", "tours", "paris")
         assert out.example.labels == ex.labels
         assert [r.kind for r in out.replacements] == ["synonym"]
@@ -295,7 +303,9 @@ class TestTokenSubstitute:
         ex = seq(["john", "visits", "paris"], ["S-PER", "O", "S-LOC"])
         edict = EntityDict({"PER": [("mary", "ann", "smith")], "LOC": [("rome",)]})
         cfg = AugConfig(gamma=1.0, p_sub=1.0)
-        out = token_substitute(ex, edict, self.sdict(), cfg, np.random.default_rng(0))
+        out = token_substitute(
+            ex, edict, self.sdict(), cfg, np.random.default_rng(0), extract_spans(ex)
+        )
         assert out.example.tokens == ("mary", "ann", "smith", "visits", "rome")
         assert out.example.labels == ("B-PER", "I-PER", "E-PER", "O", "S-LOC")
         assert len(out.example) == len(ex) + 2
@@ -305,20 +315,33 @@ class TestTokenSubstitute:
     def test_no_usable_site_returns_none(self):
         ex = seq(["john", "visits"], ["S-PER", "O"])
         out = token_substitute(
-            ex, EntityDict({}), SynonymDict({}), AugConfig(p_sub=1.0), np.random.default_rng(0)
+            ex,
+            EntityDict({}),
+            SynonymDict({}),
+            AugConfig(p_sub=1.0),
+            np.random.default_rng(0),
+            extract_spans(ex),
         )
         assert out is None
 
     def test_bio_input_rejected(self):
         ex = LabeledSequence(("john",), ("B-PER",), scheme="BIO")
         with pytest.raises(ValueError, match="BIOES"):
-            token_substitute(ex, self.edict(), self.sdict(), AugConfig(), np.random.default_rng(0))
+            token_substitute(
+                ex,
+                self.edict(),
+                self.sdict(),
+                AugConfig(),
+                np.random.default_rng(0),
+                extract_spans(ex),
+            )
 
     def test_deterministic_per_seed(self):
         ex = seq(["john", "visits", "paris"], ["S-PER", "O", "S-LOC"])
         cfg = AugConfig(p_sub=0.9)
-        a = token_substitute(ex, self.edict(), self.sdict(), cfg, np.random.default_rng(5))
-        b = token_substitute(ex, self.edict(), self.sdict(), cfg, np.random.default_rng(5))
+        spans = extract_spans(ex)
+        a = token_substitute(ex, self.edict(), self.sdict(), cfg, np.random.default_rng(5), spans)
+        b = token_substitute(ex, self.edict(), self.sdict(), cfg, np.random.default_rng(5), spans)
         assert a == b
 
     def test_span_structure_preserved_across_random_runs(self):
@@ -335,7 +358,7 @@ class TestTokenSubstitute:
         rng = np.random.default_rng(17)
         for _ in range(200):
             ex = corpus.examples[int(rng.integers(len(corpus)))]
-            out = token_substitute(ex, edict, sdict, cfg, rng)
+            out = token_substitute(ex, edict, sdict, cfg, rng, extract_spans(ex))
             if out is None:
                 continue
             want = sorted(s.entity_type for s in extract_spans(ex))
@@ -352,8 +375,9 @@ class TestTokenSubstitute:
         cfg = AugConfig(gamma=0.2, p_sub=0.3)
         rng = np.random.default_rng(23)
         counts = {"entity": 0, "synonym": 0}
+        spans = extract_spans(ex)
         for _ in range(6000):
-            out = token_substitute(ex, edict, sdict, cfg, rng)
+            out = token_substitute(ex, edict, sdict, cfg, rng, spans)
             if out is None:
                 continue
             for r in out.replacements:
@@ -700,3 +724,42 @@ class TestGenerateAugmentedSet:
         corpus, _, _ = self.dicts()
         with pytest.raises(RuntimeError, match="dictionaries"):
             generate_augmented_set(corpus, AugConfig(times=1), 0, EntityDict({}), SynonymDict({}))
+
+    @pytest.mark.parametrize("source", ["synthetic", "multi-token"])
+    def test_equals_set_from_per_sentence_spans(self, source):
+        # The corpus is parsed once; each drawn sentence must get its own spans.
+        if source == "synthetic":
+            corpus = synthetic_corpus(60, seed=4)
+            sdict = build_synonym_dict(synthetic_vectors(), k=5, stopwords=STOPWORDS)
+        else:
+            corpus = Corpus(
+                [
+                    seq(
+                        "the new york city council".split(),
+                        ["O", "B-ORG", "I-ORG", "I-ORG", "E-ORG"],
+                    ),
+                    seq(
+                        "john ronald smith visits rome".split(),
+                        ["B-PER", "I-PER", "E-PER", "O", "S-LOC"],
+                    ),
+                    seq("mary likes san jose".split(), ["S-PER", "O", "B-LOC", "E-LOC"]),
+                    seq("acme hires anne".split(), ["S-ORG", "O", "S-PER"]),
+                ]
+            )
+            sdict = SynonymDict({"visits": [("tours", 0.9)], "likes": [("enjoys", 0.7)]})
+        edict = build_entity_dict(corpus)
+        cfg = AugConfig(times=10, gamma=0.5, p_sub=0.5)
+        got = generate_augmented_set(corpus, cfg, 9, edict, sdict, use_ts=True, use_mixup=True)
+        spans = [oracles._parse_spans(ex.labels, "BIOES", warn=False) for ex in corpus.examples]
+        want = generate_augmented_set(
+            corpus, cfg, 9, edict, sdict, use_ts=True, use_mixup=True, spans=spans
+        )
+        assert got == want
+        multi = [
+            r
+            for p in want
+            if isinstance(p, Substituted)
+            for r in p.replacements
+            if r.kind == "entity" and r.end > r.start
+        ]
+        assert len(multi) >= 5

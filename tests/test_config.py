@@ -1,8 +1,21 @@
 """Flat config parsing, validation diagnostics, and resolved-config rendering."""
 
+import re
+from pathlib import Path
+
 import pytest
 
-from metaner.config import ConfigError, RunConfig, parse_config, render_config
+from metaner.config import _KEYS, ConfigError, RunConfig, parse_config, render_config
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+# Three valid lines per config section.
+VALID = {
+    "run": ["seed=2", "fraction=0.5", "method=ts"],
+    "model": ["model.hidden=4", "model.dropout=0.1", "model.emb_dim=6"],
+    "aug": ["k=3", "gamma=0.5", "alpha=2.0"],
+    "trainer": ["meta_batch=8", "steps=5", "lr=0.01"],
+}
 
 
 def write_cfg(tmp_path, text, name="run.cfg"):
@@ -80,6 +93,50 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match=r"run\.cfg:2: alpha"):
             parse_config(path)
 
+    def test_bad_batch_blames_its_own_line(self, tmp_path):
+        path = write_cfg(tmp_path, "seed=1\nmeta_batch=8\nbatch=0\n", name="a.cfg")
+        with pytest.raises(
+            ConfigError, match=r"^[^:]*a\.cfg:3: batch sizes must be >= 1, got m=8, n=0$"
+        ):
+            parse_config(path)
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "fraction=2.0",
+            "seed=-1",
+            "scheme=IOB2",
+            "method=banana",
+            "model.emb_dim=0",
+            "model.hidden=0",
+            "model.dropout=1.0",
+            "gamma=1.5",
+            "p_sub=-0.1",
+            "k=0",
+            "times=-1",
+            "alpha=0",
+            "mix_layer=crf",
+            "steps=-1",
+            "meta_batch=0",
+            "batch=0",
+            "lr=0",
+            "beta=-1",
+            "delta=0",
+            "weight_decay=-1",
+            "beta1=1.0",
+            "beta2=1.0",
+            "clip=0",
+            "eval_every=0",
+        ],
+    )
+    def test_bad_value_blames_the_line_that_sets_it(self, tmp_path, line):
+        # Between two valid keys of its own section, on line 2.
+        key = line.split("=")[0]
+        neighbours = [n for n in VALID[_KEYS[key][0]] if n.split("=")[0] != key][:2]
+        text = f"{neighbours[0]}\n{line}\n{neighbours[1]}\n"
+        with pytest.raises(ConfigError, match=r"run\.cfg:2: "):
+            parse_config(write_cfg(tmp_path, text))
+
     def test_duplicate_key_rejected(self, tmp_path):
         path = write_cfg(tmp_path, "seed=1\nseed=2\n")
         with pytest.raises(ConfigError, match="duplicate key 'seed'"):
@@ -137,3 +194,14 @@ class TestRenderConfig:
         keys = {line.split("=")[0] for line in rendered.strip().split("\n")}
         assert "train" not in keys
         assert "beta" not in keys
+
+
+class TestReadme:
+    def test_config_keys_table_lists_every_key(self):
+        text = README.read_text(encoding="utf-8")
+        table = text.split("## Config keys", 1)[1].split("\n## ", 1)[0]
+        keys = []
+        for row in re.findall(r"^\| (`.+?`(?: / `.+?`)*) \|", table, flags=re.M):
+            keys.extend(cell.strip("`") for cell in row.split(" / "))
+        assert sorted(keys) == sorted(_KEYS)
+        assert len(keys) == len(set(keys))

@@ -13,7 +13,6 @@ from metaner.corpus import (
     CorpusFormatError,
     LabeledSequence,
     Span,
-    _parse_spans,
     _renders_as_itself,
     _span_arrays,
     convert_scheme,
@@ -153,7 +152,7 @@ class TestConvertAsRead:
         path = self.write(tmp_path, MIXED_BIOES)
         read = read_conll(path)
         with caplog.at_level("WARNING"):
-            expected = [convert_scheme(ex, "BIOES") for ex in read.examples]
+            expected = [oracles.convert_scheme(ex, "BIOES") for ex in read.examples]
         expected_records = [(r.levelno, r.getMessage()) for r in caplog.records]
         caplog.clear()
         with caplog.at_level("WARNING"):
@@ -173,7 +172,7 @@ class TestConvertAsRead:
             converted = read.convert("BIOES")
         assert not caplog.records
         assert all(a is b for a, b in zip(converted.examples, read.examples))
-        fresh = Corpus([convert_scheme(ex, "BIOES") for ex in read.examples])
+        fresh = Corpus([oracles.convert_scheme(ex, "BIOES") for ex in read.examples])
         assert converted.examples == fresh.examples
         assert converted.label_vocab == fresh.label_vocab
         assert converted.token_vocab == fresh.token_vocab
@@ -183,7 +182,7 @@ class TestConvertAsRead:
         count = 0
         for n in range(1, 5):
             for labels in itertools.product(alphabet, repeat=n):
-                spans = _parse_spans(labels, "BIOES", warn=False)
+                spans = oracles._parse_spans(labels, "BIOES", warn=False)
                 expected = render_labels(n, spans, "BIOES") == labels
                 assert _renders_as_itself(labels) == expected, labels
                 count += 1
@@ -313,7 +312,7 @@ class TestSpanArrays:
         for i, s_, e, t in zip(sentence, start, end, typ):
             got[i].append(Span(names[t], int(s_), int(e)))
         for labels, spans in zip(sequences, got):
-            assert spans == _parse_spans(labels, scheme, warn=False), labels
+            assert spans == oracles._parse_spans(labels, scheme, warn=False), labels
 
     def test_empty_sentences_and_corpus(self):
         types: dict[str, int] = {}
@@ -328,7 +327,7 @@ class TestSpanArrays:
         sequences = [["I-X", "E-YY", "O"], ["B-X", "I-X", "E-X", "E-X"], ["O", "I-YY"]]
         with caplog.at_level("WARNING"):
             for labels in sequences:
-                _parse_spans(labels, "BIOES")
+                oracles._parse_spans(labels, "BIOES")
         expected = caplog.record_tuples
         caplog.clear()
         with caplog.at_level("WARNING"):
@@ -386,6 +385,85 @@ class TestSpanF1Oracle:
             else:
                 assert span_f1(pred, gold) == oracles.span_f1(pred, gold)
         assert raised > 200
+
+
+def as_corpus(sequences, scheme):
+    """The nonempty label sequences as a corpus of sentences in `scheme`."""
+    examples = [
+        seq([f"t{i}" for i in range(len(labels))], labels, scheme)
+        for labels in sequences
+        if labels
+    ]
+    return Corpus(examples, scheme=scheme)
+
+
+class TestCorpusConvertOracle:
+    """One batched parse equals parsing and rendering each sentence alone."""
+
+    @pytest.mark.parametrize("warn", [True, False])
+    @pytest.mark.parametrize(
+        "source, target", [("BIO", "BIOES"), ("BIOES", "BIOES"), ("BIOES", "BIO")]
+    )
+    def test_equals_per_sentence_oracle(self, source, target, warn, caplog):
+        rng = np.random.default_rng(13)
+        kept = changed = 0
+        for _ in range(150):
+            corpus = as_corpus(random_corpus(rng, source), source)
+            caplog.clear()
+            with caplog.at_level("WARNING"):
+                want = [oracles.convert_scheme(ex, target, warn) for ex in corpus.examples]
+            expected = caplog.record_tuples
+            caplog.clear()
+            with caplog.at_level("WARNING"):
+                got = corpus.convert(target, warn)
+            assert caplog.record_tuples == expected
+            assert got.examples == want
+            assert got.scheme == target
+            assert got.token_vocab == corpus.token_vocab
+            assert got.label_vocab == Corpus(want, scheme=target).label_vocab
+            for old, new, ref in zip(corpus.examples, got.examples, want):
+                if source == target == "BIOES" and ref.labels == old.labels:
+                    assert new is old
+                    kept += 1
+                else:
+                    assert new is not old
+                    changed += 1
+        assert changed > 500
+        assert (kept > 50) == (source == target)
+
+    def test_repairs_warn_in_corpus_order(self, caplog):
+        # Stray I-/E- tags in several sentences: one log record per repair,
+        # sentence by sentence, as the per-sentence parse gives them.
+        corpus = as_corpus([labels for _, labels in MIXED_BIOES] * 2, "BIOES")
+        with caplog.at_level("WARNING"):
+            for ex in corpus.examples:
+                oracles.convert_scheme(ex, "BIO")
+        expected = caplog.record_tuples
+        caplog.clear()
+        with caplog.at_level("WARNING"):
+            corpus.convert("BIO")
+        assert caplog.record_tuples == expected
+        assert len(expected) == 4
+
+    def test_label_vocab_carried_exactly_when_nothing_changed(self):
+        well_formed = [seq(t, lab) for i, (t, lab) in enumerate(MIXED_BIOES) if i in (0, 3, 5)]
+        vocab = ["S-MISC", "O", "S-LOC", "B-PER", "E-PER"]  # own order, an unused label
+        corpus = Corpus(well_formed, label_vocab=list(vocab))
+        same = corpus.convert("BIOES")
+        assert same.label_vocab == vocab
+        assert same.label_vocab is not corpus.label_vocab
+        repaired = Corpus(well_formed + [seq(["a", "b"], ["O", "I-PER"])], label_vocab=vocab)
+        out = repaired.convert("BIOES")
+        assert out.label_vocab == Corpus(out.examples).label_vocab
+        assert corpus.convert("BIO").label_vocab == Corpus(
+            [oracles.convert_scheme(ex, "BIO") for ex in well_formed], scheme="BIO"
+        ).label_vocab
+        empty = Corpus([], scheme="BIO", label_vocab=["O", "B-X"]).convert("BIOES")
+        assert (empty.scheme, empty.label_vocab) == ("BIOES", ["O"])
+
+    def test_unknown_target_rejected(self):
+        with pytest.raises(ValueError, match="unknown scheme"):
+            as_corpus([["O"]], "BIO").convert("IOB2")
 
 
 class TestSubsample:
