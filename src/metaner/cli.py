@@ -177,6 +177,9 @@ def cmd_augment(args) -> int:
 
 
 def cmd_train(args) -> int:
+    """Train from a config file. `train()` writes `model.ckpt` atomically at
+    each improving dev eval, and it is the only copy of the best parameters;
+    a run that diverges exits 2 and leaves the best checkpoint so far."""
     cfg = parse_config(args.config)
     _require(cfg, "train", "train", "dev", "out")
     train_corpus = _load_training_corpus(cfg)
@@ -200,14 +203,9 @@ def cmd_train(args) -> int:
         mix_layer=cfg.aug.mix_layer,
         history_path=out / "history.jsonl",
         weights_path=out / "weights.tsv",
+        checkpoint_path=out / "model.ckpt",
+        run_fields={"scheme": cfg.scheme, "method": cfg.method, "seed": cfg.seed},
     )
-    run_meta = {
-        "scheme": cfg.scheme,
-        "method": cfg.method,
-        "seed": cfg.seed,
-        "best_step": result.best_step,
-    }
-    result.model.save(out / "model.ckpt", extra_config=run_meta)
     summary = {
         "method": cfg.method,
         "seed": cfg.seed,

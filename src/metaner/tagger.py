@@ -48,7 +48,12 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ParamStore, Tensor, _logsumexp_stable
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from .checkpoint import (
+    CheckpointError,
+    load_checkpoint,
+    load_checkpoint_into,
+    save_checkpoint,
+)
 from .corpus import Corpus, LabeledSequence
 
 _LSTM_PARAMS = [f"lstm.{d}.{name}" for d in ("fw", "bw") for name in ("Wx", "Wh", "b")]
@@ -373,6 +378,12 @@ class TaggerModel:
             config["run"] = extra_config
         arrays = {name: t.data for name, t in self.params.items()}
         save_checkpoint(path, arrays, config)
+
+    def load_params(self, path: str | Path) -> None:
+        """Read the parameters `save` wrote to `path` straight into this
+        model's arrays, which keep their identity. Arrays whose names or
+        shapes do not fit the model raise `CheckpointError`."""
+        load_checkpoint_into(path, {name: t.data for name, t in self.params.items()})
 
     @classmethod
     def load(cls, path: str | Path) -> "TaggerModel":

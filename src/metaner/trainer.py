@@ -39,7 +39,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -274,15 +274,28 @@ def train(
     mix_layer: str = "embedding",
     history_path: str | Path | None = None,
     weights_path: str | Path | None = None,
+    checkpoint_path: str | Path | None = None,
+    run_fields: Mapping[str, object] | None = None,
 ) -> TrainResult:
     """Run the full loop and return the model restored to its best dev score.
 
     History records are JSON lines {step, dev_f1, mean_weight_*, loss} at the
     eval cadence; every step's per-example weights are kept as TSV rows
     (step, example-id, provenance, weight) for offline inspection.
+
+    The best parameters live only in `checkpoint_path`: each improving dev
+    eval saves the model there atomically, with `run_fields` and that eval's
+    step as `best_step` in the checkpoint's run block. If the best eval is
+    not the last, the file is read back into the live parameter arrays at the
+    end. So a run holds one copy of the parameters, and a run that diverges
+    leaves its best checkpoint so far. With no improving eval (no dev corpus,
+    or no steps), the parameters as they are at the end are saved with
+    `best_step` 0. A dev corpus needs a checkpoint path.
     """
     if len(clean) == 0:
         raise ValueError("clean training corpus is empty")
+    if dev is not None and checkpoint_path is None:
+        raise ValueError("a dev corpus needs a checkpoint path to keep the best parameters")
     pool = build_pool(clean, pseudo)
     sample_ss, dropout_ss = np.random.SeedSequence(cfg.seed).spawn(2)
     sample_rng = np.random.default_rng(sample_ss)
@@ -297,11 +310,12 @@ def train(
     history: list[dict] = []
     weight_rows: list[tuple[int, str, str, float]] = []
     window = _WindowMeans()
-    best_f1 = -1.0
+    best_f1 = -1.0  # below every F1, so the first eval improves on it
     best_step = 0
-    # One copy of the best parameters, allocated at the first improving eval
-    # and overwritten in place by later ones.
-    best: dict[str, np.ndarray] | None = None
+
+    def save(best_step: int) -> None:
+        run = {**(run_fields or {}), "best_step": best_step}
+        model.save(checkpoint_path, extra_config=run)
 
     for step in range(1, cfg.steps + 1):
         aug_idx = sample_rng.integers(len(pool), size=cfg.n)
@@ -328,17 +342,16 @@ def train(
                 if record["dev_f1"] > best_f1:
                     best_f1 = record["dev_f1"]
                     best_step = step
-                    if best is None:
-                        best = model.params.snapshot()
-                    else:
-                        for name, t in model.params.items():
-                            np.copyto(best[name], t.data)
+                    save(best_step)
             else:
                 record["dev_f1"] = None
             history.append(record)
 
-    if best is not None:
-        model.params.load_snapshot(best)
+    if best_f1 < 0:
+        if checkpoint_path is not None:
+            save(best_step)
+    elif best_step != cfg.steps:
+        model.load_params(checkpoint_path)
     if history_path is not None:
         with open(history_path, "w", encoding="utf-8") as fh:
             for record in history:

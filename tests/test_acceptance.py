@@ -568,7 +568,9 @@ class TestAblationAndBaseline:
         cfg = TrainerConfig(
             steps=250, m=4, n=16, eval_every=50, seed=0, meta_reweight=False, lr=5e-3
         )
-        result = train(model, corpus, [], dev, cfg)
+        result = train(
+            model, corpus, [], dev, cfg, checkpoint_path=tmp_path / "baseline.ckpt"
+        )
         elapsed = time.perf_counter() - t0
         baseline_ok = result.best_dev_f1 >= 0.80 and elapsed < 300.0
 

@@ -11,7 +11,9 @@ import pytest
 
 from oracles import sentence_decode
 
+from metaner import trainer as trainer_mod
 from metaner.augment import EntityDict, SynonymDict
+from metaner.autodiff import NumericError
 from metaner.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from metaner.cli import _load_training_corpus, main
 from metaner.config import RunConfig
@@ -341,6 +343,31 @@ class TestTrainingBytes:
             out = out.parent
         for name, digest in TRAIN_SHA256[fixture].items():
             assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+
+
+class TestDivergedRun:
+    def test_exits_two_keeping_the_best_checkpoint(
+        self, synth_dataset, tmp_path, monkeypatch, capsys, trained
+    ):
+        # The `trained` run's best eval is its first, at step 3, so a run of
+        # the same config that diverges at step 5 has saved the same file.
+        step = trainer_mod.meta_train_step
+        calls = []
+
+        def diverge_at_5(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 5:
+                raise NumericError("boom")
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "meta_train_step", diverge_at_5)
+        out = tmp_path / "run"
+        cfg = write_config(tmp_path, base_config(synth_dataset, out))
+        assert main(["train", "--config", str(cfg)]) == 2
+        assert "diverged at step 5" in capsys.readouterr().err
+        assert (out / "model.ckpt").read_bytes() == trained.read_bytes()
+        assert load_checkpoint(out / "model.ckpt")[1]["run"]["best_step"] == 3
+        assert not (out / "model.ckpt.tmp").exists()
 
 
 class TestEvalCommand:

@@ -21,6 +21,7 @@ from oracles import (
 from metaner import autodiff as ad
 from metaner import trainer as trainer_mod
 from metaner.autodiff import NumericError, grad
+from metaner.checkpoint import load_checkpoint
 from metaner.augment import AugConfig, MixedExample, generate_augmented_set
 from metaner.corpus import Corpus, LabeledSequence
 from metaner.tagger import ModelConfig, TaggerModel
@@ -634,11 +635,11 @@ class TestTrain:
         assert mean_after < 0.5 * mean_before
         assert result.history[-1]["loss"] < result.history[0]["loss"]
 
-    def test_history_cadence_and_fields(self):
+    def test_history_cadence_and_fields(self, tmp_path):
         corpus = toy_corpus()
         model = toy_model(seed=2)
         cfg = TrainerConfig(steps=12, n=2, m=1, eval_every=5, seed=0)
-        result = train(model, corpus, [], corpus, cfg)
+        result = train(model, corpus, [], corpus, cfg, checkpoint_path=tmp_path / "m.ckpt")
         assert [h["step"] for h in result.history] == [5, 10, 12]
         for record in result.history:
             assert set(record) == {
@@ -666,59 +667,125 @@ class TestTrain:
         assert {row[2] for row in result.weight_rows} <= {"clean", "mixup"}
 
     @staticmethod
-    def scripted_evaluate(monkeypatch, scores):
+    def scripted_evaluate(monkeypatch, scores, checkpoint=None):
         """Make the dev evals score `scores` in turn; returns the parameter
-        bytes seen at each eval."""
+        bytes seen at each eval, and whether `checkpoint` existed then."""
         scores = iter(scores)
-        seen = []
+        seen, existed = [], []
 
         def scripted(model, dev):
             seen.append({n: t.data.tobytes() for n, t in model.params.items()})
+            existed.append(checkpoint is not None and checkpoint.exists())
             return {"f1": next(scores)}
 
         monkeypatch.setattr(trainer_mod, "evaluate", scripted)
-        return seen
+        return seen, existed
 
-    def test_best_dev_checkpoint_restored(self, monkeypatch):
-        # Two improving evals share the best copy, a tie does not replace it,
-        # and the best is not the last eval.
-        seen = self.scripted_evaluate(monkeypatch, [0.2, 0.5, 0.4, 0.5])
+    @staticmethod
+    def assert_checkpoint_holds(path, params, best_step):
+        """`path` holds `params` (name -> bytes) and `best_step` in its run block."""
+        arrays, config, _ = load_checkpoint(path)
+        assert config["run"] == {"scheme": "BIOES", "best_step": best_step}
+        assert set(arrays) == set(params)
+        for name, arr in arrays.items():
+            assert arr.tobytes() == params[name], name
+
+    def test_best_dev_checkpoint_restored(self, monkeypatch, tmp_path):
+        # Two improving evals overwrite the checkpoint, a tie does not, and
+        # the best is not the last eval, so the file is read back in place.
+        path = tmp_path / "model.ckpt"
+        seen, existed = self.scripted_evaluate(monkeypatch, [0.2, 0.5, 0.4, 0.5], path)
         corpus = toy_corpus()
         model = toy_model(seed=4)
+        live = {name: t.data for name, t in model.params.items()}
         cfg = TrainerConfig(steps=40, n=4, m=2, lr=0.02, eval_every=10, seed=2)
-        result = train(model, corpus, [], corpus, cfg)
+        result = train(
+            model, corpus, [], corpus, cfg,
+            checkpoint_path=path, run_fields={"scheme": "BIOES"},
+        )
         assert [h["dev_f1"] for h in result.history] == [0.2, 0.5, 0.4, 0.5]
         assert (result.best_dev_f1, result.best_step) == (0.5, 20)
         assert len({seen[1]["embed.table"], seen[3]["embed.table"]}) == 2
+        assert existed == [False, True, True, True]
         assert result.model is model
         for name, arr in model.params.items():
+            assert arr.data is live[name], name
             assert arr.data.tobytes() == seen[1][name], name
+        self.assert_checkpoint_holds(path, seen[1], 20)
+        assert list(tmp_path.iterdir()) == [path]
 
-    def test_peak_memory_holds_one_best_copy(self, monkeypatch):
-        # Growing the embedding table by G bytes may grow train()'s peak by
-        # AdamW's m and v plus one best copy of it, not a second copy.
+    def test_zero_steps_with_dev_saves_initial_parameters(self, tmp_path):
+        model = toy_model()
+        before = {n: t.data.tobytes() for n, t in model.params.items()}
+        path = tmp_path / "model.ckpt"
+        result = train(
+            model, toy_corpus(), [], toy_corpus(), TrainerConfig(steps=0),
+            checkpoint_path=path, run_fields={"scheme": "BIOES"},
+        )
+        assert (result.history, result.best_step) == ([], 0)
+        self.assert_checkpoint_holds(path, before, 0)
+
+    def test_dev_corpus_without_checkpoint_path_rejected(self):
+        with pytest.raises(ValueError, match="checkpoint path"):
+            train(toy_model(), toy_corpus(), [], toy_corpus(), TrainerConfig(steps=1))
+
+    def test_divergence_keeps_the_best_checkpoint(self, monkeypatch, tmp_path):
+        # Evals at steps 2 and 4 score 0.3 and 0.2; step 5 diverges.
+        seen, _ = self.scripted_evaluate(monkeypatch, [0.3, 0.2])
+        step = trainer_mod.meta_train_step
+        calls = []
+
+        def diverge_at_5(*args, **kwargs):
+            calls.append(None)
+            if len(calls) == 5:
+                raise NumericError("boom")
+            return step(*args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "meta_train_step", diverge_at_5)
+        path = tmp_path / "model.ckpt"
+        cfg = TrainerConfig(steps=6, n=2, m=1, eval_every=2, seed=0)
+        with pytest.raises(RuntimeError, match="diverged at step 5"):
+            train(
+                toy_model(seed=3), toy_corpus(), [], toy_corpus(), cfg,
+                checkpoint_path=path, run_fields={"scheme": "BIOES"},
+            )
+        assert len(seen) == 2
+        self.assert_checkpoint_holds(path, seen[0], 2)
+        loaded = TaggerModel.load(path)
+        for name, arr in loaded.params.items():
+            assert arr.data.tobytes() == seen[0][name], name
+
+    def test_peak_memory_holds_one_best_copy(self, monkeypatch, tmp_path):
+        # The one copy of the best parameters is the checkpoint file. Growing
+        # the embedding table by G bytes may grow train()'s peak by AdamW's m
+        # and v, not by an in-memory best copy, whether the best eval is the
+        # last or an earlier one whose parameters are read back.
         base = toy_corpus()
 
-        def peak_bytes(extra_words):
-            scores = iter([0.1, 0.2, 0.3])
-            monkeypatch.setattr(trainer_mod, "evaluate", lambda *_: {"f1": next(scores)})
+        def peak_bytes(extra_words, scores):
+            it = iter(scores)
+            monkeypatch.setattr(trainer_mod, "evaluate", lambda *_: {"f1": next(it)})
             vocab = base.token_vocab + [f"pad{i}" for i in range(extra_words)]
             corpus = Corpus(base.examples, token_vocab=vocab)
             model = TaggerModel.build(corpus, ModelConfig(emb_dim=8, hidden=2), seed=0)
             cfg = TrainerConfig(steps=6, n=2, m=1, eval_every=2, seed=0)
             tracemalloc.start()
             try:
-                train(model, corpus, [], corpus, cfg)
+                result = train(
+                    model, corpus, [], corpus, cfg, checkpoint_path=tmp_path / "m.ckpt"
+                )
                 _, peak = tracemalloc.get_traced_memory()
             finally:
                 tracemalloc.stop()
+            assert result.best_step == 2 * (1 + scores.index(max(scores)))
             return peak, model.params["embed.table"].data.nbytes
 
-        small, small_table = peak_bytes(0)
-        large, large_table = peak_bytes(50_000)
-        growth = large_table - small_table
-        assert growth == 50_000 * 8 * 8
-        assert large - small <= 3.5 * growth
+        for scores in ((0.1, 0.2, 0.3), (0.3, 0.2, 0.1)):
+            small, small_table = peak_bytes(0, scores)
+            large, large_table = peak_bytes(50_000, scores)
+            growth = large_table - small_table
+            assert growth == 50_000 * 8 * 8
+            assert large - small <= 2.5 * growth, scores
 
     def test_output_files_round_trip(self, tmp_path):
         corpus = toy_corpus()
@@ -729,6 +796,7 @@ class TestTrain:
         result = train(
             model, corpus, [], corpus, cfg,
             history_path=history_path, weights_path=weights_path,
+            checkpoint_path=tmp_path / "m.ckpt",
         )
         lines = history_path.read_text().strip().split("\n")
         assert [json.loads(line)["step"] for line in lines] == [2, 4]
@@ -741,7 +809,10 @@ class TestTrain:
 
         def run(path):
             model = toy_model(seed=6, dropout=0.5)
-            train(model, corpus, [], corpus, cfg, history_path=path)
+            train(
+                model, corpus, [], corpus, cfg,
+                history_path=path, checkpoint_path=tmp_path / "m.ckpt",
+            )
             return path.read_bytes()
 
         assert run(tmp_path / "a.jsonl") == run(tmp_path / "b.jsonl")
@@ -762,11 +833,11 @@ class TestTrain:
 
 
 class TestEvaluate:
-    def test_perfect_model_scores_one(self):
+    def test_perfect_model_scores_one(self, tmp_path):
         corpus = toy_corpus()
         model = toy_model(seed=1)
         cfg = TrainerConfig(steps=80, n=4, m=1, lr=0.02, eval_every=20, meta_reweight=False)
-        train(model, corpus, [], corpus, cfg)
+        train(model, corpus, [], corpus, cfg, checkpoint_path=tmp_path / "m.ckpt")
         out = evaluate(model, corpus)
         assert set(out) == {"precision", "recall", "f1", "support"}
         assert out["support"] == 7
