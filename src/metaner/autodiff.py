@@ -6,7 +6,7 @@ closure; `grad` walks the graph once in reverse topological order.
 
 The op catalog is deliberately small:
 
-- elementwise on equal shapes: add, sub, mul, scale (no broadcasting);
+- elementwise on equal shapes: sub and mul (no broadcasting), and scale;
 - the output layer: affine, x @ w + b;
 - rows: embed_rows (a table lookup) and mix_rows (rows of two tensors
   combined by per-row coefficients, the mixup interpolation).
@@ -108,16 +108,6 @@ def parameter(value, name: str) -> Tensor:
 def _same_shape(op: str, a: Tensor, b: Tensor) -> None:
     if a.shape != b.shape:
         raise ValueError(f"{op} needs equal shapes, got {a.shape} and {b.shape}")
-
-
-def add(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape("add", a, b)
-    out = a.data + b.data
-
-    def vjp(g: Array):
-        return g, g
-
-    return Tensor(out, (a, b), vjp)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -424,21 +414,6 @@ class ParamStore:
 
     def items(self) -> Iterator[tuple[str, Tensor]]:
         return iter(self._entries.items())
-
-    def snapshot(self) -> dict[str, Array]:
-        """A fresh copy of every parameter array, sharing no memory with them."""
-        return {name: t.data.copy() for name, t in self._entries.items()}
-
-    def load_snapshot(self, arrays: Mapping[str, Array]) -> None:
-        """Copy `arrays` into the live parameter arrays, which keep their
-        identity."""
-        for name, t in self._entries.items():
-            src = np.asarray(arrays[name], dtype=np.float64)
-            if src.shape != t.data.shape:
-                raise ValueError(
-                    f"shape mismatch for {name!r}: {src.shape} vs {t.data.shape}"
-                )
-            np.copyto(t.data, src)
 
 
 class GradientMap(Mapping):

@@ -176,10 +176,18 @@ def cmd_augment(args) -> int:
     return 0
 
 
+# What `train` writes besides `resolved_config.cfg`.
+_TRAIN_ARTIFACTS = ("model.ckpt", "history.jsonl", "weights.tsv", "summary.json")
+
+
 def cmd_train(args) -> int:
     """Train from a config file. `train()` writes `model.ckpt` atomically at
     each improving dev eval, and it is the only copy of the best parameters;
-    a run that diverges exits 2 and leaves the best checkpoint so far."""
+    a run that diverges exits 2 and leaves the best checkpoint so far.
+
+    Before training it removes `_TRAIN_ARTIFACTS` from `out`, so that no file
+    there comes from an earlier run, but only once the config and the
+    training inputs have been checked, so that a typo never wipes a good run."""
     cfg = parse_config(args.config)
     _require(cfg, "train", "train", "dev", "out")
     train_corpus = _load_training_corpus(cfg)
@@ -192,6 +200,8 @@ def cmd_train(args) -> int:
     del vectors  # set-up data: held through training, they raise the peak memory
     out = Path(cfg.out)
     out.mkdir(parents=True, exist_ok=True)
+    for name in _TRAIN_ARTIFACTS:
+        (out / name).unlink(missing_ok=True)
     _write_resolved(cfg, out)
     trainer_cfg = replace(cfg.trainer, seed=cfg.seed)
     result = train(

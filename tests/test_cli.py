@@ -9,7 +9,7 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import sentence_decode
+from oracles import convert_sentence, sentence_decode
 
 from metaner import trainer as trainer_mod
 from metaner.augment import EntityDict, SynonymDict
@@ -17,7 +17,7 @@ from metaner.autodiff import NumericError
 from metaner.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from metaner.cli import _load_training_corpus, main
 from metaner.config import RunConfig
-from metaner.corpus import convert_scheme, read_conll, span_f1, write_conll
+from metaner.corpus import read_conll, span_f1, write_conll
 from metaner.tagger import TaggerModel
 from metaner.trainer import read_weight_rows
 from metaner.vectors import read_vector_file
@@ -288,7 +288,7 @@ class TestTrainingCorpus:
         for split in ("train", "dev", "test"):
             examples = read_conll(synth_dataset[split]).examples
             bio[split] = tmp_path / f"{split}.bio.conll"
-            write_conll([convert_scheme(ex, "BIO") for ex in examples], bio[split])
+            write_conll([convert_sentence(ex, "BIO") for ex in examples], bio[split])
         assert "E-" not in bio["train"].read_text()
         outs = []
         for name, dataset, extra in (
@@ -368,6 +368,27 @@ class TestDivergedRun:
         assert (out / "model.ckpt").read_bytes() == trained.read_bytes()
         assert load_checkpoint(out / "model.ckpt")[1]["run"]["best_step"] == 3
         assert not (out / "model.ckpt.tmp").exists()
+
+    def test_leaves_no_artifact_of_an_earlier_run(self, synth_dataset, tmp_path, monkeypatch):
+        out = tmp_path / "run"
+        first = write_config(tmp_path, base_config(synth_dataset, out), "first.cfg")
+        assert main(["train", "--config", str(first)]) == 0
+        artifacts = {"model.ckpt", "history.jsonl", "weights.tsv", "summary.json"}
+        assert artifacts <= {p.name for p in out.iterdir()}
+
+        # A config error exits 1 before anything in `out` is touched.
+        typo = write_config(tmp_path, base_config(synth_dataset, out, stpes=3), "typo.cfg")
+        assert main(["train", "--config", str(typo)]) == 1
+        assert artifacts <= {p.name for p in out.iterdir()}
+
+        def diverge(*args, **kwargs):
+            raise NumericError("boom")
+
+        monkeypatch.setattr(trainer_mod, "meta_train_step", diverge)
+        second = write_config(tmp_path, base_config(synth_dataset, out, seed=2), "second.cfg")
+        assert main(["train", "--config", str(second)]) == 2
+        assert [p.name for p in out.iterdir()] == ["resolved_config.cfg"]
+        assert "seed=2" in (out / "resolved_config.cfg").read_text().splitlines()
 
 
 class TestEvalCommand:

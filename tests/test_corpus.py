@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
+from oracles import convert_sentence, extract_spans
 from metaner.corpus import (
     Corpus,
     CorpusFormatError,
@@ -15,8 +16,6 @@ from metaner.corpus import (
     Span,
     _renders_as_itself,
     _span_arrays,
-    convert_scheme,
-    extract_spans,
     read_conll,
     render_labels,
     span_f1,
@@ -98,25 +97,36 @@ class TestReadConll:
         assert back.label_vocab == corpus.label_vocab
         assert back.token_vocab == corpus.token_vocab
 
+    @pytest.mark.parametrize("scheme", ["BIOES", None])
+    def test_one_string_per_distinct_token_and_label(self, tmp_path, scheme):
+        path = tmp_path / "toy.conll"
+        path.write_text("John B-PER\nSmith E-PER\nsleeps O\n\nJohn S-PER\nruns O\n\n"
+                        "Smith B-PER\nJohn E-PER\n")
+        a, b, c = read_conll(path, scheme=scheme).examples
+        assert a.tokens[0] is b.tokens[0] is c.tokens[1]
+        assert a.tokens[1] is c.tokens[0]
+        assert a.labels[0] is c.labels[0] and a.labels[1] is c.labels[1]
+        assert a.labels[2] is b.labels[1]
+
 
 class TestConvertScheme:
     def test_bio_pair_to_bioes(self):
-        out = convert_scheme(seq(["a", "b", "c"], ["B-PER", "I-PER", "O"], "BIO"), "BIOES")
+        out = convert_sentence(seq(["a", "b", "c"], ["B-PER", "I-PER", "O"], "BIO"), "BIOES")
         assert out.labels == ("B-PER", "E-PER", "O")
 
     def test_bio_single_to_s(self):
-        out = convert_scheme(seq(["a"], ["B-LOC"], "BIO"), "BIOES")
+        out = convert_sentence(seq(["a"], ["B-LOC"], "BIO"), "BIOES")
         assert out.labels == ("S-LOC",)
 
     def test_long_span_to_bioes(self):
-        out = convert_scheme(
+        out = convert_sentence(
             seq("a b c d".split(), ["B-ORG", "I-ORG", "I-ORG", "O"], "BIO"), "BIOES"
         )
         assert out.labels == ("B-ORG", "I-ORG", "E-ORG", "O")
 
     def test_repair_stray_inside_tag(self, caplog):
         with caplog.at_level("WARNING"):
-            out = convert_scheme(seq(["a", "b"], ["O", "I-PER"], "BIO"), "BIOES")
+            out = convert_sentence(seq(["a", "b"], ["O", "I-PER"], "BIO"), "BIOES")
         assert out.labels == ("O", "S-PER")
         assert "repair" in caplog.text
 
@@ -124,7 +134,7 @@ class TestConvertScheme:
         original = seq(
             "x y z w v".split(), ["B-PER", "I-PER", "O", "B-LOC", "I-LOC"], "BIO"
         )
-        back = convert_scheme(convert_scheme(original, "BIOES"), "BIO")
+        back = convert_sentence(convert_sentence(original, "BIOES"), "BIO")
         assert back.labels == original.labels
 
 
@@ -214,13 +224,13 @@ class TestSchemeProperties:
     @given(random_span_layout())
     @settings(max_examples=200)
     def test_conversion_preserves_spans(self, example):
-        converted = convert_scheme(example, "BIOES")
+        converted = convert_sentence(example, "BIOES")
         assert extract_spans(converted) == extract_spans(example)
 
     @given(random_span_layout())
     @settings(max_examples=200)
     def test_bio_bioes_round_trip(self, example):
-        back = convert_scheme(convert_scheme(example, "BIOES"), "BIO")
+        back = convert_sentence(convert_sentence(example, "BIOES"), "BIO")
         assert back.labels == example.labels
 
 

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from oracles import dense_adamw_step
+from oracles import dense_adamw_step, snapshot
 
 from metaner import optim
 from metaner.autodiff import GradientMap, NumericError, ParamStore, RowGrad
@@ -96,7 +96,7 @@ class TestInPlaceAdamW:
         state = AdamWState(lr=1e-2, weight_decay=1e-3)
         for gm in grad_maps:
             step_fn(store, gm if sparse else GradientMap(dict(gm.items())), state)
-        return store.snapshot(), state
+        return snapshot(store), state
 
     def grad_maps(self, steps=4):
         rng = np.random.default_rng(6)

@@ -12,6 +12,7 @@ from oracles import (
     brute_nll,
     brute_score,
     brute_viterbi_score,
+    add,
     finite_diff_check,
     numeric_gradient,
     rel_err,
@@ -19,6 +20,7 @@ from oracles import (
     sentence_crf_log_partition,
     sentence_decode,
     sentence_viterbi,
+    snapshot,
     tsum,
 )
 
@@ -384,7 +386,7 @@ def split_rows(x, lengths):
 def total(losses):
     out = losses[0]
     for loss in losses[1:]:
-        out = ad.add(out, loss)
+        out = add(out, loss)
     return out
 
 
@@ -602,6 +604,27 @@ class TestSequenceLoss:
         for seqs in (tiny_corpus().examples[:1], tiny_corpus().examples):
             loss = model.batch_loss(seqs, train=True, rng=rng)
             assert len(ad._topo_order(loss)) == 20
+
+    def test_backward_scratch_is_a_few_gate_arrays(self):
+        # On top of what the graph holds, the backward pass of a packed batch
+        # allocates the bytes of 2.9 arrays the size of the BiLSTM's gates,
+        # (2, n, 4H), at its peak; one more such array breaks the bound.
+        model = tiny_model(emb_dim=32, hidden=32, dropout=0.5)
+        words = ["john", "smith", "visits", "paris", "acme", "hires"]
+        labels = ["O", "S-PER", "O", "S-LOC", "B-PER", "E-PER"]
+        seqs = [
+            seq([words[(k + i) % 6] for i in range(n)], [labels[(k + i) % 4] for i in range(n)])
+            for k, n in enumerate(3 + (7 * k) % 17 for k in range(24))
+        ]
+        loss = model.batch_loss(seqs, train=True, rng=np.random.default_rng(0))
+        gate_bytes = 2 * sum(map(len, seqs)) * 4 * 32 * 8
+        tracemalloc.start()
+        try:
+            grad(loss, model.params)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 3.5 * gate_bytes
 
     def test_gradient_matches_finite_differences_eval_mode(self):
         model = tiny_model(emb_dim=3, hidden=2, seed=9)
@@ -858,7 +881,7 @@ class TestPersistence:
         assert back.label_vocab == model.label_vocab
         assert back.table.vocab == model.table.vocab
         assert back.config == model.config
-        for name, arr in model.params.snapshot().items():
+        for name, arr in snapshot(model.params).items():
             np.testing.assert_array_equal(back.params[name].data, arr)
         tokens = ["john", "smith", "visits", "paris"]
         assert back.decode(tokens) == model.decode(tokens)

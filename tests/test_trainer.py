@@ -2,6 +2,7 @@
 
 import json
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -9,12 +10,14 @@ import pytest
 from oracles import (
     dense_adamw_step,
     example_loss,
+    load_snapshot,
     per_example_epsilon_grad,
     per_example_reweighted_step,
     per_sentence_uniform_step,
     pick,
     rel_err,
     sentence_decode,
+    snapshot,
     span_f1,
 )
 
@@ -24,7 +27,7 @@ from metaner.autodiff import NumericError, grad
 from metaner.checkpoint import load_checkpoint
 from metaner.augment import AugConfig, MixedExample, generate_augmented_set
 from metaner.corpus import Corpus, LabeledSequence
-from metaner.tagger import ModelConfig, TaggerModel
+from metaner.tagger import LaneSum, ModelConfig, TaggerModel
 from metaner.trainer import (
     TrainerConfig,
     TrainExample,
@@ -64,7 +67,7 @@ def toy_model(seed=0, dropout=0.0):
 def two_stage_fd(model, loss_builders, meta_examples, beta, i, h=1e-5):
     """Literal lookahead: perturb one example weight, step, measure meta loss."""
     params = model.params
-    snapshot = params.snapshot()
+    saved = snapshot(params)
     g_i = grad(loss_builders[i](), params)
 
     def meta_at(eps):
@@ -73,7 +76,7 @@ def two_stage_fd(model, loss_builders, meta_examples, beta, i, h=1e-5):
         value = float(
             np.mean([model.sequence_loss(ex).data for ex in meta_examples])
         )
-        params.load_snapshot(snapshot)
+        load_snapshot(params, saved)
         return value
 
     return (meta_at(h) - meta_at(-h)) / (2 * h)
@@ -189,6 +192,38 @@ class TestEpsilonGrad:
         assert large_table > 100 * small_table
         assert large - small < (large_table - small_table) / 2
 
+    def test_augmented_graph_is_released_before_the_meta_forward(self, monkeypatch):
+        class Watched(LaneSum):
+            __slots__ = ("__weakref__",)
+
+        augmented = []
+        packed_loss = trainer_mod.packed_loss
+        batch_loss = TaggerModel.batch_loss
+
+        def watched_packed_loss(*args, **kwargs):
+            out = packed_loss(*args, **kwargs)
+            out = Watched(out.data, out.parents, out.vjp, out.per_lane)
+            augmented.append(weakref.ref(out))
+            return out
+
+        def meta_forward(model, *args, **kwargs):
+            assert len(augmented) == 1 and augmented[0]() is None, "augmented graph alive"
+            return batch_loss(model, *args, **kwargs)
+
+        monkeypatch.setattr(trainer_mod, "packed_loss", watched_packed_loss)
+        monkeypatch.setattr(TaggerModel, "batch_loss", meta_forward)
+        corpus = toy_corpus()
+        batch = [
+            TrainExample(corpus.examples[2], "clean", "clean-2"),
+            TrainExample(MixedExample(corpus.examples[0], corpus.examples[1], lam=0.35),
+                         "mixup", "mixup-0"),
+        ]
+        eps, _, losses = epsilon_grad(
+            toy_model(dropout=0.5), batch, corpus.examples[1:], 0.1, "embedding",
+            np.random.default_rng(0),
+        )
+        assert eps.shape == losses.shape == (2,)
+
     def test_empty_batches_rejected(self):
         model = toy_model()
         ex = toy_corpus().examples[0]
@@ -271,7 +306,7 @@ class TestMetaTrainStep:
         model = toy_model()
         corpus = toy_corpus()
         aug, meta = self.batch(model, corpus)
-        before = model.params.snapshot()
+        before = snapshot(model.params)
         weights, loss_value = meta_train_step(
             model, aug, meta, TrainerConfig(), AdamWState(lr=1e-2), np.random.default_rng(0)
         )
@@ -293,7 +328,7 @@ class TestMetaTrainStep:
                 meta_train_step(
                     model, pool[:2], [corpus.examples[2]], TrainerConfig(), state, rng
                 )
-            return model.params.snapshot()
+            return snapshot(model.params)
 
         a, b = run(), run()
         for name in a:
@@ -384,7 +419,7 @@ class TestRowSparseUpdate:
                     per_sentence_uniform_step(model, aug, cfg, state, dropout_rng)
                 else:
                     meta_train_step(model, aug, meta, cfg, state, dropout_rng)
-        return model.params.snapshot(), state, seen
+        return snapshot(model.params), state, seen
 
     @pytest.mark.parametrize("meta_reweight", [True, False])
     def test_bit_identical_to_dense_update_without_clipping(
@@ -457,7 +492,7 @@ class TestUniformStep:
                 meta_train_step(model, aug, meta, cfg, state, dropout_rng, mix_layer)
             else:
                 per_sentence_uniform_step(model, aug, cfg, state, dropout_rng, mix_layer)
-        return model.params.snapshot(), state
+        return snapshot(model.params), state
 
     @pytest.mark.parametrize("mix_layer", ["embedding", "encoder"])
     def test_matches_per_sentence_reference(self, mix_layer):
@@ -536,7 +571,7 @@ class TestReweightedStep:
                 eps.append(values)
             ws.append(weights.w)
             losses.append(loss)
-        return eps, ws, losses, model.params.snapshot(), state
+        return eps, ws, losses, snapshot(model.params), state
 
     @pytest.mark.parametrize("mix_layer", ["embedding", "encoder"])
     def test_matches_per_example_reference(self, monkeypatch, mix_layer):
@@ -613,7 +648,7 @@ class TestBuildPool:
 class TestTrain:
     def test_zero_steps_returns_initial_model(self):
         model = toy_model()
-        before = model.params.snapshot()
+        before = snapshot(model.params)
         result = train(model, toy_corpus(), [], None, TrainerConfig(steps=0))
         assert result.history == []
         for name in before:
