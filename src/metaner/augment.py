@@ -6,7 +6,8 @@ swapped for embedding-space synonyms. Mixup never materializes tokens at all;
 it pairs two training sentences and interpolates their representations inside
 the model, with the pair's losses combined by the same coefficient.
 
-`packed_loss` runs a batch of plain sentences and mixup pairs as lanes of one
+`TaggerModel.batch_loss` runs a batch of plain sentences and mixup pairs
+(`MixedExample`, defined next to it and re-exported here) as lanes of one
 graph: a pair is one lane mixed from its two sentences' embedding rows, or two
 BiLSTM lanes whose states mix into one, and its lane scores both gold paths.
 `mixup_loss` is the one-pair case.
@@ -32,12 +33,10 @@ from .corpus import (
     render_labels,
     sentence_spans,
 )
-from .tagger import LaneSum, Mix, TaggerModel
+from .tagger import MIX_LAYERS, LaneSum, MixedExample, TaggerModel
 from .vectors import read_vector_file
 
 logger = logging.getLogger(__name__)
-
-MIX_LAYERS = ("embedding", "encoder")
 
 # Retry budgets for the forced-substitution loop. Small and fixed: a sentence
 # that cannot change in this many attempts has no usable site.
@@ -256,34 +255,6 @@ class Substituted:
     source_index: int = -1
 
 
-@dataclass(frozen=True)
-class MixedExample:
-    """A sampled mixup pair; the mixed input exists only as representations."""
-
-    first: LabeledSequence
-    second: LabeledSequence
-    lam: float
-    first_index: int = -1
-    second_index: int = -1
-
-    def __post_init__(self):
-        if not (np.isfinite(self.lam) and 0.0 <= self.lam <= 1.0):
-            raise ValueError(f"lambda must be finite in [0, 1], got {self.lam}")
-
-    @property
-    def length(self) -> int:
-        return max(len(self.first), len(self.second))
-
-    def _padded(self, labels: tuple[str, ...]) -> tuple[str, ...]:
-        return labels + ("O",) * (self.length - len(labels))
-
-    def labels_first(self) -> tuple[str, ...]:
-        return self._padded(self.first.labels)
-
-    def labels_second(self) -> tuple[str, ...]:
-        return self._padded(self.second.labels)
-
-
 PseudoExample = Union[Substituted, MixedExample]
 
 
@@ -367,62 +338,6 @@ def sample_mixup_pair(
     return MixedExample(corpus.examples[i], corpus.examples[j], lam, i, j)
 
 
-def packed_loss(
-    model: TaggerModel,
-    examples: Sequence[LabeledSequence | MixedExample],
-    mix_layer: str = "embedding",
-    train: bool = False,
-    rng: np.random.Generator | None = None,
-) -> LaneSum:
-    """Summed loss of plain sentences and mixup pairs as one packed graph.
-
-    Example i is lane i of the CRF and owns every row computed for it, so
-    `per_lane[i]` is its loss and the gradient's rows carry i. A plain
-    sentence is a lane as in `TaggerModel.batch_loss`. A mixup pair's two
-    sentences are looked up like any others; at the embedding layer their
-    rows mix into one lane before the BiLSTM, at the encoder layer they run
-    as two BiLSTM lanes whose states mix into one. The pair's lane scores
-    both gold paths, lambda times the first's and 1 - lambda the second's.
-    """
-    if mix_layer not in MIX_LAYERS:
-        raise ValueError(f"mix_layer must be one of {MIX_LAYERS}, got {mix_layer!r}")
-    sentences: list[LabeledSequence] = []
-    sentence_owner: list[int] = []
-    rows: tuple[list[int], list[int]] = ([], [])  # mixed row -> sentence row, -1 none
-    coefs: tuple[list[float], list[float]] = ([], [])  # per mixed row
-    paths: tuple[list[int], list[int]] = ([], [])
-    path_coefs: tuple[list[float], list[float]] = ([], [])  # per lane
-    lane_lengths: list[int] = []
-    offset = 0
-    for i, ex in enumerate(examples):
-        if isinstance(ex, MixedExample):
-            pair, lams = (ex.first, ex.second), (ex.lam, 1.0 - ex.lam)
-            gold = (ex.labels_first(), ex.labels_second())
-        else:
-            pair, lams, gold = (ex,), (1.0, 0.0), (ex.labels, ex.labels)
-        n = max(len(s) for s in pair)
-        for j in range(2):
-            k = len(pair[j]) if j < len(pair) else 0
-            rows[j].extend(range(offset, offset + k))
-            rows[j].extend([-1] * (n - k))
-            offset += k
-            coefs[j].extend([lams[j]] * n)
-            paths[j].extend(model.label_indices(gold[j]))
-            path_coefs[j].append(lams[j])
-        sentences.extend(pair)
-        sentence_owner.extend([i] * len(pair))
-        lane_lengths.append(n)
-    tokens = [tok for s in sentences for tok in s.tokens]
-    lengths = [len(s) for s in sentences]
-    owners = np.repeat(sentence_owner, lengths)
-    if len(sentences) == len(examples):  # no pairs
-        return model.packed_nll(tokens, lengths, paths[0], train, rng, owners)
-    mix = Mix(
-        mix_layer, rows, coefs, lane_lengths, np.repeat(np.arange(len(examples)), lane_lengths)
-    )
-    return model.packed_nll(tokens, lengths, paths, train, rng, owners, mix, path_coefs)
-
-
 def mixup_loss(
     model: TaggerModel,
     mx: MixedExample,
@@ -435,9 +350,9 @@ def mixup_loss(
     Both label sequences are scored against one shared emission/partition
     computation on the mixed representation, so the composite is the exact
     lam-combination of the two single-label losses. It is the one-pair case
-    of `packed_loss`.
+    of `TaggerModel.batch_loss`.
     """
-    return packed_loss(model, [mx], mix_layer, train, rng)
+    return model.batch_loss([mx], train, rng, mix_layer)
 
 
 # --- batch generation --------------------------------------------------------------

@@ -33,7 +33,6 @@ from .augment import (
     build_synonym_dict,
     generate_augmented_set,
 )
-from .checkpoint import CheckpointError
 from .config import ConfigError, RunConfig, parse_config, render_config
 from .corpus import (
     Corpus,
@@ -341,10 +340,11 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return args.func(args)
-    except (ConfigError, CorpusFormatError, CheckpointError, FileNotFoundError) as exc:
-        print(f"{PROG}: error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
+    # Bad input: every config, corpus and checkpoint error is a ValueError, and
+    # a flag can name a missing file, a directory for a file or the reverse.
+    except (
+        ValueError, FileNotFoundError, IsADirectoryError, NotADirectoryError, FileExistsError
+    ) as exc:
         print(f"{PROG}: error: {exc}", file=sys.stderr)
         return 1
     except RuntimeError as exc:

@@ -1,10 +1,11 @@
 """Flat key=value run configuration.
 
 One key per line, `#` comments, no sections; model hyperparameters use a
-`model.` prefix. Unknown keys, bad values, and dangling paths are rejected
-with the file name and line number. `render_config` writes every key back out
-explicitly, defaults included, which is how runs record their resolved
-configuration next to their artifacts.
+`model.` prefix. Unknown keys, bad values, input paths that are not regular
+files and an `out` that is not a directory are rejected with the file name
+and line number. `render_config` writes every key back out explicitly,
+defaults included, which is how runs record their resolved configuration next
+to their artifacts.
 """
 
 from __future__ import annotations
@@ -129,6 +130,8 @@ def parse_config(path: str | Path) -> RunConfig:
     path = Path(path)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
+    if not path.is_file():
+        raise ConfigError(f"config file is not a regular file: {path}")
     sections: dict[str, dict] = {"run": {}, "model": {}, "aug": {}, "trainer": {}}
     lines: dict[str, int] = {}
     with open_text(path, ConfigError) as fh:
@@ -172,10 +175,12 @@ def parse_config(path: str | Path) -> RunConfig:
     )
     for key in _PATH_KEYS:
         value = getattr(cfg, key)
-        if value is not None and not Path(value).exists():
-            raise ConfigError(
-                f"{path}:{lines.get(key, '?')}: {key} file does not exist: {value}"
-            )
+        if value is None or Path(value).is_file():
+            continue
+        problem = "is not a regular file" if Path(value).exists() else "file does not exist"
+        raise ConfigError(f"{path}:{lines.get(key, '?')}: {key} {problem}: {value}")
+    if cfg.out is not None and Path(cfg.out).exists() and not Path(cfg.out).is_dir():
+        raise ConfigError(f"{path}:{lines['out']}: out is not a directory: {cfg.out}")
     return cfg
 
 

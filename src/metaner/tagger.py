@@ -17,15 +17,16 @@ re-seeding the generator.
 
 A batch of sentences travels as packed rows: the sentences' rows concatenated,
 (sum of lengths, width), plus their `lengths`; `lengths=None` means the rows
-are one sentence. `packed_nll` looks the batch up once, draws one dropout
-mask per layer over its real tokens, and runs one BiLSTM node and one CRF
-partition node; `batch_loss` is its plain-sentence case, and
-`augment.packed_loss` adds mixup pairs through a `Mix`. The nodes lay the
-sentences out time-major in `Lanes`, sorted longest first, so the sentences
-still running at a timestep are a prefix of the lanes and each step is one
-slice, with no padding and no masks. One sentence is the one-lane case of the
-same code. Every row can carry the index of the example that owns it, which
-the parameter gradients keep (see `autodiff`).
+are one sentence. `batch_loss` is the one training forward: it takes plain
+sentences and mixup pairs (`MixedExample`), looks the batch up once, mixes
+each pair's rows into one lane with `autodiff.mix_rows`, draws one dropout
+mask per layer over the batch, and runs one BiLSTM node and one CRF
+partition node. The nodes lay the sentences out time-major in `Lanes`,
+sorted longest first, so the sentences still running at a timestep are a
+prefix of the lanes and each step is one slice, with no padding and no masks.
+One sentence is the one-lane case of the same code. Every row carries the
+index of the example that owns it, which the parameter gradients keep (see
+`autodiff`).
 
 Decoding builds no graph. `sentence_emissions` runs the BiLSTM recursion the
 training node uses over packed chunks of consecutive sentences, about 512 rows
@@ -58,6 +59,7 @@ from .corpus import Corpus, LabeledSequence
 
 _LSTM_PARAMS = [f"lstm.{d}.{name}" for d in ("fw", "bw") for name in ("Wx", "Wh", "b")]
 _DECODE_ROWS = 512  # packed rows per BiLSTM pass of `TaggerModel.sentence_emissions`
+MIX_LAYERS = ("embedding", "encoder")  # where `TaggerModel.batch_loss` mixes a pair
 
 
 @dataclass
@@ -73,6 +75,34 @@ class ModelConfig:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         if not 0 <= self.dropout < 1:  # NaN fails too
             raise ValueError(f"dropout must be in [0, 1), got {self.dropout}")
+
+
+@dataclass(frozen=True)
+class MixedExample:
+    """A sampled mixup pair; the mixed input exists only as representations."""
+
+    first: LabeledSequence
+    second: LabeledSequence
+    lam: float
+    first_index: int = -1
+    second_index: int = -1
+
+    def __post_init__(self):
+        if not (np.isfinite(self.lam) and 0.0 <= self.lam <= 1.0):
+            raise ValueError(f"lambda must be finite in [0, 1], got {self.lam}")
+
+    @property
+    def length(self) -> int:
+        return max(len(self.first), len(self.second))
+
+    def _padded(self, labels: tuple[str, ...]) -> tuple[str, ...]:
+        return labels + ("O",) * (self.length - len(labels))
+
+    def labels_first(self) -> tuple[str, ...]:
+        return self._padded(self.first.labels)
+
+    def labels_second(self) -> tuple[str, ...]:
+        return self._padded(self.second.labels)
 
 
 class EmbeddingTable:
@@ -248,53 +278,70 @@ class TaggerModel:
 
     def batch_loss(
         self,
-        seqs: Sequence[LabeledSequence],
+        examples: Sequence[LabeledSequence | MixedExample],
         train: bool = False,
         rng: np.random.Generator | None = None,
-    ) -> Tensor:
-        """Summed NLL of `seqs` over one packed graph.
-
-        One embedding lookup, one BiLSTM node and one CRF partition node
-        serve every sentence; when training, each dropout layer draws one
-        mask over the batch's real tokens.
-        """
-        tokens = [tok for seq in seqs for tok in seq.tokens]
-        labels = [y for seq in seqs for y in self.label_indices(seq.labels)]
-        lengths = [len(seq) for seq in seqs]
-        return self.packed_nll(tokens, lengths, labels, train, rng)
-
-    def packed_nll(
-        self,
-        tokens: Sequence[str],
-        lengths: Sequence[int],
-        labels: Sequence[int] | Sequence[Sequence[int]],
-        train: bool = False,
-        rng: np.random.Generator | None = None,
-        owners: np.ndarray | None = None,
-        mix: "Mix | None" = None,
-        coefs: Sequence[Sequence[float]] | None = None,
+        mix_layer: str = "embedding",
     ) -> LaneSum:
-        """Summed NLL of packed sentences: lookup, BiLSTM, emissions and CRF.
+        """Summed NLL of plain sentences and mixup pairs over one packed graph.
 
-        `tokens` holds the sentences' tokens concatenated, split by
-        `lengths`, and token k belongs to example `owners[k]`. With `mix`,
-        the sentences' rows combine into the lanes the CRF scores, before the
-        BiLSTM (embedding layer) or after it (encoder layer); `labels` and
-        `coefs` give those lanes' gold paths as `crf_score` takes them. When
-        training, each dropout layer draws one mask over the whole batch.
+        Example i is lane i of the CRF and owns every row computed for it, so
+        `per_lane[i]` is its loss and the gradient's rows carry i. One lookup
+        serves every sentence, a pair's two included, then one BiLSTM node and
+        one CRF partition node. A pair's sentences mix into its lane at
+        `mix_layer`: their rows before the BiLSTM ("embedding"), or their
+        states after it ("encoder"). The lane scores both gold paths, lambda
+        times the first's and 1 - lambda the second's. When training, each
+        dropout layer draws one mask over the batch's rows.
         """
-        x = self.lookup_embeddings(tokens, owners)
-        if mix is not None and mix.layer == "embedding":
-            x, lengths, owners = mix(x), mix.lengths, mix.owners
+        if mix_layer not in MIX_LAYERS:
+            raise ValueError(f"mix_layer must be one of {MIX_LAYERS}, got {mix_layer!r}")
+        sentences: list[LabeledSequence] = []
+        sentence_owner: list[int] = []
+        rows: tuple[list[int], list[int]] = ([], [])  # mixed row -> sentence row, -1 none
+        coefs: tuple[list[float], list[float]] = ([], [])  # per mixed row
+        paths: tuple[list[int], list[int]] = ([], [])
+        path_coefs: tuple[list[float], list[float]] = ([], [])  # per lane
+        lane_lengths: list[int] = []
+        offset = 0
+        for i, ex in enumerate(examples):
+            if isinstance(ex, MixedExample):
+                pair, lams = (ex.first, ex.second), (ex.lam, 1.0 - ex.lam)
+                gold = [self.label_indices(y) for y in (ex.labels_first(), ex.labels_second())]
+            else:
+                pair, lams, gold = (ex,), (1.0, 0.0), [self.label_indices(ex.labels)] * 2
+            n = max(len(s) for s in pair)
+            for j in range(2):
+                k = len(pair[j]) if j < len(pair) else 0
+                rows[j].extend(range(offset, offset + k))
+                rows[j].extend([-1] * (n - k))
+                offset += k
+                coefs[j].extend([lams[j]] * n)
+                paths[j].extend(gold[j])
+                path_coefs[j].append(lams[j])
+            sentences.extend(pair)
+            sentence_owner.extend([i] * len(pair))
+            lane_lengths.append(n)
+        lengths = [len(s) for s in sentences]
+        owners = np.repeat(sentence_owner, lengths)
+        mixed = len(sentences) > len(lane_lengths)
+        lane_owners = np.repeat(np.arange(len(lane_lengths)), lane_lengths)
+        x = self.lookup_embeddings([tok for s in sentences for tok in s.tokens], owners)
+        if mixed and mix_layer == "embedding":
+            x = ad.mix_rows(x, x, *rows, *coefs)
+            lengths, owners = lane_lengths, lane_owners
         if train:
             x = self.dropout(x, rng)
         states = self.encode_states(x, lengths, owners)
-        if mix is not None and mix.layer == "encoder":
-            states, lengths, owners = mix(states), mix.lengths, mix.owners
+        if mixed and mix_layer == "encoder":
+            states = ad.mix_rows(states, states, *rows, *coefs)
+            lengths, owners = lane_lengths, lane_owners
         if train:
             states = self.dropout(states, rng)
+        if not mixed:  # one gold path per lane
+            paths, path_coefs = paths[0], None
         o = self.emissions(states, owners)
-        return crf_nll(o, self.transitions(), labels, lengths, coefs, owners)
+        return crf_nll(o, self.transitions(), paths, lengths, path_coefs, owners)
 
     def sequence_loss(
         self,
@@ -424,27 +471,6 @@ class TaggerModel:
 
 
 # --- packed sentences -----------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Mix:
-    """How packed sentences combine into lanes, as mixup pairs do.
-
-    Row k of the mixed rows is coefs[0][k] * x[rows[0][k]] + coefs[1][k] *
-    x[rows[1][k]] over the sentences' rows x at `layer` ("embedding" or
-    "encoder"), a row index of -1 reading zeros (`autodiff.mix_rows`).
-    `lengths` splits the mixed rows into lanes, and mixed row k belongs to
-    example `owners[k]`.
-    """
-
-    layer: str
-    rows: tuple[Sequence[int], Sequence[int]]
-    coefs: tuple[Sequence[float], Sequence[float]]
-    lengths: Sequence[int]
-    owners: np.ndarray | None = None
-
-    def __call__(self, x: Tensor) -> Tensor:
-        return ad.mix_rows(x, x, *self.rows, *self.coefs)
 
 
 def _chunks(lengths: Sequence[int], budget: int) -> Iterator[slice]:

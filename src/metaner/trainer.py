@@ -19,14 +19,14 @@ degrades to the uniform 1/n average, which keeps the "with/without
 reweighting" comparison a one-flag diff.
 
 The step needs n dot products and one weighted sum, not n gradients.
-`epsilon_grad` computes the n values: the augmented batch is one packed graph
-(`augment.packed_loss`: plain sentences and mixup pairs as prefix-active
-lanes, every row tagged with the example that owns it) and the meta batch
-another (`TaggerModel.batch_loss`). Each graph is built, walked backward once
-and released before the next is built, so a step holds one training graph at
-a time. The augmented walk keeps its parameter gradients factored by row
-(`autodiff.ExampleGrads`):
-one contraction per weight against the meta gradient gives all n values
+`epsilon_grad` computes the n values: `TaggerModel.batch_loss` builds the
+augmented batch as one packed graph (plain sentences and mixup pairs as
+prefix-active lanes, every row tagged with the example that owns it) and the
+meta batch as another. Each graph is built, walked backward once and released
+before the next is built, so a step holds one training graph at a time. The
+augmented walk keeps its parameter gradients factored by row
+(`autodiff.ExampleGrads`): one contraction per weight against the meta
+gradient gives all n values
 <g_meta, g_i>, and the same rows scaled by their example's weight give
 sum_i w_i g_i, one `GradientMap` for clipping and AdamW. With reweighting
 disabled the augmented graph alone, scaled by 1/n, gives the update. The
@@ -47,7 +47,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import ExampleGrads, NumericError, Tensor, _sigmoid_stable, grad
-from .augment import MixedExample, PseudoExample, Substituted, mixup_loss, packed_loss
+from .augment import MixedExample, PseudoExample, Substituted, mixup_loss
 from .corpus import Corpus, LabeledSequence, span_f1
 from .optim import AdamWState, adamw_step, clip_global_norm
 from .tagger import TaggerModel
@@ -140,13 +140,11 @@ def epsilon_grad(
     """
     if not aug_batch or not meta_batch:
         raise ValueError("epsilon_grad needs nonempty batches")
-    losses = packed_loss(model, [item.payload for item in aug_batch], mix_layer, True, rng)
+    losses = model.batch_loss([item.payload for item in aug_batch], True, rng, mix_layer)
     per_lane = losses.per_lane
     example_grads = grad(losses, model.params, per_example=True)
     del losses  # the meta pass never reads the augmented graph
-    meta_loss = ad.scale(
-        model.batch_loss(meta_batch, train=True, rng=rng), 1.0 / len(meta_batch)
-    )
+    meta_loss = ad.scale(model.batch_loss(meta_batch, True, rng), 1.0 / len(meta_batch))
     meta_grad = grad(meta_loss, model.params)
     if not meta_grad.all_finite() or not example_grads.all_finite():
         raise NumericError("non-finite gradients in lookahead step")
@@ -202,7 +200,7 @@ def meta_train_step(
         loss_value = float(np.dot(weights.w, losses))
     else:
         n = len(aug_batch)
-        losses = packed_loss(model, [item.payload for item in aug_batch], mix_layer, True, rng)
+        losses = model.batch_loss([item.payload for item in aug_batch], True, rng, mix_layer)
         loss = ad.scale(losses, 1.0 / n)
         weights = _uniform_weights(n)
         total = grad(loss, model.params)
@@ -250,27 +248,15 @@ class TrainResult:
     weight_rows: list[tuple[int, str, str, float]] = field(repr=False, default_factory=list)
 
 
-class _WindowMeans:
-    """Running per-provenance weight means between two history records."""
-
-    def __init__(self):
-        self.sums = dict.fromkeys(PROVENANCES, 0.0)
-        self.counts = dict.fromkeys(PROVENANCES, 0)
-
-    def add(self, batch: Sequence[TrainExample], weights: np.ndarray) -> None:
-        for item, w in zip(batch, weights):
-            self.sums[item.provenance] += float(w)
-            self.counts[item.provenance] += 1
-
-    def flush(self) -> dict[str, float | None]:
-        out = {}
-        for p in PROVENANCES:
-            out[f"mean_weight_{p}"] = (
-                self.sums[p] / self.counts[p] if self.counts[p] else None
-            )
-        self.sums = dict.fromkeys(PROVENANCES, 0.0)
-        self.counts = dict.fromkeys(PROVENANCES, 0)
-        return out
+def _mean_weights(rows: Sequence[tuple[int, str, str, float]]) -> dict[str, float | None]:
+    """Per-provenance mean weight of weight rows, None for a provenance with none."""
+    sums = dict.fromkeys(PROVENANCES, 0.0)
+    counts = dict.fromkeys(PROVENANCES, 0)
+    # `+=` in row order: from Python 3.12 `sum()` compensates, which changes bits.
+    for _, _, provenance, w in rows:
+        sums[provenance] += w
+        counts[provenance] += 1
+    return {f"mean_weight_{p}": sums[p] / counts[p] if counts[p] else None for p in PROVENANCES}
 
 
 def train(
@@ -317,7 +303,7 @@ def train(
 
     history: list[dict] = []
     weight_rows: list[tuple[int, str, str, float]] = []
-    window = _WindowMeans()
+    window_start = 0  # the rows since the last history record
     best_f1 = -1.0  # below every F1, so the first eval improves on it
     best_step = 0
 
@@ -338,13 +324,13 @@ def train(
             raise RuntimeError(
                 f"training diverged at step {step}: {exc}"
             ) from exc
-        window.add(aug_batch, weights.w)
         for item, w in zip(aug_batch, weights.w):
             weight_rows.append((step, item.ident, item.provenance, float(w)))
 
         if step % cfg.eval_every == 0 or step == cfg.steps:
             record: dict = {"step": step, "loss": loss_value}
-            record.update(window.flush())
+            record.update(_mean_weights(weight_rows[window_start:]))
+            window_start = len(weight_rows)
             if dev is not None:
                 record["dev_f1"] = evaluate(model, dev)["f1"]
                 if record["dev_f1"] > best_f1:

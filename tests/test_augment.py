@@ -31,13 +31,13 @@ from metaner.augment import (
     build_synonym_dict,
     generate_augmented_set,
     mixup_loss,
-    packed_loss,
     sample_mixup_pair,
     token_substitute,
 )
 from metaner.corpus import Corpus, LabeledSequence
 from metaner.synthetic import STOPWORDS, synthetic_corpus, synthetic_vectors
-from metaner.tagger import ModelConfig, TaggerModel, crf_nll
+from metaner.tagger import MIX_LAYERS, ModelConfig, TaggerModel, crf_nll
+from metaner.trainer import TrainExample
 
 
 def seq(tokens, labels):
@@ -578,7 +578,8 @@ class TestMixupLoss:
 
 
 class TestPackedLoss:
-    """Plain sentences and mixup pairs as lanes of one graph, against one graph each."""
+    """`TaggerModel.batch_loss` of plain sentences and mixup pairs as lanes of one
+    graph, against one graph each."""
 
     @staticmethod
     def examples():
@@ -605,7 +606,7 @@ class TestPackedLoss:
     def test_per_example_losses_match_separate_graphs(self, layer):
         model = tiny_model()
         examples = self.examples()
-        loss = packed_loss(model, examples, layer)
+        loss = model.batch_loss(examples, mix_layer=layer)
         want = np.array([t.item() for t in self.separate_losses(model, examples, layer)])
         assert rel_err(loss.per_lane, want) < 1e-12
         assert abs(loss.item() - want.sum()) < 1e-12
@@ -615,7 +616,7 @@ class TestPackedLoss:
         model = tiny_model()
         examples = self.examples()
         n = len(examples)
-        rows = grad(packed_loss(model, examples, layer), model.params, per_example=True)
+        rows = grad(model.batch_loss(examples, mix_layer=layer), model.params, per_example=True)
         assert isinstance(rows, ad.ExampleGrads)
         separate = [grad(t, model.params) for t in self.separate_losses(model, examples, layer)]
         meta = grad(model.batch_loss(tiny_corpus().examples[1:]), model.params)
@@ -623,16 +624,42 @@ class TestPackedLoss:
         assert np.max(np.abs(rows.dots(meta, n) - want)) <= 1e-12 * np.max(np.abs(want))
         w = np.random.default_rng(3).random(n)
         got, combined = rows.weighted(w), ad.combine(separate, w)
-        summed = grad(packed_loss(model, examples, layer), model.params)
+        summed = grad(model.batch_loss(examples, mix_layer=layer), model.params)
         for name in model.params.names():
             assert rel_err(got[name], combined[name]) < 1e-12, name
             assert rel_err(summed[name], ad.combine(separate, np.ones(n))[name]) < 1e-12
 
+    @pytest.mark.parametrize("layer", MIX_LAYERS)
+    def test_plain_and_pair_match_the_oracle_example_losses(self, layer):
+        model = tiny_model()
+        a, b, _ = tiny_corpus().examples
+        pair = MixedExample(a, b, 0.37)
+        loss = model.batch_loss([b, pair], mix_layer=layer)
+        items = [TrainExample(b, "clean", "clean-1"), TrainExample(pair, "mixup", "mixup-0")]
+        separate = [oracles.example_loss(model, item, layer, train=False) for item in items]
+        want = np.array([t.item() for t in separate])
+        assert rel_err(loss.per_lane, want) < 1e-12
+        got = grad(loss, model.params)
+        for name in model.params.names():
+            summed = sum(grad(t, model.params)[name] for t in separate)
+            assert rel_err(got[name], summed) < 1e-12, name
+
+    def test_unknown_mix_layer_rejected(self):
+        model = tiny_model()
+        with pytest.raises(ValueError, match="mix_layer"):
+            model.batch_loss(tiny_corpus().examples, mix_layer="logits")
+
     def test_without_pairs_is_the_batch_loss(self):
+        # Owners tag rows for per-example weights only: plain sentences give
+        # the bits of the same stages run with no owners.
         model = tiny_model(dropout=0.5)
         plain = tiny_corpus().examples
-        got = packed_loss(model, plain, train=True, rng=np.random.default_rng(4))
-        want = model.batch_loss(plain, train=True, rng=np.random.default_rng(4))
+        got = model.batch_loss(plain, train=True, rng=np.random.default_rng(4))
+        rng, lengths = np.random.default_rng(4), [len(ex) for ex in plain]
+        x = model.lookup_embeddings([tok for ex in plain for tok in ex.tokens])
+        states = model.dropout(model.encode_states(model.dropout(x, rng), lengths), rng)
+        labels = [y for ex in plain for y in model.label_indices(ex.labels)]
+        want = crf_nll(model.emissions(states), model.transitions(), labels, lengths)
         assert got.item() == want.item()
         g, w = grad(got, model.params), grad(want, model.params)
         for name in model.params.names():
@@ -643,7 +670,7 @@ class TestPackedLoss:
         model = tiny_model(dropout=0.5)
         examples = self.examples()[:3]
         err = finite_diff_check(
-            lambda: packed_loss(model, examples, layer, True, np.random.default_rng(6)),
+            lambda: model.batch_loss(examples, True, np.random.default_rng(6), layer),
             model.params,
         )
         assert err < 1e-6, layer

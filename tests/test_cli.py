@@ -618,6 +618,78 @@ class TestBadNumbers:
         assert "non-finite" in err
 
 
+class TestWrongKindOfPath:
+    """A directory where a file belongs, or a file where a directory belongs,
+    is bad input: exit 1 with one error line that names it, and no traceback."""
+
+    @pytest.mark.parametrize(
+        "argv, keys, bad",
+        [
+            (["train", "--config", "{dir}"], {}, "{dir}"),
+            (
+                ["train", "--config", "{cfg}"],
+                {"train": "{dir}"},
+                "{cfg}:1: train is not a regular file: {dir}",
+            ),
+            (
+                ["train", "--config", "{cfg}"],
+                {"dev": "{dir}"},
+                "{cfg}:2: dev is not a regular file: {dir}",
+            ),
+            (
+                ["train", "--config", "{cfg}"],
+                {"out": "{file}"},
+                "{cfg}:6: out is not a directory: {file}",
+            ),
+            (
+                ["augment", "--config", "{cfg}"],
+                {"out": "{file}", "method": "ts"},
+                "{cfg}:6: out is not a directory: {file}",
+            ),
+            (["eval", "--model", "{dir}", "--data", "{test}"], {}, "{dir}"),
+            (["eval", "--model", "{model}", "--data", "{dir}"], {}, "{dir}"),
+            (["eval", "--model", "{file}/model.ckpt", "--data", "{test}"], {}, "{file}"),
+            (
+                ["build-dict", "--train", "{dir}", "--vectors", "{vectors}", "--out", "{out}"],
+                {},
+                "{dir}",
+            ),
+            (
+                ["build-dict", "--train", "{test}", "--vectors", "{vectors}", "--out", "{file}"],
+                {},
+                "{file}",
+            ),
+        ],
+        ids=[
+            "train-config", "train-key", "dev-key", "train-out", "augment-out",
+            "eval-model", "eval-data", "eval-model-under-a-file", "build-dict-train",
+            "build-dict-out",
+        ],
+    )
+    def test_exits_one_naming_the_path(
+        self, synth_dataset, trained, tmp_path, capsys, argv, keys, bad
+    ):
+        (tmp_path / "a-dir").mkdir()
+        (tmp_path / "a-file").write_text("x\n")
+        names = {
+            "dir": tmp_path / "a-dir",
+            "file": tmp_path / "a-file",
+            "cfg": tmp_path / "run.cfg",
+            "out": tmp_path / "out",
+            "model": trained,
+            "test": synth_dataset["test"],
+            "vectors": synth_dataset["vectors"],
+        }
+        overrides = {k: v.format(**names) for k, v in keys.items()}
+        write_config(tmp_path, base_config(synth_dataset, names["out"], **overrides))
+        assert main([arg.format(**names) for arg in argv]) == 1
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        (line,) = err.splitlines()
+        assert line.startswith("metaner: error: ")
+        assert bad.format(**names) in line
+
+
 class TestNotUtf8:
     """A byte that is not UTF-8 is bad input: exit 1, naming the file and line."""
 

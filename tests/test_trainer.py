@@ -196,22 +196,17 @@ class TestEpsilonGrad:
         class Watched(LaneSum):
             __slots__ = ("__weakref__",)
 
-        augmented = []
-        packed_loss = trainer_mod.packed_loss
+        built = []
         batch_loss = TaggerModel.batch_loss
 
-        def watched_packed_loss(*args, **kwargs):
-            out = packed_loss(*args, **kwargs)
+        def watched_batch_loss(*args, **kwargs):
+            assert all(ref() is None for ref in built), "augmented graph alive"
+            out = batch_loss(*args, **kwargs)
             out = Watched(out.data, out.parents, out.vjp, out.per_lane)
-            augmented.append(weakref.ref(out))
+            built.append(weakref.ref(out))
             return out
 
-        def meta_forward(model, *args, **kwargs):
-            assert len(augmented) == 1 and augmented[0]() is None, "augmented graph alive"
-            return batch_loss(model, *args, **kwargs)
-
-        monkeypatch.setattr(trainer_mod, "packed_loss", watched_packed_loss)
-        monkeypatch.setattr(TaggerModel, "batch_loss", meta_forward)
+        monkeypatch.setattr(TaggerModel, "batch_loss", watched_batch_loss)
         corpus = toy_corpus()
         batch = [
             TrainExample(corpus.examples[2], "clean", "clean-2"),
@@ -222,6 +217,7 @@ class TestEpsilonGrad:
             toy_model(dropout=0.5), batch, corpus.examples[1:], 0.1, "embedding",
             np.random.default_rng(0),
         )
+        assert len(built) == 2  # the augmented forward, then the meta forward
         assert eps.shape == losses.shape == (2,)
 
     def test_empty_batches_rejected(self):
