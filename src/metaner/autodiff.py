@@ -19,8 +19,9 @@ The tagger's loss is not built from these ops one position at a time.
 hand-written nodes, each one `Tensor(out, parents, vjp)` whose vjp is
 backpropagation through time, the forward-backward marginals, or a scatter
 of the gold path's entries. All three take a batch of sentences packed into
-one array, so a training batch's loss is the same 20 nodes whatever the
-number and lengths of its sentences.
+one array plus one `tagger.Lanes`, the batch's layout, which they share; so a
+training batch's loss is the same 20 nodes whatever the number and lengths
+of its sentences.
 
 A parameter gradient is factored by row. Every node that feeds a parameter
 returns its gradient as a sum over the packed rows it computed, not as a

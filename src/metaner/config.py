@@ -2,8 +2,8 @@
 
 One key per line, `#` comments, no sections; model hyperparameters use a
 `model.` prefix. Unknown keys, bad values, input paths that are not regular
-files and an `out` that is not a directory are rejected with the file name
-and line number. `render_config` writes every key back out explicitly,
+files and an `out` that is, or is under, a file are rejected with the file
+name and line number. `render_config` writes every key back out explicitly,
 defaults included, which is how runs record their resolved configuration next
 to their artifacts.
 """
@@ -179,8 +179,13 @@ def parse_config(path: str | Path) -> RunConfig:
             continue
         problem = "is not a regular file" if Path(value).exists() else "file does not exist"
         raise ConfigError(f"{path}:{lines.get(key, '?')}: {key} {problem}: {value}")
-    if cfg.out is not None and Path(cfg.out).exists() and not Path(cfg.out).is_dir():
-        raise ConfigError(f"{path}:{lines['out']}: out is not a directory: {cfg.out}")
+    if cfg.out is not None:
+        out = Path(cfg.out)
+        # The run makes `out` and its missing parents under the nearest that exists.
+        found = next((p for p in (out, *out.parents) if p.exists()), out)
+        if not found.is_dir():
+            problem = "is not a directory" if found == out else f"is under {found}, a file"
+            raise ConfigError(f"{path}:{lines['out']}: out {problem}: {cfg.out}")
     return cfg
 
 

@@ -15,27 +15,26 @@ Dropout sits at the BiLSTM input and output, realized as explicit masks
 sampled per forward pass, so gradient checks can freeze randomness by
 re-seeding the generator.
 
-A batch of sentences travels as packed rows: the sentences' rows concatenated,
-(sum of lengths, width), plus their `lengths`; `lengths=None` means the rows
-are one sentence. `batch_loss` is the one training forward: it takes plain
-sentences and mixup pairs (`MixedExample`), looks the batch up once, mixes
-each pair's rows into one lane with `autodiff.mix_rows`, draws one dropout
-mask per layer over the batch, and runs one BiLSTM node and one CRF
-partition node. The nodes lay the sentences out time-major in `Lanes`,
-sorted longest first, so the sentences still running at a timestep are a
-prefix of the lanes and each step is one slice, with no padding and no masks.
-One sentence is the one-lane case of the same code. Every row carries the
-index of the example that owns it, which the parameter gradients keep (see
-`autodiff`).
+A batch of sentences travels as packed rows, the sentences' rows concatenated,
+plus one `Lanes` that the BiLSTM, both CRF nodes and Viterbi share. It lays
+the sentences out time-major, sorted longest first, so the sentences still
+running at a timestep are a prefix of the lanes and each step is one slice,
+with no padding and no masks; and it keeps the example that owns each row,
+which the parameter gradients carry (see `autodiff`). One sentence
+(`lanes=None`) is the one-lane case of the same code.
 
-Decoding builds no graph. `sentence_emissions` runs the BiLSTM recursion the
-training node uses over packed chunks of consecutive sentences, about 512 rows
-each, then computes each sentence's emissions with its own product;
-`sentence_paths` runs Viterbi over each chunk's lanes at once, and `decode`
+`batch_loss` is the one training forward: it takes plain sentences and mixup
+pairs (`MixedExample`), looks the batch up once, mixes each pair's rows into
+one lane with `autodiff.mix_rows`, draws one dropout mask per layer over the
+batch, and runs one BiLSTM node and one CRF partition node.
+
+Decoding builds no graph. `sentence_paths` runs chunks of consecutive
+sentences, about 512 rows each, through the BiLSTM recursion the training
+node uses and then one packed Viterbi, on one `Lanes` per chunk; `decode`
 labels one sentence. A sentence's states are the same bits in any chunk, but
 one product over a chunk's states rounds some rows unlike the sentence's own
-product, hence the per-sentence emissions: emissions and labels are those of
-decoding the sentence alone.
+product, so each sentence's emissions are its own product: emissions and
+labels are those of decoding the sentence alone.
 """
 
 from __future__ import annotations
@@ -55,10 +54,10 @@ from .checkpoint import (
     load_checkpoint_into,
     save_checkpoint,
 )
-from .corpus import Corpus, LabeledSequence
+from .corpus import Corpus, LabeledSequence, validate_label
 
 _LSTM_PARAMS = [f"lstm.{d}.{name}" for d in ("fw", "bw") for name in ("Wx", "Wh", "b")]
-_DECODE_ROWS = 512  # packed rows per BiLSTM pass of `TaggerModel.sentence_emissions`
+_DECODE_ROWS = 512  # packed rows per decode chunk of `TaggerModel.sentence_paths`
 MIX_LAYERS = ("embedding", "encoder")  # where `TaggerModel.batch_loss` mixes a pair
 
 
@@ -219,8 +218,8 @@ class TaggerModel:
         """Raw embedding rows, one per token, before any dropout.
 
         Token k belongs to example `owners[k]` (None: all to one example),
-        and its gradient row carries that index; the other stages take
-        `owners` the same way, one per row they compute.
+        and its gradient row carries that index; `emissions` takes `owners`
+        the same way, and the BiLSTM and CRF read them from their `Lanes`.
         """
         return ad.embed_rows(
             self.params["embed.table"], self.table.indices(tokens), owners
@@ -235,18 +234,13 @@ class TaggerModel:
         mask = (rng.random(x.shape) < keep) / keep
         return ad.mul(x, ad.constant(mask))
 
-    def encode_states(
-        self,
-        emb: Tensor,
-        lengths: Sequence[int] | None = None,
-        owners: np.ndarray | None = None,
-    ) -> Tensor:
+    def encode_states(self, emb: Tensor, lanes: Lanes | None = None) -> Tensor:
         """BiLSTM states h_i = [forward_i ; backward_i], an (n, 2H) tensor.
 
-        `emb` holds packed sentences split by `lengths` (None: one sentence).
+        `emb` holds packed sentences laid out by `lanes` (None: one sentence).
         """
         weights = [self.params[name] for name in _LSTM_PARAMS]
-        return bilstm(emb, weights, lengths, owners)
+        return bilstm(emb, weights, lanes)
 
     def emissions(self, states: Tensor, owners: np.ndarray | None = None) -> Tensor:
         """Per-position label scores o = H W + b, shape (n, L)."""
@@ -260,13 +254,12 @@ class TaggerModel:
         tokens: Sequence[str],
         train: bool = False,
         rng: np.random.Generator | None = None,
-        lengths: Sequence[int] | None = None,
     ) -> tuple[Tensor, Tensor]:
-        """Emissions and transitions of packed sentences split by `lengths`."""
+        """Emissions and transitions of one sentence."""
         emb = self.lookup_embeddings(tokens)
         if train:
             emb = self.dropout(emb, rng)
-        states = self.encode_states(emb, lengths)
+        states = self.encode_states(emb)
         if train:
             states = self.dropout(states, rng)
         return self.emissions(states), self.transitions()
@@ -293,6 +286,9 @@ class TaggerModel:
         states after it ("encoder"). The lane scores both gold paths, lambda
         times the first's and 1 - lambda the second's. When training, each
         dropout layer draws one mask over the batch's rows.
+
+        One `Lanes` lays out the pass, or two when pairs mix at the encoder:
+        the sentences' for the BiLSTM, then the lanes' for the CRF.
         """
         if mix_layer not in MIX_LAYERS:
             raise ValueError(f"mix_layer must be one of {MIX_LAYERS}, got {mix_layer!r}")
@@ -330,18 +326,19 @@ class TaggerModel:
         if mixed and mix_layer == "embedding":
             x = ad.mix_rows(x, x, *rows, *coefs)
             lengths, owners = lane_lengths, lane_owners
+        lanes = Lanes(lengths, len(owners), owners)
         if train:
             x = self.dropout(x, rng)
-        states = self.encode_states(x, lengths, owners)
+        states = self.encode_states(x, lanes)
         if mixed and mix_layer == "encoder":
             states = ad.mix_rows(states, states, *rows, *coefs)
-            lengths, owners = lane_lengths, lane_owners
+            lanes = Lanes(lane_lengths, len(lane_owners), lane_owners)
         if train:
             states = self.dropout(states, rng)
         if not mixed:  # one gold path per lane
             paths, path_coefs = paths[0], None
-        o = self.emissions(states, owners)
-        return crf_nll(o, self.transitions(), paths, lengths, path_coefs, owners)
+        o = self.emissions(states, lanes.owners)
+        return crf_nll(o, self.transitions(), paths, lanes, path_coefs)
 
     def sequence_loss(
         self,
@@ -351,41 +348,29 @@ class TaggerModel:
     ) -> Tensor:
         return self.batch_loss([seq], train, rng)
 
-    def sentence_emissions(
-        self, sentences: Sequence[Sequence[str]]
-    ) -> Iterator[np.ndarray]:
-        """Each sentence's emission rows (len, L), in order, with no graph.
-
-        Consecutive sentences share one BiLSTM pass, in chunks of at most
-        `_DECODE_ROWS` rows (a longer sentence is a chunk of its own), looked
-        up straight from the embedding table. A sentence's states are the
-        same bits in any chunk, but rows of one product over the whole chunk
-        are not the rows of the sentence's own product, so each sentence's
-        emissions are its own `states @ W + b`: the bits `forward` gives.
-        """
-        table = self.params["embed.table"].data
-        weights = [self.params[name].data for name in _LSTM_PARAMS]
-        w, b = self.params["crf.W"].data, self.params["crf.b"].data
-        lengths = [len(tokens) for tokens in sentences]
-        for chunk in _chunks(lengths, _DECODE_ROWS):
-            tokens = [tok for sentence in sentences[chunk] for tok in sentence]
-            x = table[self.table.indices(tokens)]
-            states = _bilstm_forward(x, weights, Lanes(lengths[chunk], len(tokens)))[0]
-            for part in np.split(states, np.cumsum(lengths[chunk])[:-1]):
-                yield part @ w + b
-
     def sentence_paths(self, sentences: Sequence[Sequence[str]]) -> Iterator[list[int]]:
         """Each sentence's Viterbi label indices, in order, with no graph.
 
-        The emissions of each chunk of `sentence_emissions` go through one
-        packed `viterbi`; a sentence's path is the path of its rows alone.
+        Consecutive sentences share one pass, in chunks of at most
+        `_DECODE_ROWS` rows (a longer sentence is a chunk of its own): the
+        BiLSTM recursion over rows looked up straight from the embedding
+        table, then one packed `viterbi`, on the chunk's one `Lanes`. A
+        sentence's states are the same bits in any chunk, but rows of one
+        product over the chunk are not the rows of the sentence's own
+        product, so each sentence's emissions are its own `states @ W + b`,
+        the bits `forward` gives, and its path is the path of its rows alone.
         """
+        table = self.params["embed.table"].data
+        weights = [self.params[name].data for name in _LSTM_PARAMS]
+        w, b, t = (self.params[name].data for name in ("crf.W", "crf.b", "crf.T"))
         lengths = [len(tokens) for tokens in sentences]
-        emissions = self.sentence_emissions(sentences)
-        t = self.transitions().data
         for chunk in _chunks(lengths, _DECODE_ROWS):
             sizes = lengths[chunk]
-            path = viterbi(np.concatenate([next(emissions) for _ in sizes]), t, sizes)
+            tokens = [tok for sentence in sentences[chunk] for tok in sentence]
+            lanes = Lanes(sizes, len(tokens))
+            states = _bilstm_forward(table[self.table.indices(tokens)], weights, lanes)[0]
+            parts = np.split(states, np.cumsum(sizes)[:-1])
+            path = viterbi(np.concatenate([part @ w + b for part in parts]), t, lanes)
             for end, size in zip(itertools.accumulate(sizes), sizes):
                 yield path[end - size : end]
 
@@ -441,6 +426,16 @@ class TaggerModel:
         invalid = [k for k, kind in kinds.items() if not isinstance(config.get(k), kind)]
         if invalid:
             raise CheckpointError(f"{path}: config has no valid {', '.join(invalid)}")
+        labels, tokens = config["label_vocab"], config["token_vocab"]
+        try:
+            if not all(isinstance(s, str) for s in labels + tokens):
+                raise ValueError("label_vocab and token_vocab must hold strings")
+            if not labels or len(set(labels)) < len(labels) or len(tokens) < 2:
+                raise ValueError("label_vocab must hold distinct labels, token_vocab PAD and UNK")
+            for label in labels:  # BIOES accepts every BIO label too
+                validate_label(label, "BIOES")
+        except ValueError as exc:
+            raise CheckpointError(f"{path}: {exc}") from exc
         try:
             mc = ModelConfig(**config["model"])
         except (TypeError, ValueError) as exc:  # an unknown key, or a bad value
@@ -486,18 +481,10 @@ def _chunks(lengths: Sequence[int], budget: int) -> Iterator[slice]:
         yield slice(first, len(lengths))
 
 
-def _sentence_lengths(lengths: Sequence[int] | None, n: int) -> list[int]:
-    """Lengths of the sentences packed into `n` rows; None is one sentence."""
-    sizes = [n] if lengths is None else [int(k) for k in lengths]
-    if not sizes or min(sizes) < 1 or sum(sizes) != n:
-        raise ValueError(
-            f"lengths must be positive and sum to the {n} packed rows, got {sizes}"
-        )
-    return sizes
-
-
 class Lanes:
-    """Time-major layout of packed sentences, one lane per sentence.
+    """Layout of one packed pass: `lengths` splits the n rows into sentences,
+    one lane each (None: one sentence), and row r belongs to example
+    `owners[r]` (None: all to one example).
 
     Lanes are sorted by length, longest first, so the lanes live at timestep
     k are a prefix `[:active]` and step k owns the time-major positions
@@ -507,13 +494,21 @@ class Lanes:
     length. `lane[p]` is the position's lane, `prev[p - a0]` is the position
     the same lane held one step earlier (for every p after the a0 positions
     of the first step), `last[j]` is lane j's final position and `order[j]`
-    the sentence lane j runs.
+    the sentence lane j runs. `sizes` holds the lengths, `owners` the rows'
+    owners and `fw_owners` the owners by time-major position.
     """
 
-    __slots__ = ("steps", "fw", "bw", "lane", "prev", "last", "order")
+    __slots__ = ("sizes", "steps", "fw", "bw", "lane", "prev", "last", "order", "owners",
+                 "fw_owners")
 
-    def __init__(self, lengths: Sequence[int] | None, n: int):
-        sizes = _sentence_lengths(lengths, n)
+    def __init__(self, lengths: Sequence[int] | None, n: int, owners: np.ndarray | None = None):
+        sizes = [n] if lengths is None else [int(k) for k in lengths]
+        if not sizes or min(sizes) < 1 or sum(sizes) != n:
+            raise ValueError(
+                f"lengths must be positive and sum to the {n} packed rows, got {sizes}"
+            )
+        self.sizes = sizes
+        self.owners = None if owners is None else np.asarray(owners)
         if len(sizes) == 1:  # the layout below, without its per-call numpy overhead
             self.fw = np.arange(n)
             self.bw = self.fw[::-1]
@@ -522,6 +517,7 @@ class Lanes:
             self.last = self.fw[-1:]
             self.order = self.lane[:1]
             self.steps = [(k, 1) for k in range(n)]
+            self.fw_owners = self.owners
             return
         sizes = np.array(sizes)
         firsts = np.cumsum(sizes) - sizes
@@ -539,6 +535,16 @@ class Lanes:
         self.last = starts[by_lane - 1] + np.arange(len(by_lane))
         self.order = order
         self.steps = list(zip(starts.tolist(), active.tolist()))
+        self.fw_owners = None if owners is None else self.owners[self.fw]
+
+
+def _lanes(lanes: Lanes | None, n: int) -> Lanes:
+    """`lanes`, or one sentence's when None; they must lay out the node's n rows."""
+    if lanes is None:
+        return Lanes(None, n)
+    if len(lanes.fw) != n:
+        raise ValueError(f"lanes lay out {len(lanes.fw)} rows, the node has {n}")
+    return lanes
 
 
 # --- fused BiLSTM --------------------------------------------------------------
@@ -605,27 +611,21 @@ def _bilstm_forward(
     return out, (xs, gates, cells, tanh_c, hs)
 
 
-def bilstm(
-    emb: Tensor,
-    weights: Sequence[Tensor],
-    lengths: Sequence[int] | None = None,
-    owners: np.ndarray | None = None,
-) -> Tensor:
+def bilstm(emb: Tensor, weights: Sequence[Tensor], lanes: Lanes | None = None) -> Tensor:
     """Both LSTM directions over packed sentences as one graph node, (n, 2H).
 
-    `emb` holds the sentences' rows concatenated, split by `lengths`
+    `emb` holds the sentences' rows concatenated, laid out by `lanes`
     (None: one sentence). `weights` holds (Wx, Wh, b) of the forward
     direction, then of the backward one; the forward pass is
-    `_bilstm_forward` over the sentences' `Lanes`, so a sentence's states
-    are the same bits whichever sentences share its batch.
+    `_bilstm_forward`, so a sentence's states are the same bits whichever
+    sentences share its batch.
 
     The vjp is backpropagation through time over the cached gates and cells.
-    It returns the weight gradients factored by position, row p owned by
-    owners of p's packed row: `Outer(d_pre, x)` for Wx, `Outer(d_pre,
-    h_prev)` for Wh and `RowSum(d_pre)` for b.
+    It returns the weight gradients factored by position, each position
+    owned by the owner of its packed row: `Outer(d_pre, x)` for Wx,
+    `Outer(d_pre, h_prev)` for Wh and `RowSum(d_pre)` for b.
     """
-    n = emb.shape[0]
-    lanes = Lanes(lengths, n)
+    lanes = _lanes(lanes, emb.shape[0])
     w = [t.data for t in weights]
     hid = w[1].shape[1]
     out, (xs, gates, cells, tanh_c, hs) = _bilstm_forward(emb.data, w, lanes)
@@ -671,7 +671,7 @@ def bilstm(
         dx[lanes.fw] = d_pre[0] @ w[0]
         dx[lanes.bw] += d_pre[1] @ w[3]
         h_prev = hs[:, lanes.prev]
-        own = None if owners is None else np.asarray(owners)[lanes.fw]
+        own = lanes.fw_owners
         own_prev = None if own is None else own[a0:]
         grads = []
         for d in range(2):
@@ -690,7 +690,7 @@ def bilstm(
 
 class LaneSum(Tensor):
     """A scalar node whose value sums one term per lane; `per_lane` keeps the
-    terms, in the order of the `lengths` the node was given."""
+    terms, in the packed order of the lanes' sentences."""
 
     __slots__ = ("per_lane",)
 
@@ -703,15 +703,14 @@ def crf_score(
     o: Tensor,
     t: Tensor,
     labels: Sequence[int] | Sequence[Sequence[int]],
-    lengths: Sequence[int] | None = None,
+    lanes: Lanes | None = None,
     coefs: Sequence[Sequence[float]] | None = None,
-    owners: np.ndarray | None = None,
 ) -> LaneSum:
     """Transition-augmented score summed over packed sentences, as one node.
 
-    `labels` runs over the packed rows of `o`, split by `lengths` (None: one
-    sentence); each sentence's first position uses the START row. The score
-    is the sum of the gold path's emission entries plus the sum of its
+    `labels` runs over the packed rows of `o`, laid out by `lanes` (None:
+    one sentence); each sentence's first position uses the START row. The
+    score is the sum of the gold path's emission entries plus the sum of its
     transition entries; the vjp adds the upstream gradient into each entry
     the path read, once per read.
 
@@ -729,7 +728,8 @@ def crf_score(
         raise ValueError(f"label sequence length {paths.shape[-1]} != {n} positions")
     if np.any((paths < 0) | (paths >= num_labels)):
         raise ValueError("label index out of range")
-    sizes = _sentence_lengths(lengths, n)
+    lanes = _lanes(lanes, n)
+    sizes = lanes.sizes
     weight = np.ones((1, len(sizes))) if coefs is None else np.asarray(coefs, float)
     if weight.shape != (len(paths), len(sizes)):
         raise ValueError(f"coefs must be (paths, lanes) = {(len(paths), len(sizes))}")
@@ -751,23 +751,18 @@ def crf_score(
             np.add.at(d_o, (rows, y), v)
         hits = np.zeros((paths.size, num_labels))
         hits[np.arange(paths.size), paths.ravel()] = vals.ravel()
-        own = None if owners is None else np.tile(owners, len(paths))
+        own = None if lanes.owners is None else np.tile(lanes.owners, len(paths))
         return d_o, ad.RowGrad(t.shape, prev.ravel(), hits, own)
 
     return LaneSum(score, (o, t), vjp, per_lane)
 
 
-def crf_log_partition(
-    o: Tensor,
-    t: Tensor,
-    lengths: Sequence[int] | None = None,
-    owners: np.ndarray | None = None,
-) -> LaneSum:
+def crf_log_partition(o: Tensor, t: Tensor, lanes: Lanes | None = None) -> LaneSum:
     """Sum over packed sentences of log sum_Y exp(score), by the forward algorithm.
 
-    `o` holds the sentences' emission rows concatenated, split by `lengths`
+    `o` holds the sentences' emission rows concatenated, laid out by `lanes`
     (None: one sentence). One graph node: the alpha recursion runs over all
-    sentences at once on the `Lanes` layout, and the vjp runs the beta
+    sentences at once, lane by lane, and the vjp runs the beta
     recursion the same way and returns the marginals (Sutton & McCallum,
     arXiv 1011.4088): d logZ/d o[i, y] is p(y_i = y), d logZ/d T[j, k] is
     sum_i p(y_{i-1} = j, y_i = k), and the START row takes each sentence's
@@ -777,7 +772,7 @@ def crf_log_partition(
     """
     od, td = o.data, t.data
     n, num_labels = od.shape
-    lanes = Lanes(lengths, n)
+    lanes = _lanes(lanes, n)
     start = td.shape[0] - 1
     body = td[:num_labels]
     ot = od[lanes.fw]  # emissions, time-major
@@ -810,8 +805,7 @@ def crf_log_partition(
         pair -= z[a0:, :, None]
         np.exp(pair, out=pair)
         blocks[:a0, start] = node[:a0]
-        own = None if owners is None else np.asarray(owners)[lanes.fw]
-        return g * d_o, ad.RowSum(blocks, own, g)
+        return g * d_o, ad.RowSum(blocks, lanes.fw_owners, g)
 
     return LaneSum(log_z.sum(), (o, t), vjp, per_lane)
 
@@ -820,33 +814,32 @@ def crf_nll(
     o: Tensor,
     t: Tensor,
     labels: Sequence[int] | Sequence[Sequence[int]],
-    lengths: Sequence[int] | None = None,
+    lanes: Lanes | None = None,
     coefs: Sequence[Sequence[float]] | None = None,
-    owners: np.ndarray | None = None,
 ) -> LaneSum:
     """Negative log-likelihood -log p(Y|X), summed over packed sentences.
 
     With several gold paths per lane (see `crf_score`) it is the
     coefficient-weighted sum of their NLLs; `per_lane` holds each lane's.
+    Both nodes read the one `lanes`, built once for the pass.
     """
-    log_z = crf_log_partition(o, t, lengths, owners)
-    score = crf_score(o, t, labels, lengths, coefs, owners)
+    lanes = _lanes(lanes, o.shape[0])
+    log_z = crf_log_partition(o, t, lanes)
+    score = crf_score(o, t, labels, lanes, coefs)
     nll = ad.sub(log_z, score)
     return LaneSum(nll.data, nll.parents, nll.vjp, log_z.per_lane - score.per_lane)
 
 
-def viterbi(
-    o: np.ndarray, t: np.ndarray, lengths: Sequence[int] | None = None
-) -> list[int]:
+def viterbi(o: np.ndarray, t: np.ndarray, lanes: Lanes | None = None) -> list[int]:
     """Highest-scoring label path of each packed sentence, concatenated.
 
-    `o` holds the sentences' emission rows, split by `lengths` (None: one
-    sentence). The recursion runs over all sentences at once on the `Lanes`
-    layout, one (a, L, L) add and argmax per timestep; ties resolve to the
+    `o` holds the sentences' emission rows, laid out by `lanes` (None: one
+    sentence). The recursion runs over all sentences at once, lane by lane,
+    one (a, L, L) add and argmax per timestep; ties resolve to the
     lowest label index, and each path is the path of its sentence alone.
     """
     n, num_labels = o.shape
-    lanes = Lanes(lengths, n)
+    lanes = _lanes(lanes, n)
     steps = lanes.steps
     body = t[:num_labels]
     ot = o[lanes.fw]  # emissions, time-major

@@ -36,7 +36,7 @@ from metaner.augment import (
 )
 from metaner.corpus import Corpus, LabeledSequence
 from metaner.synthetic import STOPWORDS, synthetic_corpus, synthetic_vectors
-from metaner.tagger import MIX_LAYERS, ModelConfig, TaggerModel, crf_nll
+from metaner.tagger import MIX_LAYERS, Lanes, ModelConfig, TaggerModel, crf_nll
 from metaner.trainer import TrainExample
 
 
@@ -656,10 +656,11 @@ class TestPackedLoss:
         plain = tiny_corpus().examples
         got = model.batch_loss(plain, train=True, rng=np.random.default_rng(4))
         rng, lengths = np.random.default_rng(4), [len(ex) for ex in plain]
+        lanes = Lanes(lengths, sum(lengths))
         x = model.lookup_embeddings([tok for ex in plain for tok in ex.tokens])
-        states = model.dropout(model.encode_states(model.dropout(x, rng), lengths), rng)
+        states = model.dropout(model.encode_states(model.dropout(x, rng), lanes), rng)
         labels = [y for ex in plain for y in model.label_indices(ex.labels)]
-        want = crf_nll(model.emissions(states), model.transitions(), labels, lengths)
+        want = crf_nll(model.emissions(states), model.transitions(), labels, lanes)
         assert got.item() == want.item()
         g, w = grad(got, model.params), grad(want, model.params)
         for name in model.params.names():

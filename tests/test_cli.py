@@ -457,6 +457,10 @@ class TestEvalCommand:
             ("unknown-model-key", "unexpected keyword argument 'depth'"),
             ("missing-array", "crf.T is missing, expected (11, 10)"),
             ("bad-shape", "crf.b is (3,), expected (10,)"),
+            ("label-not-a-string", "label_vocab and token_vocab must hold strings"),
+            ("token-not-a-string", "label_vocab and token_vocab must hold strings"),
+            ("label-repeated", "label_vocab must hold distinct labels"),
+            ("label-invalid", "label 'X-LOC' invalid for scheme BIOES"),
         ],
     )
     def test_malformed_checkpoint_exits_one_naming_file(
@@ -478,6 +482,14 @@ class TestEvalCommand:
             del arrays["crf.T"]
         elif case == "bad-shape":
             arrays["crf.b"] = np.zeros(3)
+        elif case == "label-not-a-string":
+            config["label_vocab"][-1] = 7
+        elif case == "token-not-a-string":
+            config["token_vocab"][-1] = None
+        elif case == "label-repeated":
+            config["label_vocab"][-1] = config["label_vocab"][0]
+        elif case == "label-invalid":
+            config["label_vocab"][-1] = "X-LOC"
         bad = tmp_path / "bad.ckpt"
         if header is None:
             save_checkpoint(bad, arrays, config)
@@ -646,6 +658,16 @@ class TestWrongKindOfPath:
                 {"out": "{file}", "method": "ts"},
                 "{cfg}:6: out is not a directory: {file}",
             ),
+            (
+                ["train", "--config", "{cfg}"],
+                {"out": "{file}/x"},
+                "{cfg}:6: out is under {file}, a file: {file}/x",
+            ),
+            (
+                ["augment", "--config", "{cfg}"],
+                {"out": "{file}/x/y", "method": "ts"},
+                "{cfg}:6: out is under {file}, a file: {file}/x/y",
+            ),
             (["eval", "--model", "{dir}", "--data", "{test}"], {}, "{dir}"),
             (["eval", "--model", "{model}", "--data", "{dir}"], {}, "{dir}"),
             (["eval", "--model", "{file}/model.ckpt", "--data", "{test}"], {}, "{file}"),
@@ -662,6 +684,7 @@ class TestWrongKindOfPath:
         ],
         ids=[
             "train-config", "train-key", "dev-key", "train-out", "augment-out",
+            "train-out-under-a-file", "augment-out-under-a-file",
             "eval-model", "eval-data", "eval-model-under-a-file", "build-dict-train",
             "build-dict-out",
         ],

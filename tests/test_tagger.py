@@ -31,6 +31,7 @@ from metaner.autodiff import RowGrad, grad
 from metaner.corpus import Corpus, LabeledSequence
 from metaner.optim import AdamWState, adamw_step
 from metaner.tagger import (
+    Lanes,
     ModelConfig,
     TaggerModel,
     bilstm,
@@ -369,7 +370,7 @@ class TestPackedViterbi:
         for _ in range(40):  # 240 packings over the six kinds
             o, t, lengths = self.packing(kind, rng)
             want = [y for part in split_rows(o, lengths) for y in sentence_viterbi(part, t)]
-            assert viterbi(o, t, lengths) == want
+            assert viterbi(o, t, lanes_of(lengths)) == want
             if len(lengths) == 1:
                 assert viterbi(o, t) == want
 
@@ -381,6 +382,10 @@ LSTM_NAMES = [f"lstm.{d}.{w}" for d in ("fw", "bw") for w in ("Wx", "Wh", "b")]
 
 def split_rows(x, lengths):
     return np.split(x, np.cumsum(lengths)[:-1])
+
+
+def lanes_of(lengths):
+    return Lanes(lengths, sum(lengths))
 
 
 def total(losses):
@@ -422,7 +427,7 @@ class TestPackedBatch:
         n = sum(lengths)
         packed, split = self.leaves(rng.normal(size=(n, 3)), lengths, shared)
         upstream = rng.normal(size=(n, 4))
-        out = bilstm(packed["x"], [packed[name] for name in LSTM_NAMES], lengths)
+        out = bilstm(packed["x"], [packed[name] for name in LSTM_NAMES], lanes_of(lengths))
         got = grad(tsum(ad.mul(out, ad.constant(upstream))), packed)
         outs = [
             sentence_bilstm(split[f"x{k}"], [split[name] for name in LSTM_NAMES])
@@ -446,7 +451,7 @@ class TestPackedBatch:
         num_labels = 4
         o, t = random_crf(rng, sum(lengths), num_labels, scale=2.0)
         packed, split = self.leaves(o, lengths, {"t": t})
-        log_z = crf_log_partition(packed["x"], packed["t"], lengths)
+        log_z = crf_log_partition(packed["x"], packed["t"], lanes_of(lengths))
         got = grad(log_z, packed)
         parts = [
             sentence_crf_log_partition(split[f"x{k}"], split["t"])
@@ -462,7 +467,7 @@ class TestPackedBatch:
         rng = np.random.default_rng(200 + sum(lengths))
         o, t = random_crf(rng, sum(lengths), 3)
         labels = rng.integers(0, 3, size=sum(lengths))
-        got = crf_score(ad.constant(o), ad.constant(t), labels, lengths).item()
+        got = crf_score(ad.constant(o), ad.constant(t), labels, lanes_of(lengths)).item()
         want = sum(
             brute_score(o_k, t, tuple(y_k))
             for o_k, y_k in zip(split_rows(o, lengths), split_rows(labels, lengths))
@@ -479,7 +484,7 @@ class TestPackedBatch:
         store.add("t", t)
 
         def score():
-            return crf_score(store["o"], store["t"], labels, lengths)
+            return crf_score(store["o"], store["t"], labels, lanes_of(lengths))
 
         analytic = grad(score(), store)
         for name in ("o", "t"):
@@ -497,7 +502,7 @@ class TestPackedBatch:
         store.add("t", t)
 
         def score():
-            return crf_score(store["o"], store["t"], paths, lengths, coefs)
+            return crf_score(store["o"], store["t"], paths, lanes_of(lengths), coefs)
 
         want = [
             sum(c[k] * brute_score(o_k, t, tuple(y_k)) for c, y_k in zip(coefs, ys))
@@ -518,7 +523,7 @@ class TestPackedBatch:
         rng = np.random.default_rng(500 + sum(lengths))
         o, t = random_crf(rng, sum(lengths), 3)
         labels = rng.integers(0, 3, size=sum(lengths))
-        nll = crf_nll(ad.constant(o), ad.constant(t), labels, lengths)
+        nll = crf_nll(ad.constant(o), ad.constant(t), labels, lanes_of(lengths))
         want = [
             brute_nll(o_k, t, tuple(y_k))
             for o_k, y_k in zip(split_rows(o, lengths), split_rows(labels, lengths))
@@ -531,7 +536,7 @@ class TestPackedBatch:
         model = tiny_model(emb_dim=3, hidden=2, seed=len(lengths))
         weights = [model.params[name] for name in LSTM_NAMES]
         x = rng.normal(size=(sum(lengths), 3))
-        packed = bilstm(ad.constant(x), weights, lengths).data
+        packed = bilstm(ad.constant(x), weights, lanes_of(lengths)).data
         for part, x_k in zip(split_rows(packed, lengths), split_rows(x, lengths)):
             assert part.tobytes() == bilstm(ad.constant(x_k), weights).data.tobytes()
 
@@ -547,7 +552,7 @@ class TestPackedBatch:
             parts = split_rows(store["o"].data, lengths)
             return sum(brute_log_partition(o_k, store["t"].data) for o_k in parts)
 
-        log_z = crf_log_partition(store["o"], store["t"], lengths)
+        log_z = crf_log_partition(store["o"], store["t"], lanes_of(lengths))
         assert abs(log_z.item() - brute()) < 1e-12
         analytic = grad(log_z, store)
         for name in ("o", "t"):
@@ -583,13 +588,20 @@ class TestPackedBatch:
 
     @pytest.mark.parametrize("lengths", [[2, 2], [0, 5], [], [6, -1]], ids=str)
     def test_lengths_must_split_the_rows(self, lengths):
+        with pytest.raises(ValueError, match="lengths"):
+            Lanes(lengths, 5)
+
+    def test_nodes_reject_lanes_of_other_rows(self):
         o, t = ad.constant(np.zeros((5, 2))), ad.constant(np.zeros((3, 2)))
-        with pytest.raises(ValueError, match="lengths"):
-            crf_log_partition(o, t, lengths)
-        with pytest.raises(ValueError, match="lengths"):
-            crf_score(o, t, [0] * 5, lengths)
-        with pytest.raises(ValueError, match="lengths"):
-            bilstm(ad.constant(np.zeros((5, 3))), [ad.constant(np.zeros(1))] * 6, lengths)
+        lanes = Lanes([2, 2], 4)
+        with pytest.raises(ValueError, match="lanes"):
+            crf_log_partition(o, t, lanes)
+        with pytest.raises(ValueError, match="lanes"):
+            crf_score(o, t, [0] * 5, lanes)
+        with pytest.raises(ValueError, match="lanes"):
+            viterbi(o.data, t.data, lanes)
+        with pytest.raises(ValueError, match="lanes"):
+            bilstm(ad.constant(np.zeros((5, 3))), [ad.constant(np.zeros(1))] * 6, lanes)
 
 
 # --- full-model losses ----------------------------------------------------------
@@ -692,7 +704,8 @@ class TestSequenceLoss:
 
 
 class TestCorpusDecode:
-    """`sentence_emissions` and `decode_all`, against one-sentence decode through the graph."""
+    """`decode_all`, and the emissions its packed Viterbi reads, against
+    one-sentence decode through the graph."""
 
     @staticmethod
     def ragged(seed):
@@ -714,7 +727,18 @@ class TestCorpusDecode:
 
     @staticmethod
     def corpus_decode(model, sentences):
-        return list(model.sentence_emissions(sentences)), model.decode_all(sentences)
+        """Each sentence's emission rows as its chunk's `viterbi` read them,
+        and `decode_all`'s labels."""
+        emissions = []
+
+        def recording(o, t, lanes):
+            emissions.extend(split_rows(o, lanes.sizes))
+            return viterbi(o, t, lanes)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(tagger_mod, "viterbi", recording)
+            labels = model.decode_all(sentences)
+        return emissions, labels
 
     @pytest.mark.parametrize("budget", [None, 7])
     def test_same_bits_and_labels_as_one_sentence_decode(self, budget, monkeypatch):
@@ -761,6 +785,48 @@ class TestCorpusDecode:
         model = tiny_model()
         with pytest.raises(ValueError, match="path has 3 labels for 2 tokens"):
             model.decode(["john", "visits"], [0, 0, 0])
+
+
+class TestOneLanesPerLayout:
+    """A packed pass builds the `Lanes` of each of its layouts once, and every
+    node of the pass reads that one."""
+
+    @staticmethod
+    def count_lanes(monkeypatch):
+        built = []
+
+        class Counted(tagger_mod.Lanes):
+            __slots__ = ()
+
+            def __init__(self, *args, **kwargs):
+                built.append(args)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(tagger_mod, "Lanes", Counted)
+        return built
+
+    @pytest.mark.parametrize(
+        "layer, pairs, want",
+        [("embedding", False, 1), ("embedding", True, 1), ("encoder", True, 2)],
+        ids=["plain", "embedding-pairs", "encoder-pairs"],
+    )
+    def test_batch_loss(self, monkeypatch, layer, pairs, want):
+        model = tiny_model(dropout=0.5)
+        a, b = tiny_corpus().examples
+        examples = [a, MixedExample(a, b, 0.3), b] if pairs else [a, b]
+        built = self.count_lanes(monkeypatch)
+        loss = model.batch_loss(examples, True, np.random.default_rng(0), layer)
+        grad(loss, model.params)
+        assert len(built) == want
+
+    def test_decode_chunk(self, monkeypatch):
+        monkeypatch.setattr(tagger_mod, "_DECODE_ROWS", 7)
+        model = tiny_model()
+        sentences = TestCorpusDecode.ragged(3)
+        chunks = list(tagger_mod._chunks([len(s) for s in sentences], 7))
+        built = self.count_lanes(monkeypatch)
+        model.decode_all(sentences)
+        assert len(built) == len(chunks) > 1
 
 
 class TestEmbeddingGradient:
