@@ -6,7 +6,7 @@ closure; `grad` walks the graph once in reverse topological order.
 
 The op catalog is deliberately small:
 
-- elementwise on equal shapes: sub and mul (no broadcasting), and scale;
+- scale: a tensor times a scalar or an array of its shape (a dropout mask);
 - the output layer: affine, x @ w + b;
 - rows: embed_rows (a table lookup) and mix_rows (rows of two tensors
   combined by per-row coefficients, the mixup interpolation).
@@ -20,8 +20,8 @@ hand-written nodes, each one `Tensor(out, parents, vjp)` whose vjp is
 backpropagation through time, the forward-backward marginals, or a scatter
 of the gold path's entries. All three take a batch of sentences packed into
 one array plus one `tagger.Lanes`, the batch's layout, which they share; so a
-training batch's loss is the same 20 nodes whatever the number and lengths
-of its sentences.
+training batch's loss is the same 18 nodes (19 with mixup pairs) whatever the
+number and lengths of its sentences, and its only leaves are the parameters.
 
 A parameter gradient is factored by row. Every node that feeds a parameter
 returns its gradient as a sum over the packed rows it computed, not as a
@@ -55,13 +55,6 @@ class NumericError(RuntimeError):
     """Raised when a numeric failure (NaN/Inf) makes a step meaningless."""
 
 
-def _as_array(value, *, check_finite: bool) -> Array:
-    arr = np.asarray(value, dtype=np.float64)
-    if check_finite and not np.all(np.isfinite(arr)):
-        raise NumericError("non-finite values in tensor input")
-    return arr
-
-
 class Tensor:
     """One node of a computation graph.
 
@@ -70,19 +63,17 @@ class Tensor:
     parent, aligned with `parents`.
     """
 
-    __slots__ = ("data", "parents", "vjp", "name")
+    __slots__ = ("data", "parents", "vjp")
 
     def __init__(
         self,
         data: Array,
         parents: tuple["Tensor", ...] = (),
         vjp: Callable[[Array], tuple[Array, ...]] | None = None,
-        name: str | None = None,
     ):
         self.data = data
         self.parents = parents
         self.vjp = vjp
-        self.name = name
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -92,46 +83,21 @@ class Tensor:
         return float(self.data)
 
     def __repr__(self) -> str:
-        tag = f" name={self.name!r}" if self.name else ""
-        return f"Tensor(shape={self.shape}{tag})"
+        return f"Tensor(shape={self.shape})"
 
 
-def constant(value, name: str | None = None) -> Tensor:
+def constant(value) -> Tensor:
     """Wrap external data as a graph leaf; rejects NaN/Inf."""
-    return Tensor(_as_array(value, check_finite=True), name=name)
+    arr = np.asarray(value, dtype=np.float64)
+    if not np.all(np.isfinite(arr)):
+        raise NumericError("non-finite values in tensor input")
+    return Tensor(arr)
 
 
-def parameter(value, name: str) -> Tensor:
-    """Named parameter leaf; rejects NaN/Inf."""
-    return Tensor(_as_array(value, check_finite=True), name=name)
-
-
-def _same_shape(op: str, a: Tensor, b: Tensor) -> None:
-    if a.shape != b.shape:
-        raise ValueError(f"{op} needs equal shapes, got {a.shape} and {b.shape}")
-
-
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape("sub", a, b)
-    out = a.data - b.data
-
-    def vjp(g: Array):
-        return g, -g
-
-    return Tensor(out, (a, b), vjp)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _same_shape("mul", a, b)
-    out = a.data * b.data
-
-    def vjp(g: Array):
-        return g * b.data, g * a.data
-
-    return Tensor(out, (a, b), vjp)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
+def scale(a: Tensor, c: float | Array) -> Tensor:
+    """a * c for a scalar c or an array c of a's shape (a dropout mask)."""
+    if np.ndim(c) and np.shape(c) != a.shape:
+        raise ValueError(f"scale needs a scalar or shape {a.shape}, got {np.shape(c)}")
     out = a.data * c
 
     def vjp(g: Array):
@@ -397,7 +363,7 @@ class ParamStore:
     def add(self, name: str, value) -> Tensor:
         if name in self._entries:
             raise ValueError(f"duplicate parameter name: {name!r}")
-        t = parameter(value, name)
+        t = constant(value)
         self._entries[name] = t
         return t
 
@@ -467,7 +433,10 @@ class GradientMap(Mapping):
         return total
 
     def global_norm(self) -> float:
-        return float(np.sqrt(sum(_squared_norm(g) for g in self._grads.values())))
+        total = 0.0
+        for g in self._grads.values():  # in order: from Python 3.12 `sum` compensates
+            total += _squared_norm(g)
+        return float(np.sqrt(total))
 
     def scaled(self, factor: float) -> "GradientMap":
         return GradientMap({n: _scaled(g, factor) for n, g in self._grads.items()})

@@ -180,13 +180,17 @@ def parse_config(path: str | Path) -> RunConfig:
         problem = "is not a regular file" if Path(value).exists() else "file does not exist"
         raise ConfigError(f"{path}:{lines.get(key, '?')}: {key} {problem}: {value}")
     if cfg.out is not None:
-        out = Path(cfg.out)
-        # The run makes `out` and its missing parents under the nearest that exists.
-        found = next((p for p in (out, *out.parents) if p.exists()), out)
-        if not found.is_dir():
-            problem = "is not a directory" if found == out else f"is under {found}, a file"
-            raise ConfigError(f"{path}:{lines['out']}: out {problem}: {cfg.out}")
+        check_out_dir(cfg.out, f"{path}:{lines['out']}: out")
     return cfg
+
+
+def check_out_dir(out: str, name: str) -> None:
+    """`ConfigError` led by `name` unless `out` and its missing parents can be made."""
+    path = Path(out)
+    found = next((p for p in (path, *path.parents) if p.exists()), path)
+    if not found.is_dir():
+        problem = "is not a directory" if found == path else f"is under {found}, a file"
+        raise ConfigError(f"{name} {problem}: {out}")
 
 
 def _format(value) -> str:

@@ -232,7 +232,7 @@ class TaggerModel:
             return x
         keep = 1.0 - rate
         mask = (rng.random(x.shape) < keep) / keep
-        return ad.mul(x, ad.constant(mask))
+        return ad.scale(x, mask)
 
     def encode_states(self, emb: Tensor, lanes: Lanes | None = None) -> Tensor:
         """BiLSTM states h_i = [forward_i ; backward_i], an (n, 2H) tensor.
@@ -436,6 +436,9 @@ class TaggerModel:
                 validate_label(label, "BIOES")
         except ValueError as exc:
             raise CheckpointError(f"{path}: {exc}") from exc
+        for key, kind in {"emb_dim": int, "hidden": int, "lowercase": bool}.items():
+            if type(config["model"].get(key)) is not kind:  # exact: a JSON true is no int
+                raise CheckpointError(f"{path}: model {key} must be {kind.__name__}")
         try:
             mc = ModelConfig(**config["model"])
         except (TypeError, ValueError) as exc:  # an unknown key, or a bad value
@@ -826,8 +829,8 @@ def crf_nll(
     lanes = _lanes(lanes, o.shape[0])
     log_z = crf_log_partition(o, t, lanes)
     score = crf_score(o, t, labels, lanes, coefs)
-    nll = ad.sub(log_z, score)
-    return LaneSum(nll.data, nll.parents, nll.vjp, log_z.per_lane - score.per_lane)
+    nll, per_lane = log_z.data - score.data, log_z.per_lane - score.per_lane
+    return LaneSum(nll, (log_z, score), lambda g: (g, -g), per_lane)
 
 
 def viterbi(o: np.ndarray, t: np.ndarray, lanes: Lanes | None = None) -> list[int]:

@@ -12,11 +12,11 @@ one sentence's spans, with the scheme conversion, span F1 and entity
 dictionary built on one call of it per sentence, the synonym search over
 the whole similarity matrix, and the vector file reader that called `float` on
 every value. `finite_diff_check` compares the engine's gradients with
-central differences. `add`, `pick`, `tsum` and `mix_embeddings` are graph
-ops that only tests build. The last helpers are conveniences only tests use:
-parameter snapshots, which the literal lookahead restores, and the
-one-sentence views `extract_spans` and `convert_sentence` of the program's
-corpus functions.
+central differences. `add`, `sub`, `mul`, `pick`, `tsum` and
+`mix_embeddings` are graph ops that only tests build. The last helpers are
+conveniences only tests use: parameter snapshots, which the literal lookahead
+restores, and the one-sentence views `extract_spans` and `convert_sentence` of
+the program's corpus functions.
 """
 
 from __future__ import annotations
@@ -340,7 +340,7 @@ def pair_loss(model, mx, mix_layer="embedding", train=False, rng=None):
     log_z = crf_log_partition(o, t)
     s1 = crf_score(o, t, model.label_indices(mx.labels_first()))
     s2 = crf_score(o, t, model.label_indices(mx.labels_second()))
-    return ad.sub(log_z, add(ad.scale(s1, mx.lam), ad.scale(s2, 1.0 - mx.lam)))
+    return sub(log_z, add(ad.scale(s1, mx.lam), ad.scale(s2, 1.0 - mx.lam)))
 
 
 def example_loss(model, item, mix_layer="embedding", train=True, rng=None):
@@ -554,14 +554,40 @@ def build_entity_dict(corpus: Corpus) -> EntityDict:
 # --- graph ops only tests build ------------------------------------------------
 
 
+def _same_shape(op: str, a: Tensor, b: Tensor) -> None:
+    if a.shape != b.shape:
+        raise ValueError(f"{op} needs equal shapes, got {a.shape} and {b.shape}")
+
+
 def add(a: Tensor, b: Tensor) -> Tensor:
     """Elementwise a + b of two equal-shaped tensors."""
-    if a.shape != b.shape:
-        raise ValueError(f"add needs equal shapes, got {a.shape} and {b.shape}")
+    _same_shape("add", a, b)
     out = a.data + b.data
 
     def vjp(g: np.ndarray):
         return g, g
+
+    return Tensor(out, (a, b), vjp)
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise a - b of two equal-shaped tensors."""
+    _same_shape("sub", a, b)
+    out = a.data - b.data
+
+    def vjp(g: np.ndarray):
+        return g, -g
+
+    return Tensor(out, (a, b), vjp)
+
+
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    """Elementwise a * b of two equal-shaped tensors."""
+    _same_shape("mul", a, b)
+    out = a.data * b.data
+
+    def vjp(g: np.ndarray):
+        return g * b.data, g * a.data
 
     return Tensor(out, (a, b), vjp)
 

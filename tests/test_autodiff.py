@@ -1,5 +1,8 @@
 """Gradient correctness of every op in the autodiff catalog."""
 
+import builtins
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -21,17 +24,19 @@ from oracles import (
     add,
     finite_diff_check,
     load_snapshot,
+    mul,
     numeric_gradient,
     pick,
     rel_err,
     snapshot,
+    sub,
     tsum,
 )
 
 
 def square(t: Tensor) -> Tensor:
-    """Elementwise t * t: a nonlinearity built from catalog ops."""
-    return ad.mul(t, t)
+    """Elementwise t * t: a nonlinearity built from test-only ops."""
+    return mul(t, t)
 
 
 def make_store(**arrays) -> ParamStore:
@@ -61,7 +66,7 @@ class TestGradBasics:
     def test_parameter_reuse_accumulates(self):
         store = make_store(p=np.array([1.0, 2.0]))
         p = store["p"]
-        loss = tsum(add(ad.mul(p, p), p))  # sum(p^2 + p)
+        loss = tsum(add(mul(p, p), p))  # sum(p^2 + p)
         g = grad(loss, store)
         np.testing.assert_allclose(g["p"], 2 * p.data + 1.0)
 
@@ -69,7 +74,7 @@ class TestGradBasics:
         with pytest.raises(NumericError):
             constant(np.array([1.0, np.nan]))
         with pytest.raises(NumericError):
-            ad.parameter(np.array([np.inf]), "bad")
+            ParamStore().add("bad", np.array([np.inf]))
 
 
 def check_op(build_loss, arrays, tol=1e-7):
@@ -90,16 +95,27 @@ class TestOpGradients:
 
     def test_add(self):
         arrays = {"a": self.rng.normal(size=(3, 4)), "b": self.rng.normal(size=(3, 4))}
-        weights = constant(self.rng.normal(size=(3, 4)))
-        check_op(lambda s: tsum(ad.mul(add(s["a"], s["b"]), weights)), arrays)
+        weights = self.rng.normal(size=(3, 4))
+        check_op(lambda s: tsum(ad.scale(add(s["a"], s["b"]), weights)), arrays)
 
     def test_sub(self):
         arrays = {"a": self.rng.normal(size=5), "b": self.rng.normal(size=5)}
-        check_op(lambda s: tsum(ad.mul(ad.sub(s["a"], s["b"]), s["a"])), arrays)
+        check_op(lambda s: tsum(mul(sub(s["a"], s["b"]), s["a"])), arrays)
 
     def test_mul(self):
         arrays = {"a": self.rng.normal(size=(2, 3)), "b": self.rng.normal(size=(2, 3))}
-        check_op(lambda s: tsum(ad.mul(s["a"], s["b"])), arrays)
+        check_op(lambda s: tsum(mul(s["a"], s["b"])), arrays)
+
+    def test_scale(self):
+        arrays = {"a": self.rng.normal(size=(3, 4))}
+        factor = self.rng.normal(size=(3, 4))
+        check_op(lambda s: tsum(square(ad.scale(s["a"], factor))), arrays)
+        check_op(lambda s: tsum(square(ad.scale(s["a"], -1.5))), arrays)
+
+    @pytest.mark.parametrize("shape", [(4,), (1, 4), (3, 1), (4, 3), (3, 4, 1)], ids=str)
+    def test_scale_rejects_an_array_of_another_shape(self, shape):
+        with pytest.raises(ValueError, match=rf"scale.*\(3, 4\)"):
+            ad.scale(constant(np.zeros((3, 4))), np.ones(shape))
 
     def test_affine(self):
         arrays = {
@@ -132,7 +148,7 @@ class TestOpGradients:
 
     @pytest.mark.parametrize("op", ["add", "sub", "mul"])
     def test_unequal_shapes_rejected(self, op):
-        fn = {"add": add, "sub": ad.sub, "mul": ad.mul}[op]
+        fn = {"add": add, "sub": sub, "mul": mul}[op]
         a, b = constant(np.zeros((3, 4))), constant(np.zeros(4))
         with pytest.raises(ValueError, match=rf"{op}.*\(3, 4\).*\(4,\)"):
             fn(a, b)
@@ -146,23 +162,23 @@ class TestOpGradients:
 
     def test_mix_rows(self):
         arrays = {"a": self.rng.normal(size=(4, 3)), "b": self.rng.normal(size=(2, 3))}
-        weights = constant(self.rng.normal(size=(5, 3)))
+        weights = self.rng.normal(size=(5, 3))
         rows_a, rows_b = [3, 0, -1, 1, 2], [-1, 1, 0, -1, 1]
         coef_a, coef_b = [0.3, 1.0, 0.0, 0.6, 1.0], [0.7, 0.0, 1.0, 0.4, -2.0]
         check_op(
             lambda s: tsum(
-                ad.mul(ad.mix_rows(s["a"], s["b"], rows_a, rows_b, coef_a, coef_b), weights)
+                ad.scale(ad.mix_rows(s["a"], s["b"], rows_a, rows_b, coef_a, coef_b), weights)
             ),
             arrays,
         )
 
     def test_mix_rows_of_one_tensor_with_itself(self):
         arrays = {"x": self.rng.normal(size=(5, 3))}
-        weights = constant(self.rng.normal(size=(3, 3)))
+        weights = self.rng.normal(size=(3, 3))
         rows = ([0, 1, 2], [3, 4, -1])
         check_op(
             lambda s: tsum(
-                ad.mul(ad.mix_rows(s["x"], s["x"], *rows, [0.4, 0.4, 1.0], [0.6, 0.6, 0.0]), weights)
+                ad.scale(ad.mix_rows(s["x"], s["x"], *rows, [0.4, 0.4, 1.0], [0.6, 0.6, 0.0]), weights)
             ),
             arrays,
         )
@@ -187,12 +203,12 @@ class TestOpGradients:
 
     def test_embedding_lookups_mixed_with_dense_uses(self):
         arrays = {"table": self.rng.normal(size=(5, 3))}
-        weights = constant(self.rng.normal(size=(5, 3)))
+        weights = self.rng.normal(size=(5, 3))
 
         def loss(s):
             t = s["table"]
             twice = add(ad.embed_rows(t, [1, 3]), ad.embed_rows(t, [3, 4]))
-            return add(tsum(square(twice)), tsum(ad.mul(t, weights)))
+            return add(tsum(square(twice)), tsum(ad.scale(t, weights)))
 
         check_op(loss, arrays)
 
@@ -210,14 +226,14 @@ class TestOpGradients:
     def test_masked_dropout_frozen_mask(self):
         mask = (self.rng.random((4, 3)) < 0.5) / 0.5
         arrays = {"x": self.rng.normal(size=(4, 3))}
-        check_op(lambda s: tsum(square(ad.mul(s["x"], constant(mask)))), arrays)
+        check_op(lambda s: tsum(square(ad.scale(s["x"], mask))), arrays)
 
 
 class TestFiniteDiffCheck:
     def test_quadratic_is_essentially_exact(self):
         store = make_store(p=np.array([0.3, -1.2, 2.0]))
         err = finite_diff_check(
-            lambda: ad.scale(tsum(ad.mul(store["p"], store["p"])), 0.5), store
+            lambda: ad.scale(tsum(mul(store["p"], store["p"])), 0.5), store
         )
         assert err <= 1e-9
 
@@ -242,12 +258,23 @@ class TestFiniteDiffCheck:
             h = square(ad.affine(store["x"], store["w1"], store["b1"]))
             h = square(ad.affine(h, store["w2"], store["b2"]))
             h = square(ad.affine(h, store["w3"], store["b3"]))
-            return tsum(ad.mul(h, h))
+            return tsum(mul(h, h))
 
         assert finite_diff_check(loss, store) <= 1e-4
 
 
 class TestGradientMap:
+    def test_global_norm_adds_in_key_order(self, monkeypatch):
+        # From Python 3.12 the builtin sum compensates; the norm, and so the
+        # clip, must be the same bits on every Python.
+        monkeypatch.setattr(builtins, "sum", lambda it, start=0: math.fsum(it) + start)
+        entries = {"big": np.array([1.0])} | {f"tiny{i}": np.array([1e-8]) for i in range(1000)}
+        total = 0.0
+        for g in entries.values():
+            total += float(g @ g)
+        assert total == 1.0  # each 1e-16 is lost against 1.0; fsum would keep them
+        assert GradientMap(entries).global_norm() == math.sqrt(total)
+
     def test_hand_dot(self):
         # {[1,2],[3]} . {[4,5],[6]} = 1*4 + 2*5 + 3*6 = 32
         a = GradientMap({"m": np.array([1.0, 2.0]), "s": np.array([3.0])})

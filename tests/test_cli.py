@@ -11,6 +11,7 @@ import pytest
 
 from oracles import convert_sentence, sentence_decode
 
+from metaner import cli as cli_mod
 from metaner import trainer as trainer_mod
 from metaner.augment import EntityDict, SynonymDict
 from metaner.autodiff import NumericError
@@ -461,6 +462,10 @@ class TestEvalCommand:
             ("token-not-a-string", "label_vocab and token_vocab must hold strings"),
             ("label-repeated", "label_vocab must hold distinct labels"),
             ("label-invalid", "label 'X-LOC' invalid for scheme BIOES"),
+            ("lowercase-a-string", "model lowercase must be bool"),
+            ("emb-dim-a-float", "model emb_dim must be int"),
+            ("hidden-a-float", "model hidden must be int"),
+            ("hidden-a-bool", "model hidden must be int"),
         ],
     )
     def test_malformed_checkpoint_exits_one_naming_file(
@@ -490,6 +495,14 @@ class TestEvalCommand:
             config["label_vocab"][-1] = config["label_vocab"][0]
         elif case == "label-invalid":
             config["label_vocab"][-1] = "X-LOC"
+        elif case == "lowercase-a-string":  # would load as true: a cased model lowercasing
+            config["model"]["lowercase"] = "false"
+        elif case == "emb-dim-a-float":
+            config["model"]["emb_dim"] = float(config["model"]["emb_dim"])
+        elif case == "hidden-a-float":
+            config["model"]["hidden"] = float(config["model"]["hidden"])
+        elif case == "hidden-a-bool":
+            config["model"]["hidden"] = True
         bad = tmp_path / "bad.ckpt"
         if header is None:
             save_checkpoint(bad, arrays, config)
@@ -711,6 +724,29 @@ class TestWrongKindOfPath:
         (line,) = err.splitlines()
         assert line.startswith("metaner: error: ")
         assert bad.format(**names) in line
+
+    @pytest.mark.parametrize(
+        "flags, bad",
+        [
+            (["--out", "{file}/x"], "--out is under {file}, a file: {file}/x"),
+            (["--out", "{out}", "--k", "0"], "--k must be >= 1, got 0"),
+        ],
+        ids=["out-under-a-file", "k-zero"],
+    )
+    def test_build_dict_checks_its_flags_before_reading(
+        self, synth_dataset, tmp_path, monkeypatch, capsys, flags, bad
+    ):
+        def unread(*args, **kwargs):
+            raise AssertionError("the corpus was read before the flags were checked")
+
+        monkeypatch.setattr(cli_mod, "read_conll", unread)
+        (tmp_path / "a-file").write_text("x\n")
+        names = {"file": tmp_path / "a-file", "out": tmp_path / "out"}
+        argv = ["build-dict", "--train", str(synth_dataset["train"])]
+        argv += ["--vectors", str(synth_dataset["vectors"])]
+        assert main(argv + [flag.format(**names) for flag in flags]) == 1
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line == "metaner: error: " + bad.format(**names)
 
 
 class TestNotUtf8:

@@ -21,6 +21,7 @@ from oracles import (
     sentence_decode,
     sentence_viterbi,
     snapshot,
+    sub,
     tsum,
 )
 
@@ -126,10 +127,10 @@ class TestEncoder:
         vocab = model.table.vocab[2:]
         tokens = [vocab[i % len(vocab)] for i in range(n)]
         # Weighting both halves of every state row reaches both directions.
-        weights = ad.constant(np.random.default_rng(n).normal(size=(n, 4)))
+        weights = np.random.default_rng(n).normal(size=(n, 4))
         err = finite_diff_check(
             lambda: tsum(
-                ad.mul(model.encode_states(model.lookup_embeddings(tokens)), weights)
+                ad.scale(model.encode_states(model.lookup_embeddings(tokens)), weights)
             ),
             model.params,
         )
@@ -428,7 +429,7 @@ class TestPackedBatch:
         packed, split = self.leaves(rng.normal(size=(n, 3)), lengths, shared)
         upstream = rng.normal(size=(n, 4))
         out = bilstm(packed["x"], [packed[name] for name in LSTM_NAMES], lanes_of(lengths))
-        got = grad(tsum(ad.mul(out, ad.constant(upstream))), packed)
+        got = grad(tsum(ad.scale(out, upstream)), packed)
         outs = [
             sentence_bilstm(split[f"x{k}"], [split[name] for name in LSTM_NAMES])
             for k in range(len(lengths))
@@ -437,7 +438,7 @@ class TestPackedBatch:
         want = grad(
             total(
                 [
-                    tsum(ad.mul(h, ad.constant(g)))
+                    tsum(ad.scale(h, g))
                     for h, g in zip(outs, split_rows(upstream, lengths))
                 ]
             ),
@@ -575,11 +576,11 @@ class TestPackedBatch:
         weights = [model.params[name] for name in LSTM_NAMES]
         parts = []
         for s, emb_mask, state_mask in zip(seqs, emb_masks, state_masks):
-            emb = ad.mul(model.lookup_embeddings(s.tokens), ad.constant(emb_mask))
-            states = ad.mul(sentence_bilstm(emb, weights), ad.constant(state_mask))
+            emb = ad.scale(model.lookup_embeddings(s.tokens), emb_mask)
+            states = ad.scale(sentence_bilstm(emb, weights), state_mask)
             o, t = model.emissions(states), model.transitions()
             labels = model.label_indices(s.labels)
-            parts.append(ad.sub(sentence_crf_log_partition(o, t), crf_score(o, t, labels)))
+            parts.append(sub(sentence_crf_log_partition(o, t), crf_score(o, t, labels)))
         want = total(parts)
         assert rel_err(np.array(got.data), np.array(want.data)) < 1e-12
         got_grads, want_grads = grad(got, model.params), grad(want, model.params)
@@ -608,14 +609,28 @@ class TestPackedBatch:
 
 
 class TestSequenceLoss:
-    def test_training_loss_is_twenty_nodes_for_any_batch(self):
+    def test_training_loss_is_eighteen_nodes_for_any_batch(self):
         # lookup, two dropouts, BiLSTM, affine, partition, score and their
-        # difference, over 12 leaves: 10 parameters and 2 dropout masks
+        # difference, over the 10 parameters
         model = tiny_model(dropout=0.5)
         rng = np.random.default_rng(0)
         for seqs in (tiny_corpus().examples[:1], tiny_corpus().examples):
             loss = model.batch_loss(seqs, train=True, rng=rng)
-            assert len(ad._topo_order(loss)) == 20
+            assert len(ad._topo_order(loss)) == 18
+
+    @pytest.mark.parametrize(
+        "layer, pairs",
+        [("embedding", False), ("embedding", True), ("encoder", True)],
+        ids=["plain", "embedding-pairs", "encoder-pairs"],
+    )
+    def test_training_graph_leaves_are_the_parameters(self, layer, pairs):
+        # Dropout scales by its mask: the mask is no leaf of the graph.
+        model = tiny_model(dropout=0.5)
+        a, b = tiny_corpus().examples
+        examples = [a, MixedExample(a, b, 0.3), b] if pairs else [a, b]
+        loss = model.batch_loss(examples, True, np.random.default_rng(0), layer)
+        leaves = {id(t) for t in ad._topo_order(loss) if not t.parents}
+        assert leaves == {id(t) for _, t in model.params.items()}
 
     def test_backward_scratch_is_a_few_gate_arrays(self):
         # On top of what the graph holds, the backward pass of a packed batch
