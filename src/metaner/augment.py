@@ -18,11 +18,13 @@ mixed) for downstream weighting and inspection.
 
 from __future__ import annotations
 
+import itertools
 import logging
 import math
+import operator
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Sequence, Union
+from typing import Iterable, Iterator, Sequence, Union
 
 import numpy as np
 
@@ -44,9 +46,13 @@ _SUBSTITUTE_RETRIES = 25
 _GENERATE_REDRAWS = 50
 
 # Rows of the similarity matrix that `build_synonym_dict` holds at once. Small
-# and fixed: a block and its partitioned copy are each this many rows of V
-# floats, and at 4000 words 512- or 1024-row blocks were no faster.
+# and fixed: a block is this many rows of V floats, its candidate mask this
+# many rows of V bytes, and at 4000 words 512- or 1024-row blocks were no faster.
 _SYNONYM_BLOCK = 256
+# Column groups per synonym wanted; their maxima bound each row's k-th best
+# similarity. With 16k groups, two of a row's k best share a group, which
+# loosens the bound and lets more candidates through, about k/32 of the time.
+_SYNONYM_GROUPS_PER_K = 16
 
 
 @dataclass
@@ -128,15 +134,6 @@ class SynonymDict:
     def __len__(self) -> int:
         return len(self.synonyms)
 
-    def __contains__(self, word: str) -> bool:
-        return bool(self.synonyms.get(word))
-
-    def sample(self, word: str, rng: np.random.Generator) -> str | None:
-        pool = self.synonyms.get(word)
-        if not pool:
-            return None
-        return pool[int(rng.integers(len(pool)))][0]
-
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for word, pool in self.synonyms.items():
@@ -187,12 +184,14 @@ def build_synonym_dict(
     """Top-k cosine neighbors for every word, by exact search in row blocks.
 
     The similarities are taken `_SYNONYM_BLOCK` rows at a time, each row
-    against every word, so only a block and its partitioned copy are held,
-    never the V x V matrix. In each row, one partition finds the k-th largest
-    similarity; every word scoring at least that much is a candidate, ties
-    included, and the candidates are ranked by descending similarity, equal
-    scores in vector-file order. The result equals a stable sort of each
-    whole row, cut to k.
+    against every word, so only a block is held, never the V x V matrix.
+    A block's synonyms are chosen all at once. The columns fall into at least
+    k groups, and the k-th largest of a row's group maxima bounds its k-th
+    largest similarity from below, so every word scoring at least that much
+    is a candidate, ties included. One `lexsort` ranks the block's candidates
+    by row, then descending similarity, then vector-file order, and each row
+    keeps its first k. The result equals a stable sort of each whole row, cut
+    to k.
 
     Stop-words are dropped from both sides of the mapping, and words with a
     zero vector are dropped because their cosine is undefined.
@@ -203,35 +202,43 @@ def build_synonym_dict(
         raise ValueError(f"k must be >= 1, got {k}")
     stop = set(stopwords)
     words = [w for w in vectors if w not in stop]
-    kept = []
-    for w in words:
-        if np.linalg.norm(vectors[w]) == 0.0:
-            logger.warning("dropping %r from synonym dictionary: zero vector", w)
-        else:
-            kept.append(w)
-    words = kept
-    if len(words) < 2:
+    if not words:
         return SynonymDict({})
     mat = np.stack([vectors[w] for w in words])
-    mat = mat / np.linalg.norm(mat, axis=1, keepdims=True)
+    norms = np.linalg.norm(mat, axis=1, keepdims=True)
+    zero = norms[:, 0] == 0.0
+    for w in itertools.compress(words, zero):
+        logger.warning("dropping %r from synonym dictionary: zero vector", w)
+    words = list(itertools.compress(words, ~zero))
+    if len(words) < 2:
+        return SynonymDict({})
+    mat = mat[~zero] / norms[~zero]
     n = len(words)
     top = min(k, n - 1)
-    out: dict[str, list[tuple[str, float]]] = {}
+    # Group starts: at least `top` groups, so the bound below exists.
+    groups = np.arange(0, n, max(1, n // (_SYNONYM_GROUPS_PER_K * top)))
+    chosen = np.empty((n, top), dtype=np.intp)
+    scores = np.empty((n, top))
     # One buffer serves every block: a fresh block per iteration would be
-    # allocated while the last row views still hold the previous one.
+    # allocated before the previous one is freed.
     buf = np.empty((min(_SYNONYM_BLOCK, n), n))
     for lo in range(0, n, _SYNONYM_BLOCK):
         block = mat[lo : lo + _SYNONYM_BLOCK]
         sims = np.matmul(block, mat.T, out=buf[: len(block)])
         rows = np.arange(len(sims))
         sims[rows, lo + rows] = -np.inf
-        # Fancy indexing copies the column, so the partitioned block is freed.
-        kth = np.partition(sims, n - top, axis=1)[:, [n - top]]
-        for row, bound, w in zip(sims, kth, words[lo : lo + _SYNONYM_BLOCK]):
-            cand = np.flatnonzero(row >= bound)
-            order = cand[np.argsort(-row[cand], kind="stable")[:top]]
-            out[w] = [(words[j], float(row[j])) for j in order]
-    return SynonymDict(out)
+        maxima = np.maximum.reduceat(sims, groups, axis=1)
+        bound = np.partition(maxima, len(groups) - top, axis=1)[:, len(groups) - top]
+        cand = np.flatnonzero(sims >= bound[:, None])
+        row, col = np.divmod(cand, n)
+        score = sims.ravel()[cand]
+        ranked = np.lexsort((col, -score, row))
+        counts = np.bincount(row, minlength=len(sims))
+        best = ranked[(np.cumsum(counts) - counts)[:, None] + np.arange(top)]
+        chosen[lo : lo + len(sims)] = col[best]
+        scores[lo : lo + len(sims)] = score[best]
+    pairs = list(zip([words[j] for j in chosen.ravel().tolist()], scores.ravel().tolist()))
+    return SynonymDict({w: pairs[i * top : (i + 1) * top] for i, w in enumerate(words)})
 
 
 # --- token substitution -----------------------------------------------------------
@@ -280,18 +287,21 @@ def token_substitute(
     if ex.scheme != "BIOES":
         raise ValueError(f"token substitution expects BIOES input, got {ex.scheme}")
     starts = {s.start: s for s in spans}
+    source, source_labels, n = ex.tokens, ex.labels, len(ex.tokens)
+    mentions, synonyms = edict.mentions, sdict.synonyms
+    p_entity, p_synonym = cfg.gamma * cfg.p_sub, (1.0 - cfg.gamma) * cfg.p_sub
     for _ in range(_SUBSTITUTE_RETRIES):
         tokens: list[str] = []
         labels: list[str] = []
         records: list[Replacement] = []
         i = 0
-        while i < len(ex):
+        while i < n:
             span = starts.get(i)
             if span is not None:
-                surface = tuple(ex.tokens[span.start : span.end + 1])
-                pool = edict.mentions.get(span.entity_type)
+                surface = tuple(source[span.start : span.end + 1])
+                pool = mentions.get(span.entity_type)
                 mention = surface
-                if pool and rng.random() < cfg.gamma * cfg.p_sub:
+                if pool and rng.random() < p_entity:
                     mention = pool[int(rng.integers(len(pool)))]
                     records.append(
                         Replacement("entity", span.start, span.end, surface, mention)
@@ -301,20 +311,17 @@ def token_substitute(
                 labels.extend(render_labels(len(mention), [whole], "BIOES"))
                 i = span.end + 1
                 continue
-            token = ex.tokens[i]
-            if (
-                ex.labels[i] == "O"
-                and token in sdict
-                and rng.random() < (1.0 - cfg.gamma) * cfg.p_sub
-            ):
-                synonym = sdict.sample(token, rng)
+            token = source[i]
+            pool = synonyms.get(token) if source_labels[i] == "O" else None
+            if pool and rng.random() < p_synonym:
+                synonym = pool[int(rng.integers(len(pool)))][0]
                 records.append(Replacement("synonym", i, i, (token,), (synonym,)))
                 tokens.append(synonym)
             else:
                 tokens.append(token)
-            labels.append(ex.labels[i])
+            labels.append(source_labels[i])
             i += 1
-        if tuple(tokens) != ex.tokens:
+        if tuple(tokens) != source:
             out = LabeledSequence(tuple(tokens), tuple(labels), scheme="BIOES")
             return Substituted(out, tuple(records))
     return None
@@ -370,11 +377,14 @@ def generate_augmented_set(
 ) -> list[PseudoExample]:
     """Produce times * |corpus| pseudo examples, split evenly across methods.
 
-    Each output slot draws from its own generator seeded with
+    Each output slot draws the stream of its own generator seeded with
     SeedSequence([seed, slot]), so slots are independent of each other and
     across seeds, and the whole set is reproducible (and could be filled in
-    parallel). `spans` are as for `build_entity_dict`, which can share them;
-    when not given they are parsed here, with no repair logged.
+    parallel). `_slot_generators` computes the seeds of every slot in one
+    array pass and reseeds one PCG64 per slot, which draws the same numbers
+    as building each slot's `SeedSequence` and generator. `spans` are as for
+    `build_entity_dict`, which can share them; when not given they are
+    parsed here, with no repair logged.
     """
     total = cfg.times * len(corpus)
     if total == 0:
@@ -394,8 +404,7 @@ def generate_augmented_set(
         ts_slots = 0
 
     out: list[PseudoExample] = []
-    for slot in range(total):
-        slot_rng = np.random.default_rng(np.random.SeedSequence([seed, slot]))
+    for slot, slot_rng in enumerate(_slot_generators(seed, total)):
         if slot < ts_slots:
             produced = None
             for _ in range(_GENERATE_REDRAWS):
@@ -415,3 +424,83 @@ def generate_augmented_set(
         else:
             out.append(sample_mixup_pair(corpus, cfg, slot_rng))
     return out
+
+
+# numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and PCG64's
+# 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_POOL_SIZE = 4
+_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
+
+
+def _slot_generators(seed: int, total: int) -> Iterator[np.random.Generator]:
+    """The generator of each slot, in order: the stream of
+    `np.random.default_rng(np.random.SeedSequence([seed, slot]))`.
+
+    `SeedSequence` mixes its entropy words and hashes its pool one uint32
+    at a time, and PCG64 seeds itself from the first four uint64 words of
+    the result. Here that mixing runs once over all slots, as uint32 arrays
+    whose products wrap as the C ones do; the words pair up little-endian
+    into uint64, as numpy reads them. Each slot then sets the 128-bit PCG64
+    state those words seed. One generator is reseeded for every slot, so
+    draw from it before taking the next.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    words = [seed & _MASK32]  # little-endian uint32 words, as numpy coerces ints
+    while seed > _MASK32:
+        seed >>= 32
+        words.append(seed & _MASK32)
+    entropy = [np.full(total, w, dtype=np.uint32) for w in words]
+    entropy.append(np.arange(total, dtype=np.uint32))  # every slot is one word
+    entropy += [np.zeros(total, dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
+    hashmix = _hasher(_INIT_A, _MULT_A)
+    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = _mix(pool[dst], hashmix(word))
+    # generate_state(4, uint64): 8 uint32 words hashed off the pool in turn.
+    hashmix = _hasher(_INIT_B, _MULT_B)
+    state = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
+    seeds = np.stack([lo | hi << np.uint64(32) for lo, hi in zip(state[::2], state[1::2])], 1)
+
+    bit_generator = np.random.PCG64(0)
+    rng = np.random.Generator(bit_generator)
+    # Row by row, so that only one slot's words are Python ints at a time.
+    for s_hi, s_lo, i_hi, i_lo in map(np.ndarray.tolist, seeds):
+        # pcg64_set_seed: state 0, inc = 2 * initseq + 1, step, add initstate, step.
+        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
+        pcg = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
+        bit_generator.state = {
+            "bit_generator": "PCG64",
+            "state": {"state": pcg, "inc": inc},
+            "has_uint32": 0,
+            "uinteger": 0,
+        }
+        yield rng
+
+
+def _hasher(const: int, mult: int):
+    """`SeedSequence`'s hashmix over uint32 arrays, with its running constant."""
+
+    def hashmix(value: np.ndarray) -> np.ndarray:
+        nonlocal const
+        value = value ^ np.uint32(const)
+        const = const * mult & _MASK32
+        value = value * np.uint32(const)
+        return value ^ value >> np.uint32(16)
+
+    return hashmix
+
+
+def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
+    return out ^ out >> np.uint32(16)

@@ -33,7 +33,14 @@ from .augment import (
     build_synonym_dict,
     generate_augmented_set,
 )
-from .config import ConfigError, RunConfig, check_out_dir, parse_config, render_config
+from .config import (
+    ConfigError,
+    RunConfig,
+    check_input_file,
+    check_out_dir,
+    parse_config,
+    render_config,
+)
 from .corpus import (
     Corpus,
     CorpusFormatError,
@@ -128,6 +135,9 @@ def cmd_build_dict(args) -> int:
     check_out_dir(args.out, "--out")
     if args.k < 1:
         raise ConfigError(f"--k must be >= 1, got {args.k}")
+    check_input_file(args.vectors, "--vectors")
+    if args.stopwords:
+        check_input_file(args.stopwords, "--stopwords")
     corpus = _read_corpus(args.train, None, "--train").convert("BIOES")
     edict = build_entity_dict(corpus)
     stop = read_stopword_file(args.stopwords) if args.stopwords else set()

@@ -175,13 +175,19 @@ def parse_config(path: str | Path) -> RunConfig:
     )
     for key in _PATH_KEYS:
         value = getattr(cfg, key)
-        if value is None or Path(value).is_file():
-            continue
-        problem = "is not a regular file" if Path(value).exists() else "file does not exist"
-        raise ConfigError(f"{path}:{lines.get(key, '?')}: {key} {problem}: {value}")
+        if value is not None:
+            check_input_file(value, f"{path}:{lines.get(key, '?')}: {key}")
     if cfg.out is not None:
         check_out_dir(cfg.out, f"{path}:{lines['out']}: out")
     return cfg
+
+
+def check_input_file(value: str, name: str) -> None:
+    """`ConfigError` led by `name` unless `value` is a regular file."""
+    if Path(value).is_file():
+        return
+    problem = "is not a regular file" if Path(value).exists() else "file does not exist"
+    raise ConfigError(f"{name} {problem}: {value}")
 
 
 def check_out_dir(out: str, name: str) -> None:

@@ -853,7 +853,9 @@ def viterbi(o: np.ndarray, t: np.ndarray, lanes: Lanes | None = None) -> list[in
         scores = delta[p : p + a, :, None] + body
         prev = scores.argmax(axis=1)  # first (lowest) index wins ties
         back[s : s + a] = prev
-        top = np.take_along_axis(scores, prev[:, None], axis=1)[:, 0]  # the maxima
+        # The maxima, gathered at the argmax: a second `max` over `scores`
+        # made this loop about a fifth slower on CoNLL-shaped chunks.
+        top = np.take_along_axis(scores, prev[:, None], axis=1)[:, 0]
         delta[s : s + a] = top + ot[s : s + a]
     final = delta[lanes.last].argmax(axis=1)  # one label per lane
     y = np.empty_like(final)

@@ -219,17 +219,20 @@ class TestSynonymDict:
         assert d.synonyms["cat"][0][0] == "kitten"
 
 
-def tied_vectors(n, seed=0):
+def tied_vectors(n, seed=0, all_equal=False):
     """n kept words with entries of +-1/4 in 16 dimensions, plus a stop-word and
     a zero vector among them.
 
     Every vector has unit norm and every dot product is a multiple of 1/16,
     exact in any summation order, so equal cosines are exactly equal. Every
-    third word repeats an earlier word's vector.
+    third word repeats an earlier word's vector; with `all_equal`, every word
+    has the first word's vector, so every cosine is 1.
     """
     rng = np.random.default_rng(seed)
     rows = rng.choice([-0.25, 0.25], size=(n, 16))
     rows[2::3] = rows[: len(rows[2::3])]
+    if all_equal:
+        rows[:] = rows[0]
     items = [(f"w{i}", rows[i]) for i in range(n)]
     items[n // 2 : n // 2] = [("the", rows[0]), ("null", np.zeros(16))]
     return dict(items)
@@ -239,9 +242,18 @@ class TestBlockedSynonymSearch:
     @pytest.mark.parametrize("n", [2, 3, 4, 7, 40])
     @pytest.mark.parametrize("k_of", ["1", "n-1", "n+2"])
     def test_equals_exhaustive_search_with_ties(self, monkeypatch, n, k_of):
+        self.check_exhaustive(monkeypatch, tied_vectors(n, seed=n), n, k_of)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 7, 40])
+    @pytest.mark.parametrize("k_of", ["1", "n-1", "n+2"])
+    def test_equals_exhaustive_search_all_tied(self, monkeypatch, n, k_of):
+        # Every word of every row is a candidate, and file order ranks them.
+        self.check_exhaustive(monkeypatch, tied_vectors(n, seed=n, all_equal=True), n, k_of)
+
+    @staticmethod
+    def check_exhaustive(monkeypatch, vecs, n, k_of):
         monkeypatch.setattr(augment, "_SYNONYM_BLOCK", 3)
         k = {"1": 1, "n-1": n - 1, "n+2": n + 2}[k_of]
-        vecs = tied_vectors(n, seed=n)
         got = build_synonym_dict(vecs, k, stopwords={"the"})
         want = exhaustive_synonym_dict(vecs, k, stopwords={"the"})
         assert got.synonyms == want.synonyms
@@ -677,6 +689,32 @@ class TestPackedLoss:
         assert err < 1e-6, layer
 
 
+class TestSlotGenerators:
+    @staticmethod
+    def draws(rng):
+        # float32 draws use PCG64's buffered half word, beta its normals.
+        return (
+            rng.random(3, dtype=np.float32).tolist(),
+            rng.random(3).tolist(),
+            rng.integers(7, size=3).tolist(),
+            int(rng.integers(2**40)),
+            float(rng.beta(7.0, 7.0)),
+        )
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**160 + 3])
+    def test_draw_the_seed_sequence_streams(self, seed):
+        slots = 0
+        for slot, rng in enumerate(augment._slot_generators(seed, 40)):
+            want = np.random.default_rng(np.random.SeedSequence([seed, slot]))
+            assert self.draws(rng) == self.draws(want), slot
+            slots += 1
+        assert slots == 40
+
+    def test_negative_seed_rejected(self):
+        with pytest.raises(ValueError, match="seed"):
+            next(augment._slot_generators(-1, 3))
+
+
 class TestGenerateAugmentedSet:
     def dicts(self):
         corpus = tiny_corpus()
@@ -730,6 +768,24 @@ class TestGenerateAugmentedSet:
         assert a == b
         c = generate_augmented_set(corpus, cfg, 8, edict, sdict, use_ts=True, use_mixup=True)
         assert a != c
+
+    @pytest.mark.parametrize("seed", [3, 2**64 + 7])
+    def test_equals_a_generator_built_per_slot(self, monkeypatch, seed):
+        corpus = synthetic_corpus(30, seed=0)
+        edict = build_entity_dict(corpus)
+        sdict = build_synonym_dict(synthetic_vectors(), k=5, stopwords=STOPWORDS)
+        cfg = AugConfig(times=2, p_sub=0.5)
+        args = (corpus, cfg, seed, edict, sdict, True, True)
+        got = generate_augmented_set(*args)
+        monkeypatch.setattr(
+            augment,
+            "_slot_generators",
+            lambda seed, total: (
+                np.random.default_rng(np.random.SeedSequence([seed, slot]))
+                for slot in range(total)
+            ),
+        )
+        assert generate_augmented_set(*args) == got
 
     def test_different_seeds_draw_independent_sets(self):
         corpus = synthetic_corpus(50, seed=0)

@@ -730,8 +730,23 @@ class TestWrongKindOfPath:
         [
             (["--out", "{file}/x"], "--out is under {file}, a file: {file}/x"),
             (["--out", "{out}", "--k", "0"], "--k must be >= 1, got 0"),
+            (
+                ["--out", "{out}", "--vectors", "{missing}"],
+                "--vectors file does not exist: {missing}",
+            ),
+            (
+                ["--out", "{out}", "--stopwords", "{missing}"],
+                "--stopwords file does not exist: {missing}",
+            ),
+            (
+                ["--out", "{out}", "--stopwords", "{dir}"],
+                "--stopwords is not a regular file: {dir}",
+            ),
         ],
-        ids=["out-under-a-file", "k-zero"],
+        ids=[
+            "out-under-a-file", "k-zero", "vectors-missing", "stopwords-missing",
+            "stopwords-a-directory",
+        ],
     )
     def test_build_dict_checks_its_flags_before_reading(
         self, synth_dataset, tmp_path, monkeypatch, capsys, flags, bad
@@ -741,7 +756,13 @@ class TestWrongKindOfPath:
 
         monkeypatch.setattr(cli_mod, "read_conll", unread)
         (tmp_path / "a-file").write_text("x\n")
-        names = {"file": tmp_path / "a-file", "out": tmp_path / "out"}
+        (tmp_path / "a-dir").mkdir()
+        names = {
+            "file": tmp_path / "a-file",
+            "out": tmp_path / "out",
+            "missing": tmp_path / "missing.txt",
+            "dir": tmp_path / "a-dir",
+        }
         argv = ["build-dict", "--train", str(synth_dataset["train"])]
         argv += ["--vectors", str(synth_dataset["vectors"])]
         assert main(argv + [flag.format(**names) for flag in flags]) == 1
