@@ -100,29 +100,11 @@ class EntityDict:
     def __len__(self) -> int:
         return sum(len(v) for v in self.mentions.values())
 
-    def sample(self, entity_type: str, rng: np.random.Generator) -> tuple[str, ...] | None:
-        pool = self.mentions.get(entity_type)
-        if not pool:
-            return None
-        return pool[int(rng.integers(len(pool)))]
-
     def save(self, path: str | Path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
             for etype, pool in self.mentions.items():
                 cells = [etype] + [" ".join(m) for m in pool]
                 fh.write("\t".join(cells) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "EntityDict":
-        mentions: dict[str, list[tuple[str, ...]]] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                etype, *cells = line.split("\t")
-                mentions[etype] = [tuple(c.split(" ")) for c in cells]
-        return cls(mentions)
 
 
 @dataclass
@@ -139,22 +121,6 @@ class SynonymDict:
             for word, pool in self.synonyms.items():
                 cells = [word] + [f"{syn} {repr(score)}" for syn, score in pool]
                 fh.write("\t".join(cells) + "\n")
-
-    @classmethod
-    def load(cls, path: str | Path) -> "SynonymDict":
-        synonyms: dict[str, list[tuple[str, float]]] = {}
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.rstrip("\n")
-                if not line:
-                    continue
-                word, *cells = line.split("\t")
-                pool = []
-                for cell in cells:
-                    syn, score = cell.rsplit(" ", 1)
-                    pool.append((syn, float(score)))
-                synonyms[word] = pool
-        return cls(synonyms)
 
 
 def build_entity_dict(
@@ -377,14 +343,13 @@ def generate_augmented_set(
 ) -> list[PseudoExample]:
     """Produce times * |corpus| pseudo examples, split evenly across methods.
 
-    Each output slot draws the stream of its own generator seeded with
-    SeedSequence([seed, slot]), so slots are independent of each other and
-    across seeds, and the whole set is reproducible (and could be filled in
-    parallel). `_slot_generators` computes the seeds of every slot in one
-    array pass and reseeds one PCG64 per slot, which draws the same numbers
-    as building each slot's `SeedSequence` and generator. `spans` are as for
-    `build_entity_dict`, which can share them; when not given they are
-    parsed here, with no repair logged.
+    Each output slot draws its own Philox stream: the run seed is the key,
+    and the slot number sits in a high word of the counter. So slots never
+    share a block of output, different seeds are different keys, and the
+    whole set is reproducible (and could be filled in parallel).
+    `_slot_generators` resets one generator to each slot's counter in turn.
+    `spans` are as for `build_entity_dict`, which can share them; when not
+    given they are parsed here, with no repair logged.
     """
     total = cfg.times * len(corpus)
     if total == 0:
@@ -426,81 +391,23 @@ def generate_augmented_set(
     return out
 
 
-# numpy's SeedSequence constants (numpy/random/bit_generator.pyx) and PCG64's
-# 128-bit LCG multiplier (numpy/random/src/pcg64/pcg64.h).
-_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
-_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
-_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
-_POOL_SIZE = 4
-_PCG_MULT = (2549297995355413924 << 64) + 4865540595714422341
-_MASK32, _MASK128 = (1 << 32) - 1, (1 << 128) - 1
-
-
 def _slot_generators(seed: int, total: int) -> Iterator[np.random.Generator]:
     """The generator of each slot, in order: the stream of
-    `np.random.default_rng(np.random.SeedSequence([seed, slot]))`.
+    `np.random.Generator(np.random.Philox(seed, counter=[0, 0, slot, 0]))`.
 
-    `SeedSequence` mixes its entropy words and hashes its pool one uint32
-    at a time, and PCG64 seeds itself from the first four uint64 words of
-    the result. Here that mixing runs once over all slots, as uint32 arrays
-    whose products wrap as the C ones do; the words pair up little-endian
-    into uint64, as numpy reads them. Each slot then sets the 128-bit PCG64
-    state those words seed. One generator is reseeded for every slot, so
-    draw from it before taking the next.
+    Philox is counter-based: its key comes from `SeedSequence(seed)`, and
+    each block of output is the key's cipher of the counter. Philox counts
+    up from word 0, so a slot held in word 2 starts 2**128 blocks away from
+    the next slot. One generator is reset to each slot's counter in turn,
+    with an empty buffer, so draw from it before taking the next.
     """
     seed = operator.index(seed)
     if seed < 0:
         raise ValueError(f"seed must be >= 0, got {seed}")
-    words = [seed & _MASK32]  # little-endian uint32 words, as numpy coerces ints
-    while seed > _MASK32:
-        seed >>= 32
-        words.append(seed & _MASK32)
-    entropy = [np.full(total, w, dtype=np.uint32) for w in words]
-    entropy.append(np.arange(total, dtype=np.uint32))  # every slot is one word
-    entropy += [np.zeros(total, dtype=np.uint32)] * (_POOL_SIZE - len(entropy))
-    hashmix = _hasher(_INIT_A, _MULT_A)
-    pool = [hashmix(word) for word in entropy[:_POOL_SIZE]]
-    for src in range(_POOL_SIZE):
-        for dst in range(_POOL_SIZE):
-            if src != dst:
-                pool[dst] = _mix(pool[dst], hashmix(pool[src]))
-    for word in entropy[_POOL_SIZE:]:
-        for dst in range(_POOL_SIZE):
-            pool[dst] = _mix(pool[dst], hashmix(word))
-    # generate_state(4, uint64): 8 uint32 words hashed off the pool in turn.
-    hashmix = _hasher(_INIT_B, _MULT_B)
-    state = [hashmix(pool[i % _POOL_SIZE]).astype(np.uint64) for i in range(8)]
-    seeds = np.stack([lo | hi << np.uint64(32) for lo, hi in zip(state[::2], state[1::2])], 1)
-
-    bit_generator = np.random.PCG64(0)
+    bit_generator = np.random.Philox(seed)
     rng = np.random.Generator(bit_generator)
-    # Row by row, so that only one slot's words are Python ints at a time.
-    for s_hi, s_lo, i_hi, i_lo in map(np.ndarray.tolist, seeds):
-        # pcg64_set_seed: state 0, inc = 2 * initseq + 1, step, add initstate, step.
-        inc = ((i_hi << 64 | i_lo) << 1 | 1) & _MASK128
-        pcg = ((inc + (s_hi << 64 | s_lo)) * _PCG_MULT + inc) & _MASK128
-        bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": pcg, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+    state = bit_generator.state  # a fresh one: empty buffer, no half word
+    for slot in range(total):
+        state["state"]["counter"] = [0, 0, slot, 0]
+        bit_generator.state = state
         yield rng
-
-
-def _hasher(const: int, mult: int):
-    """`SeedSequence`'s hashmix over uint32 arrays, with its running constant."""
-
-    def hashmix(value: np.ndarray) -> np.ndarray:
-        nonlocal const
-        value = value ^ np.uint32(const)
-        const = const * mult & _MASK32
-        value = value * np.uint32(const)
-        return value ^ value >> np.uint32(16)
-
-    return hashmix
-
-
-def _mix(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    out = np.uint32(_MIX_MULT_L) * x - np.uint32(_MIX_MULT_R) * y
-    return out ^ out >> np.uint32(16)

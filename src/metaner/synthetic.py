@@ -10,6 +10,7 @@ small BiLSTM-CRF can reach high span F1 within seconds of CPU training.
 
 from __future__ import annotations
 
+import math
 from pathlib import Path
 
 import numpy as np
@@ -115,20 +116,23 @@ def synthetic_vectors(dim: int = 12, seed: int = 0) -> dict[str, np.ndarray]:
 
     Each synonym group shares a random unit direction plus small noise, so
     group members are mutual nearest neighbors by cosine. All other words
-    (entity tokens, stop-words) get independent random directions.
+    (entity tokens, stop-words) get independent random directions. Norms are
+    exact sums (`math.fsum`), not BLAS dots, so the vectors have the same
+    bits whichever kernel OpenBLAS picks for the CPU.
     """
     rng = np.random.default_rng(seed)
     vectors: dict[str, np.ndarray] = {}
 
+    def normalized(v: np.ndarray) -> np.ndarray:
+        return v / math.sqrt(math.fsum(v * v))
+
     def unit() -> np.ndarray:
-        v = rng.normal(size=dim)
-        return v / np.linalg.norm(v)
+        return normalized(rng.normal(size=dim))
 
     for group in SYNONYM_GROUPS:
         center = unit()
         for word in group:
-            v = center + 0.05 * rng.normal(size=dim)
-            vectors[word] = v / np.linalg.norm(v)
+            vectors[word] = normalized(center + 0.05 * rng.normal(size=dim))
     for pool in MENTIONS.values():
         for mention in pool:
             for word in mention:

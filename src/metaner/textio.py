@@ -10,12 +10,12 @@ from typing import TextIO
 
 @contextmanager
 def open_text(path: str | Path, error: type[Exception]) -> Iterator[TextIO]:
-    """Open `path` for reading as UTF-8.
+    """Open `path` for reading as UTF-8, skipping a leading byte-order mark.
 
     A byte sequence that is not UTF-8 raises `error` naming the file and the
     line it is on, as every other bad input does.
     """
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         try:
             yield fh
         except UnicodeDecodeError as exc:

@@ -15,8 +15,9 @@ every value. `finite_diff_check` compares the engine's gradients with
 central differences. `add`, `sub`, `mul`, `pick`, `tsum` and
 `mix_embeddings` are graph ops that only tests build. The last helpers are
 conveniences only tests use: parameter snapshots, which the literal lookahead
-restores, and the one-sentence views `extract_spans` and `convert_sentence` of
-the program's corpus functions.
+restores, readers of the dictionary files that `build-dict` writes, and the
+one-sentence views `extract_spans` and `convert_sentence` of the program's
+corpus functions.
 """
 
 from __future__ import annotations
@@ -53,6 +54,7 @@ from metaner.corpus import (
 )
 from metaner.optim import AdamWState, clip_global_norm
 from metaner.tagger import crf_log_partition, crf_score
+from metaner.textio import open_text
 from metaner.trainer import reweight
 from metaner.vectors import read_vector_file
 
@@ -644,6 +646,36 @@ def load_snapshot(params: ParamStore, arrays: Mapping[str, np.ndarray]) -> None:
         if src.shape != t.data.shape:
             raise ValueError(f"shape mismatch for {name!r}: {src.shape} vs {t.data.shape}")
         np.copyto(t.data, src)
+
+
+def load_entity_dict(path: str | Path) -> EntityDict:
+    """Read back the `entities.tsv` that `EntityDict.save` writes."""
+    mentions: dict[str, list[tuple[str, ...]]] = {}
+    with open_text(path, ValueError) as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            etype, *cells = line.split("\t")
+            mentions[etype] = [tuple(c.split(" ")) for c in cells]
+    return EntityDict(mentions)
+
+
+def load_synonym_dict(path: str | Path) -> SynonymDict:
+    """Read back the `synonyms.tsv` that `SynonymDict.save` writes."""
+    synonyms: dict[str, list[tuple[str, float]]] = {}
+    with open_text(path, ValueError) as fh:
+        for line in fh:
+            line = line.rstrip("\n")
+            if not line:
+                continue
+            word, *cells = line.split("\t")
+            pool = []
+            for cell in cells:
+                syn, score = cell.rsplit(" ", 1)
+                pool.append((syn, float(score)))
+            synonyms[word] = pool
+    return SynonymDict(synonyms)
 
 
 def extract_spans(seq: LabeledSequence) -> set[Span]:

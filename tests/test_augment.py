@@ -149,15 +149,11 @@ class TestEntityDict:
         spans = [oracles._parse_spans(ex.labels, "BIOES") for ex in corpus.examples]
         assert build_entity_dict(corpus, spans).mentions == want
 
-    def test_sample_missing_type_returns_none(self):
-        d = build_entity_dict(tiny_corpus())
-        assert d.sample("GPE", np.random.default_rng(0)) is None
-
     def test_save_load_round_trip(self, tmp_path):
         d = build_entity_dict(tiny_corpus())
         path = tmp_path / "entities.tsv"
         d.save(path)
-        assert EntityDict.load(path).mentions == d.mentions
+        assert oracles.load_entity_dict(path).mentions == d.mentions
 
 
 class TestSynonymDict:
@@ -207,7 +203,7 @@ class TestSynonymDict:
         d = build_synonym_dict(self.vectors(), k=2)
         path = tmp_path / "synonyms.tsv"
         d.save(path)
-        back = SynonymDict.load(path)
+        back = oracles.load_synonym_dict(path)
         assert back.synonyms == d.synonyms
 
     def test_file_input(self, tmp_path):
@@ -689,10 +685,15 @@ class TestPackedLoss:
         assert err < 1e-6, layer
 
 
+def philox_slot(seed, slot):
+    """A fresh generator on slot `slot`'s Philox stream for `seed`."""
+    return np.random.Generator(np.random.Philox(seed, counter=[0, 0, slot, 0]))
+
+
 class TestSlotGenerators:
     @staticmethod
     def draws(rng):
-        # float32 draws use PCG64's buffered half word, beta its normals.
+        # float32 draws use the bit generator's buffered half word, beta its normals.
         return (
             rng.random(3, dtype=np.float32).tolist(),
             rng.random(3).tolist(),
@@ -702,13 +703,20 @@ class TestSlotGenerators:
         )
 
     @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 7, 2**160 + 3])
-    def test_draw_the_seed_sequence_streams(self, seed):
+    def test_draw_the_philox_streams(self, seed):
         slots = 0
         for slot, rng in enumerate(augment._slot_generators(seed, 40)):
-            want = np.random.default_rng(np.random.SeedSequence([seed, slot]))
-            assert self.draws(rng) == self.draws(want), slot
+            assert self.draws(rng) == self.draws(philox_slot(seed, slot)), slot
             slots += 1
         assert slots == 40
+
+    def test_adjacent_slots_do_not_overlap(self):
+        # Philox steps its counter's word 0 before each block. A slot held in
+        # that word would start where the slot before it took its second block.
+        slots = augment._slot_generators(3, 6)
+        blocks = [rng.bit_generator.random_raw(8).tolist() for rng in slots]
+        for slot in range(5):
+            assert blocks[slot + 1][:4] != blocks[slot][4:], slot
 
     def test_negative_seed_rejected(self):
         with pytest.raises(ValueError, match="seed"):
@@ -780,10 +788,7 @@ class TestGenerateAugmentedSet:
         monkeypatch.setattr(
             augment,
             "_slot_generators",
-            lambda seed, total: (
-                np.random.default_rng(np.random.SeedSequence([seed, slot]))
-                for slot in range(total)
-            ),
+            lambda seed, total: (philox_slot(seed, slot) for slot in range(total)),
         )
         assert generate_augmented_set(*args) == got
 

@@ -98,6 +98,20 @@ class TestReadConll:
         assert back.token_vocab == corpus.token_vocab
 
     @pytest.mark.parametrize("scheme", ["BIOES", None])
+    def test_byte_order_mark_reads_as_absent(self, tmp_path, scheme):
+        text = "John B-PER\nSmith E-PER\nsleeps O\n\nParis S-LOC\n"
+        plain, marked = tmp_path / "plain.conll", tmp_path / "marked.conll"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        want, got = read_conll(plain, scheme=scheme), read_conll(marked, scheme=scheme)
+        assert got.examples == want.examples
+        assert got.examples[0].tokens[0] == "John"
+        assert (got.scheme, got.label_vocab, got.token_vocab) == (
+            want.scheme, want.label_vocab, want.token_vocab
+        )
+
+    @pytest.mark.parametrize("scheme", ["BIOES", None])
     def test_one_string_per_distinct_token_and_label(self, tmp_path, scheme):
         path = tmp_path / "toy.conll"
         path.write_text("John B-PER\nSmith E-PER\nsleeps O\n\nJohn S-PER\nruns O\n\n"

@@ -101,6 +101,27 @@ class TestAgainstOracle:
         assert read_vector_file(path) == {} == line_vector_file(path)
 
 
+class TestByteOrderMark:
+    """A file that starts with a UTF-8 byte-order mark reads as if it had none."""
+
+    def test_vector_file(self, tmp_path):
+        plain = write(tmp_path, VARIED, "plain.txt")
+        marked = tmp_path / "marked.txt"
+        marked.write_text(VARIED, encoding="utf-8-sig")
+        assert_same_vectors(read_vector_file(marked), read_vector_file(plain))
+
+    def test_stopword_file(self, tmp_path):
+        marked = tmp_path / "stop.txt"
+        marked.write_text("a\nthe\n", encoding="utf-8-sig")
+        assert read_stopword_file(marked) == {"a", "the"}
+
+    def test_not_utf8_still_names_its_line(self, tmp_path):
+        path = tmp_path / "vectors.txt"
+        path.write_bytes(b"\xef\xbb\xbfw1 0.1 0.2\nw2 0.3 0.4\nw\xff3 0.5 0.6\n")
+        with pytest.raises(ValueError, match=f"{path}:3: not UTF-8"):
+            read_vector_file(path)
+
+
 class TestNotUtf8:
     def test_vector_file_names_line(self, tmp_path):
         path = tmp_path / "vectors.txt"
