@@ -28,13 +28,17 @@ pairs (`MixedExample`), looks the batch up once, mixes each pair's rows into
 one lane with `autodiff.mix_rows`, draws one dropout mask per layer over the
 batch, and runs one BiLSTM node and one CRF partition node.
 
-Decoding builds no graph. `sentence_paths` runs chunks of consecutive
-sentences, about 512 rows each, through the BiLSTM recursion the training
-node uses and then one packed Viterbi, on one `Lanes` per chunk; `decode`
-labels one sentence. A sentence's states are the same bits in any chunk, but
-one product over a chunk's states rounds some rows unlike the sentence's own
-product, so each sentence's emissions are its own product: emissions and
-labels are those of decoding the sentence alone.
+Decoding builds no graph. `sentence_paths` sorts the sentences by length,
+cuts them into chunks of about 512 rows, and runs each chunk through the
+BiLSTM recursion the training node uses and then one packed Viterbi, on one
+`Lanes` per chunk; a chunk of one length runs only that many steps, with
+every lane live. The emissions are one stacked product per length, which
+rounds each sentence's rows as the sentence's own product does (one product
+over the whole chunk would not). Paths come back in corpus order, and
+`decode` labels one sentence. On the OpenBLAS kernel the tests run on
+(SkylakeX), a sentence's states are the same bits in any chunk, so emissions
+and labels are those of decoding the sentence alone; on Haswell and Prescott
+only the labels were measured to agree (see `_bilstm_forward`).
 """
 
 from __future__ import annotations
@@ -126,7 +130,11 @@ class EmbeddingTable:
         return self._index.get(token, self.UNK_INDEX)
 
     def indices(self, tokens: Sequence[str]) -> list[int]:
-        return [self.index(t) for t in tokens]
+        """`index` of each token, with one `dict.get` per token."""
+        if self.lowercase:
+            tokens = [t.lower() for t in tokens]
+        get, unk = self._index.get, self.UNK_INDEX
+        return [get(t, unk) for t in tokens]
 
     def init_matrix(
         self,
@@ -348,31 +356,37 @@ class TaggerModel:
     ) -> Tensor:
         return self.batch_loss([seq], train, rng)
 
-    def sentence_paths(self, sentences: Sequence[Sequence[str]]) -> Iterator[list[int]]:
-        """Each sentence's Viterbi label indices, in order, with no graph.
+    def sentence_paths(self, sentences: Sequence[Sequence[str]]) -> list[list[int]]:
+        """Each sentence's Viterbi label indices, in corpus order, with no graph.
 
-        Consecutive sentences share one pass, in chunks of at most
-        `_DECODE_ROWS` rows (a longer sentence is a chunk of its own): the
-        BiLSTM recursion over rows looked up straight from the embedding
-        table, then one packed `viterbi`, on the chunk's one `Lanes`. A
-        sentence's states are the same bits in any chunk, but rows of one
-        product over the chunk are not the rows of the sentence's own
-        product, so each sentence's emissions are its own `states @ W + b`,
-        the bits `forward` gives, and its path is the path of its rows alone.
+        The sentences are sorted by length (a stable sort) and cut into chunks
+        of at most `_DECODE_ROWS` rows (a longer sentence is a chunk of its
+        own), so a chunk's sentences have about one length and its passes run
+        about as many steps as each of them has. A chunk runs the BiLSTM
+        recursion over rows looked up straight from the embedding table, then
+        one packed `viterbi`, on the chunk's one `Lanes`; each path is written
+        back to its sentence's corpus position. Emissions come from one
+        stacked product per length (`_emissions_by_length`), which rounds
+        each sentence's rows as its own `states @ W + b` does, the bits
+        `forward` gives. With a sentence's states the same bits in any chunk
+        (see `_bilstm_forward`), its path is the path of its rows alone.
         """
         table = self.params["embed.table"].data
         weights = [self.params[name].data for name in _LSTM_PARAMS]
         w, b, t = (self.params[name].data for name in ("crf.W", "crf.b", "crf.T"))
         lengths = [len(tokens) for tokens in sentences]
-        for chunk in _chunks(lengths, _DECODE_ROWS):
-            sizes = lengths[chunk]
-            tokens = [tok for sentence in sentences[chunk] for tok in sentence]
+        order = sorted(range(len(sentences)), key=lengths.__getitem__)
+        by_length = [lengths[i] for i in order]
+        paths: list = [None] * len(sentences)
+        for chunk in _chunks(by_length, _DECODE_ROWS):
+            sizes, members = by_length[chunk], order[chunk]
+            tokens = [tok for i in members for tok in sentences[i]]
             lanes = Lanes(sizes, len(tokens))
             states = _bilstm_forward(table[self.table.indices(tokens)], weights, lanes)[0]
-            parts = np.split(states, np.cumsum(sizes)[:-1])
-            path = viterbi(np.concatenate([part @ w + b for part in parts]), t, lanes)
-            for end, size in zip(itertools.accumulate(sizes), sizes):
-                yield path[end - size : end]
+            path = viterbi(_emissions_by_length(states, sizes, w, b), t, lanes)
+            for i, end, size in zip(members, itertools.accumulate(sizes), sizes):
+                paths[i] = path[end - size : end]
+        return paths
 
     def decode(
         self, tokens: Sequence[str], path: Sequence[int] | None = None
@@ -389,7 +403,8 @@ class TaggerModel:
         return [self.label_vocab[i] for i in path]
 
     def decode_all(self, sentences: Sequence[Sequence[str]]) -> list[list[str]]:
-        """`decode` of each sentence, once each and in order, over one chunked pass."""
+        """`decode` of each sentence, once each and in corpus order, over the
+        length-sorted chunks of `sentence_paths`."""
         paths = self.sentence_paths(sentences)
         return [self.decode(tokens, path) for tokens, path in zip(sentences, paths)]
 
@@ -484,6 +499,28 @@ def _chunks(lengths: Sequence[int], budget: int) -> Iterator[slice]:
         yield slice(first, len(lengths))
 
 
+def _emissions_by_length(
+    states: np.ndarray, sizes: Sequence[int], w: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """Each sentence's `states @ w + b`, for packed sentences of `sizes` rows.
+
+    A run of k consecutive sentences of one length m is one stacked
+    (k, m, 2H) @ w. numpy's stacked matmul makes one BLAS call per sentence,
+    with that sentence's own m rows, so every sentence's rows are the bits
+    of its own product; one product over all the rows would round some rows
+    differently.
+    """
+    out = np.empty((len(states), w.shape[1]))
+    start = 0
+    for size, run in itertools.groupby(sizes):
+        rows = slice(start, start + size * len(list(run)))
+        np.matmul(states[rows].reshape(-1, size, states.shape[1]), w,
+                  out=out[rows].reshape(-1, size, w.shape[1]))
+        start = rows.stop
+    out += b
+    return out
+
+
 class Lanes:
     """Layout of one packed pass: `lengths` splits the n rows into sentences,
     one lane each (None: one sentence), and row r belongs to example
@@ -565,8 +602,11 @@ def _bilstm_forward(
     X Wx^T + b is one GEMM. All four gates come from one tanh, since
     sigma(x) = (1 + tanh(x/2)) / 2 and halving the i, f, o rows is exact.
     Every product has at least two rows, since BLAS rounds a one-row product
-    differently (a matrix-vector kernel): so a sentence's states are the same
-    bits whichever sentences share its lanes.
+    differently (a matrix-vector kernel). On the OpenBLAS kernel the tests run
+    on (SkylakeX), a sentence's states are then the same bits whichever
+    sentences share its lanes. That was measured to fail on the Haswell and
+    Prescott kernels, where a GEMM row's bits can depend on the rows beside it,
+    and only the decoded labels agreed.
 
     Returns the states (n, 2H) in packed row order, and the time-major
     inputs, activated gates, cells, tanh of the cells and hidden states that
@@ -620,8 +660,9 @@ def bilstm(emb: Tensor, weights: Sequence[Tensor], lanes: Lanes | None = None) -
     `emb` holds the sentences' rows concatenated, laid out by `lanes`
     (None: one sentence). `weights` holds (Wx, Wh, b) of the forward
     direction, then of the backward one; the forward pass is
-    `_bilstm_forward`, so a sentence's states are the same bits whichever
-    sentences share its batch.
+    `_bilstm_forward`, so on the SkylakeX kernel a sentence's states are the
+    same bits whichever sentences share its batch (not on Haswell or
+    Prescott; see there).
 
     The vjp is backpropagation through time over the cached gates and cells.
     It returns the weight gradients factored by position, each position
@@ -849,13 +890,17 @@ def viterbi(o: np.ndarray, t: np.ndarray, lanes: Lanes | None = None) -> list[in
     delta = np.empty((n, num_labels))
     delta[: steps[0][1]] = t[-1] + ot[: steps[0][1]]
     back = np.zeros((n, num_labels), dtype=np.intp)  # best previous label per label
+    lane_rows, cols = np.arange(steps[0][1])[:, None], np.arange(num_labels)
     for (p, _), (s, a) in zip(steps, steps[1:]):
         scores = delta[p : p + a, :, None] + body
         prev = scores.argmax(axis=1)  # first (lowest) index wins ties
         back[s : s + a] = prev
-        # The maxima, gathered at the argmax: a second `max` over `scores`
-        # made this loop about a fifth slower on CoNLL-shaped chunks.
-        top = np.take_along_axis(scores, prev[:, None], axis=1)[:, 0]
+        # The maxima, gathered at the argmax with one fancy index: each
+        # (lane, label) reads its own argmax element, so the bits are those
+        # of the max. A second `max` over `scores` made this loop about a
+        # fifth slower on CoNLL-shaped chunks. In a decode chunk, sorted by
+        # length, most lanes stay live to the last step.
+        top = scores[lane_rows[:a], prev, cols]
         delta[s : s + a] = top + ot[s : s + a]
     final = delta[lanes.last].argmax(axis=1)  # one label per lane
     y = np.empty_like(final)

@@ -216,8 +216,9 @@ def meta_train_step(
 def evaluate(model: TaggerModel, corpus: Corpus) -> dict:
     """Span precision/recall/F1 of Viterbi decoding over a labeled corpus.
 
-    Paths come from one chunked pass over the corpus, and each sentence is
-    decoded once, in corpus order.
+    Paths come from one pass over the corpus in length-sorted chunks, with
+    one stacked emission product per length, and come back in corpus order;
+    each sentence is decoded once, in corpus order.
     """
     preds = model.decode_all([ex.tokens for ex in corpus.examples])
     golds = [list(ex.labels) for ex in corpus.examples]

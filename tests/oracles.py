@@ -15,13 +15,14 @@ every value. `finite_diff_check` compares the engine's gradients with
 central differences. `add`, `sub`, `mul`, `pick`, `tsum` and
 `mix_embeddings` are graph ops that only tests build. The last helpers are
 conveniences only tests use: parameter snapshots, which the literal lookahead
-restores, readers of the dictionary files that `build-dict` writes, and the
-one-sentence views `extract_spans` and `convert_sentence` of the program's
-corpus functions.
+restores, readers of the dictionary files that `build-dict` writes, the name
+of the OpenBLAS kernel that byte checks report, and the one-sentence views
+`extract_spans` and `convert_sentence` of the program's corpus functions.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import itertools
 import logging
@@ -676,6 +677,26 @@ def load_synonym_dict(path: str | Path) -> SynonymDict:
                 pool.append((syn, float(score)))
             synonyms[word] = pool
     return SynonymDict(synonyms)
+
+
+def openblas_core() -> str | None:
+    """The kernel numpy's bundled OpenBLAS runs, such as "SkylakeX", or None
+    when the library does not export `scipy_openblas_get_corename64_`.
+
+    Byte-equality checks name it in their messages, since the bits of a
+    matrix product can differ from one OpenBLAS kernel to another.
+    """
+    try:
+        from numpy._core import _multiarray_umath
+    except ImportError:  # numpy < 2
+        from numpy.core import _multiarray_umath
+    # dlsym through the extension's handle also searches the libraries it loaded.
+    corename = getattr(ctypes.CDLL(_multiarray_umath.__file__),
+                       "scipy_openblas_get_corename64_", None)
+    if corename is None:
+        return None
+    corename.restype = ctypes.c_char_p
+    return corename().decode()
 
 
 def extract_spans(seq: LabeledSequence) -> set[Span]:

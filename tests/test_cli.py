@@ -9,7 +9,13 @@ import sys
 import numpy as np
 import pytest
 
-from oracles import convert_sentence, load_entity_dict, load_synonym_dict, sentence_decode
+from oracles import (
+    convert_sentence,
+    load_entity_dict,
+    load_synonym_dict,
+    openblas_core,
+    sentence_decode,
+)
 
 from metaner import cli as cli_mod
 from metaner import trainer as trainer_mod
@@ -345,7 +351,8 @@ class TestTrainingBytes:
         if out.is_file():  # `trained` is the checkpoint
             out = out.parent
         for name, digest in TRAIN_SHA256[fixture].items():
-            assert hashlib.sha256((out / name).read_bytes()).hexdigest() == digest, name
+            digest_now = hashlib.sha256((out / name).read_bytes()).hexdigest()
+            assert digest_now == digest, f"{name} (OpenBLAS core {openblas_core()})"
 
 
 class TestDivergedRun:

@@ -15,6 +15,7 @@ from oracles import (
     add,
     finite_diff_check,
     numeric_gradient,
+    openblas_core,
     rel_err,
     sentence_bilstm,
     sentence_crf_log_partition,
@@ -152,6 +153,16 @@ class TestEncoder:
         model = tiny_model(lowercase=True)
         assert model.table.index("John") == model.table.index("john")
         assert model.table.index("john") != model.table.UNK_INDEX
+
+    @pytest.mark.parametrize("lowercase", [False, True])
+    def test_indices_are_each_tokens_index(self, lowercase):
+        table = tiny_model(lowercase=lowercase).table
+        tokens = ["john", "John", "PARIS", "paris", "zzz-never-seen", "acme", ""]
+        got = table.indices(tokens)
+        assert got == [table.index(t) for t in tokens]
+        assert got[4] == got[6] == table.UNK_INDEX
+        assert (got[1] == got[0]) is lowercase
+        assert table.UNK_INDEX not in (got[0], got[3], got[5])
 
 
 class TestDropout:
@@ -743,16 +754,24 @@ class TestCorpusDecode:
     @staticmethod
     def corpus_decode(model, sentences):
         """Each sentence's emission rows as its chunk's `viterbi` read them,
-        and `decode_all`'s labels."""
-        emissions = []
+        in corpus order, and `decode_all`'s labels.
+
+        The chunks run the sentences sorted by length with a stable sort, so
+        the k-th sentence `viterbi` reads is the k-th of that order.
+        """
+        recorded = []
 
         def recording(o, t, lanes):
-            emissions.extend(split_rows(o, lanes.sizes))
+            recorded.extend(split_rows(o, lanes.sizes))
             return viterbi(o, t, lanes)
 
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(tagger_mod, "viterbi", recording)
             labels = model.decode_all(sentences)
+        assert len(recorded) == len(sentences)
+        emissions = [None] * len(sentences)
+        for i, o in zip(sorted(range(len(sentences)), key=lambda i: len(sentences[i])), recorded):
+            emissions[i] = o
         return emissions, labels
 
     @pytest.mark.parametrize("budget", [None, 7])
@@ -763,15 +782,34 @@ class TestCorpusDecode:
         model = self.model(5)
         model.params["crf.T"].data[:] = rng.normal(size=model.params["crf.T"].shape)
         sentences = self.ragged(7)
-        lengths = [len(s) for s in sentences]
+        lengths = sorted(len(s) for s in sentences)
         assert len(list(tagger_mod._chunks(lengths, tagger_mod._DECODE_ROWS))) > 1
         emissions, labels = self.corpus_decode(model, sentences)
         assert len(emissions) == len(sentences)
+        kernel = f"OpenBLAS core {openblas_core()}"
         for tokens, o, got in zip(sentences, emissions, labels):
             want_o, want = sentence_decode(model, tokens)
-            assert o.tobytes() == want_o.tobytes()
-            assert got == want
-            assert model.decode(tokens) == want
+            assert o.tobytes() == want_o.tobytes(), kernel
+            assert got == want, kernel
+            assert model.decode(tokens) == want, kernel
+
+    @pytest.mark.parametrize("budget", [None, 7])
+    @pytest.mark.parametrize("lengths", [
+        list(range(1, 13)),
+        list(range(12, 0, -1)),
+        [1, 12, 2, 11, 3, 10, 4, 9, 5, 8, 6, 7, 3, 3],
+    ], ids=["ascending", "descending", "interleaved"])
+    def test_labels_come_back_in_corpus_order(self, lengths, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(tagger_mod, "_DECODE_ROWS", budget)
+        rng = np.random.default_rng(sum(lengths) + len(lengths))
+        model = self.model(3)
+        model.params["crf.T"].data[:] = rng.normal(size=model.params["crf.T"].shape)
+        vocab = ["john", "smith", "visits", "paris", "acme", "hires", "unseen"]
+        sentences = [tuple(rng.choice(vocab, size=n)) for n in lengths]
+        labels = model.decode_all(sentences)
+        assert labels == [model.decode(tokens) for tokens in sentences]
+        assert labels == [sentence_decode(model, tokens)[1] for tokens in sentences]
 
     def test_ties_resolve_to_the_first_label(self):
         model = self.model(6)
@@ -795,6 +833,21 @@ class TestCorpusDecode:
     def test_chunks_fill_the_row_budget_in_order(self, lengths, budget, want):
         chunks = tagger_mod._chunks(lengths, budget)
         assert [(c.start, c.stop) for c in chunks] == want
+
+    @pytest.mark.parametrize("sizes", [
+        [1],
+        [3, 3, 3],
+        [1, 1, 2, 2, 2, 5, 5],
+        [4, 1, 4, 4, 2, 2, 1],
+        [2, 2, tagger_mod._DECODE_ROWS + 1, 1],
+    ], ids=["one-row", "one-length", "sorted", "unsorted", "longer-than-a-chunk"])
+    def test_emissions_by_length_are_each_sentences_own_product(self, sizes):
+        rng = np.random.default_rng(len(sizes))
+        states = rng.normal(size=(sum(sizes), 40))
+        w, b = rng.normal(size=(40, 17)), rng.normal(size=17)
+        want = np.concatenate([part @ w + b for part in split_rows(states, sizes)])
+        got = tagger_mod._emissions_by_length(states, sizes, w, b)
+        assert got.tobytes() == want.tobytes(), f"OpenBLAS core {openblas_core()}"
 
     def test_path_must_match_the_sentence(self):
         model = tiny_model()
@@ -838,7 +891,7 @@ class TestOneLanesPerLayout:
         monkeypatch.setattr(tagger_mod, "_DECODE_ROWS", 7)
         model = tiny_model()
         sentences = TestCorpusDecode.ragged(3)
-        chunks = list(tagger_mod._chunks([len(s) for s in sentences], 7))
+        chunks = list(tagger_mod._chunks(sorted(len(s) for s in sentences), 7))
         built = self.count_lanes(monkeypatch)
         model.decode_all(sentences)
         assert len(built) == len(chunks) > 1
